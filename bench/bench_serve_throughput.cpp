@@ -67,13 +67,15 @@ struct mode_spec {
 // coalesced keeps max_batch below the top offered load so that, at high
 // load, a full batch is already queued when the leader scans and the
 // launch happens without waiting out the window — the standard sizing
-// rule for closed-loop dynamic batching.
+// rule for closed-loop dynamic batching. persistent runs with no window:
+// it launches whatever has accumulated, so under load the ring itself is
+// the window (entries pile up while the previous batch solves).
 constexpr mode_spec kModes[] = {
     {"batch1", 1, std::chrono::microseconds{0}},
     {"coalesced", 32, std::chrono::microseconds{300}},
     {"graph_replay", 32, std::chrono::microseconds{300},
      xpu::launch_mode::graph_replay},
-    {"persistent", 32, std::chrono::microseconds{300},
+    {"persistent", 32, std::chrono::microseconds{0},
      xpu::launch_mode::persistent},
 };
 
@@ -238,7 +240,7 @@ shard_cell_result run_shard_cell(int shards, int clients, double min_time)
     serve::service_config cfg;
     cfg.workers = 1;
     cfg.max_batch = 32;
-    cfg.max_wait = std::chrono::microseconds{300};
+    cfg.max_wait = std::chrono::microseconds{0};  // no window, as above
     cfg.max_queue_systems = 4096;
     cfg.shard_devices.assign(static_cast<std::size_t>(shards), "pvc1s");
     xpu::exec_policy policy = xpu::make_sycl_policy();

@@ -16,10 +16,11 @@
 #     injector itself is race- and UB-free and that recovery paths hold
 #     up with the sanitizer watching, and
 #  6. the serve and resilience suites re-run under
-#     BATCHLIN_LAUNCH_MODE=graph_replay, proving the record/rebind/replay
-#     launch path produces bit-identical results and survives the fault
-#     schedules (a replay hitting a device fault invalidates the cached
-#     graph and re-records), and
+#     BATCHLIN_LAUNCH_MODE=graph_replay, so every fused batch is
+#     submitted through the worker's graph cache (record/rebind/replay at
+#     replay cost) instead of eagerly: results must stay bit-identical and
+#     survive the fault schedules (a replay hitting a device fault
+#     invalidates the cached graph and re-records), and
 #  7. the serve and mixed-precision suites re-run under
 #     BATCHLIN_STORAGE=fp32, flipping the library's default storage
 #     precision: the service normalizes every eligible request to fp32
@@ -31,10 +32,11 @@
 #     MixedPrecision/Refine tests instead.), and
 #  8. the serve, shard, and resilience suites re-run with
 #     BATCHLIN_SHARDS=2, spreading every test service over two device
-#     shards (cost-model routing, work stealing, per-shard breakers) in
-#     both the persistent and graph_replay launch modes: results must be
-#     bit-identical to the unsharded runs and the fault schedules must
-#     stay contained to the shard they strike, and
+#     shards (cost-model routing, work stealing, per-shard breakers) with
+#     the graph-cache submit path at both resident (persistent) and
+#     replay (graph_replay) cost: results must be bit-identical to the
+#     unsharded runs and the fault schedules must stay contained to the
+#     shard they strike, and
 #  9. a BATCHLIN_CONC_CHECK build running the conc:: concurrency model
 #     checker over the lock-free serve/shard protocols: the ring,
 #     reply-slot, doorbell, and lane-counter invariants are explored
@@ -53,8 +55,8 @@
 #     against solo references — in the Release build and again under the
 #     instrumented checked build.
 # The sanitizer passes are what prove the pooled launch resources, the
-# reused spill backing, the serving layer's locking, and the solver
-# kernels' SPMD discipline race- and UB-free.
+# reused spill backing, the serving layer's lock-free handoffs, and the
+# solver kernels' SPMD discipline race- and UB-free.
 #
 # Usage: scripts/check.sh [jobs]
 set -euo pipefail
@@ -85,11 +87,13 @@ cmake --build build-tsan -j "$JOBS" --target test_serve test_shard
 OMP_NUM_THREADS=1 ctest --test-dir build-tsan \
   -R '^(Serve|Assemble|Shard[A-Za-z]*)\.' \
   -j "$JOBS" --output-on-failure | tail -3
-# The persistent launch mode swaps the mutex/condvar handoff for the
-# lock-free ring + futex doorbell + waiter-bit reply slots: re-run the
+# Every launch mode shares the lock-free ring + futex doorbell +
+# waiter-bit reply slots the conc:: model checker (config 9) explores; the
+# modes differ only in how a worker submits a fused batch. Re-run the
 # serve and shard suites with every default-config service forced onto
-# that path, so TSan watches the protocols the conc:: model checker
-# (config 9) explores.
+# the graph-cache submit path at resident cost, so TSan also watches the
+# per-worker graph caches and the record/rebind/replay handoff under
+# concurrent clients.
 OMP_NUM_THREADS=1 BATCHLIN_LAUNCH_MODE=persistent ctest \
   --test-dir build-tsan -R '^(Serve|Assemble|Shard[A-Za-z]*)\.' \
   -j "$JOBS" --output-on-failure | tail -3
@@ -114,7 +118,8 @@ ctest --test-dir build-check \
 echo "== config 6/10: serve + resilience under graph_replay launch mode"
 # Same Release build, launch mode forced by environment override: the
 # serve-vs-solo bit-identity tests and the fault-recovery suites must not
-# notice that every fused solve now goes through a recorded command graph.
+# notice that every fused solve now goes through a recorded command graph
+# from the worker's graph cache, submitted at replay cost.
 BATCHLIN_LAUNCH_MODE=graph_replay ctest --test-dir build \
   -R '^(Serve|Assemble|ServeResilience|Resilient|FaultPlan)\.' \
   -j "$JOBS" --output-on-failure | tail -3
@@ -132,8 +137,10 @@ echo "== config 8/10: serve + resilience across two device shards"
 # Same Release build, shard count forced by environment override onto
 # every default-config service: routing, stealing, and the per-shard
 # breakers must be invisible to the serve bit-identity and fault-recovery
-# suites in both remaining launch modes. (Tests that pin an explicit
-# shard layout ignore the override by design and still run.)
+# suites on the graph-cache submit path, at resident (persistent) and at
+# replay (graph_replay) cost; the eager path runs sharded in the tests
+# that pin their own shard layout. (Those tests ignore the override by
+# design and still run.)
 BATCHLIN_SHARDS=2 BATCHLIN_LAUNCH_MODE=persistent ctest --test-dir build \
   -R '^(Serve|Assemble|Shard[A-Za-z]*|ServeResilience|Resilient|FaultPlan)\.' \
   -j "$JOBS" --output-on-failure | tail -3
@@ -146,7 +153,7 @@ cmake -B build-conc -S . -G Ninja \
   -DCMAKE_BUILD_TYPE=Release -DBATCHLIN_CONC_CHECK=ON >/dev/null
 cmake --build build-conc -j "$JOBS" --target test_conc test_serve test_shard
 # The model-check suite: exhaustive exploration + fixed-seed random walks
-# of the production ring/reply-slot/doorbell/lane protocols, and the
+# of the production ring/reply-slot/doorbell/gate/lane protocols, and the
 # mutant suite proving the detector's teeth. The serve/shard suites then
 # re-run in the same build: off-engine, the shims must be invisible.
 ctest --test-dir build-conc -R '^Conc' \

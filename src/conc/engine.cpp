@@ -314,11 +314,16 @@ void engine::decide_and_switch(thread_rec& me, bool finishing) {
     if (me_runnable && ch.tid != me.tid) {
         ++preemptions_;  // involuntary switch away from a runnable thread
     }
-    t_[static_cast<std::size_t>(ch.tid)].sem.release();
     if (finishing) {
+        t_[static_cast<std::size_t>(ch.tid)].sem.release();
         return;  // caller's OS thread exits; it never parks again
     }
+    // Mark this thread parked before handing the baton on: the thread it
+    // wakes may abort at once and, finishing, release this semaphore only
+    // if it reads `parked` as true. Set after the release, that read could
+    // race ahead of the store and leave this thread asleep forever.
     me.parked = true;
+    t_[static_cast<std::size_t>(ch.tid)].sem.release();
     me.sem.acquire();
     me.parked = false;
     if (aborting_) {

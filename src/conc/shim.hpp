@@ -20,11 +20,13 @@
 //    the word, exactly like the real syscall.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 
 #if defined(__linux__)
 #include <climits>
+#include <ctime>
 #include <linux/futex.h>
 #include <sys/syscall.h>
 #include <unistd.h>
@@ -48,6 +50,27 @@ inline void raw_futex_wait(std::atomic<std::uint32_t>& word, std::uint32_t expec
             FUTEX_WAIT_PRIVATE, expected, nullptr, nullptr, 0);
 #else
     word.wait(expected, std::memory_order_acquire);
+#endif
+}
+
+/// raw_futex_wait that also returns once `timeout` has elapsed.
+inline void raw_futex_wait_for(std::atomic<std::uint32_t>& word,
+                               std::uint32_t expected,
+                               std::chrono::nanoseconds timeout)
+{
+#if defined(__linux__)
+    const auto secs = std::chrono::duration_cast<std::chrono::seconds>(timeout);
+    timespec rel{};
+    rel.tv_sec = static_cast<time_t>(secs.count());
+    rel.tv_nsec = static_cast<long>((timeout - secs).count());
+    syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&word),
+            FUTEX_WAIT_PRIVATE, expected, &rel, nullptr, 0);
+#else
+    const auto until = std::chrono::steady_clock::now() + timeout;
+    while (word.load(std::memory_order_acquire) == expected &&
+           std::chrono::steady_clock::now() < until) {
+        std::this_thread::yield();
+    }
 #endif
 }
 
@@ -80,6 +103,13 @@ inline bool active() { return false; }
 inline void futex_wait(std::atomic<std::uint32_t>& word, std::uint32_t expected)
 {
     detail::raw_futex_wait(word, expected);
+}
+
+inline void futex_wait_for(std::atomic<std::uint32_t>& word,
+                           std::uint32_t expected,
+                           std::chrono::nanoseconds timeout)
+{
+    detail::raw_futex_wait_for(word, expected, timeout);
 }
 
 inline void futex_wake_all(std::atomic<std::uint32_t>& word)
@@ -305,6 +335,21 @@ inline void futex_wait(atomic<std::uint32_t>& word, std::uint32_t expected,
         return;
     }
     detail::raw_futex_wait(word.raw(), expected);
+}
+
+/// Under the engine a timed wait is modeled as an untimed one: the
+/// timeout firing is just a spurious return, which the engine already
+/// injects. A protocol that needs the timeout to make progress therefore
+/// shows up as a deadlock, exactly like a lost wake.
+inline void futex_wait_for(atomic<std::uint32_t>& word, std::uint32_t expected,
+                           std::chrono::nanoseconds timeout,
+                           const std::source_location& loc = std::source_location::current())
+{
+    if (engine* e = engine::active()) {
+        e->futex_wait(&word, word.raw(), expected, to_site(loc));
+        return;
+    }
+    detail::raw_futex_wait_for(word.raw(), expected, timeout);
 }
 
 inline void futex_wake_all(atomic<std::uint32_t>& word,

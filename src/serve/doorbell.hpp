@@ -1,5 +1,4 @@
-// serve::doorbell — the futex parking protocol of the persistent-worker
-// admission ring.
+// serve::doorbell — the futex parking protocol of the serve workers.
 //
 // Producers push into a lock-free ring and must not take a mutex just to
 // wake a sleeping consumer; consumers must not burn a core polling an
@@ -23,10 +22,19 @@
 // PR 9's satellite audit walked these paths; the conc:: model checker
 // now proves them (and their mutants fail) in tests/test_conc.cpp.
 //
+// Timed parks (`park_for`, the batching window's hold) run the same
+// handshake; the timeout firing is just one more spurious return, which
+// the protocol already tolerates and the conc:: model already injects.
+//
+// solve_service runs a second doorbell the other way round: submitters
+// blocked by `overflow_policy::block` park on it, and a worker's pop
+// (freeing admission budget, seq_cst) is the producer that rings it.
+//
 // Extracted from solve_service so the model-checked property drives the
 // production protocol, not a transcript of it.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <utility>
 
@@ -66,11 +74,30 @@ struct doorbell {
     template <typename KeepAwake>
     void park(KeepAwake&& keep_awake)
     {
+        park_impl(keep_awake, nullptr);
+    }
+
+    /// `park` that also returns once `timeout` has elapsed.
+    template <typename KeepAwake>
+    void park_for(KeepAwake&& keep_awake, std::chrono::nanoseconds timeout)
+    {
+        park_impl(keep_awake, &timeout);
+    }
+
+private:
+    template <typename KeepAwake>
+    void park_impl(KeepAwake& keep_awake,
+                   const std::chrono::nanoseconds* timeout)
+    {
         const std::uint32_t heard = word.load(std::memory_order_acquire);
         parked.fetch_add(1, std::memory_order_seq_cst);
         if (!keep_awake() &&
             word.load(std::memory_order_acquire) == heard) {
-            detail::futex_wait(word, heard);
+            if (timeout != nullptr) {
+                conc::futex_wait_for(word, heard, *timeout);
+            } else {
+                detail::futex_wait(word, heard);
+            }
         }
         parked.fetch_sub(1, std::memory_order_seq_cst);
     }

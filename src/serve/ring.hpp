@@ -158,9 +158,12 @@ public:
 private:
     /// One slot: the Vyukov sequence counter plus uninitialized storage —
     /// T need not be default-constructible, and cells own a live T only
-    /// between push and pop. Padded to a cache line so neighboring slots
-    /// don't false-share under producer/consumer contention.
-    struct alignas(64) cell {
+    /// between push and pop. Packed, not padded to a cache line: the
+    /// serve layer sizes every shard's ring for the whole admission
+    /// budget, and at 16 B per pointer-payload cell that stays a quarter
+    /// of the padded footprint. The two cursors below, which every
+    /// producer and consumer hits, keep their own cache lines.
+    struct cell {
         conc::atomic<std::size_t> seq{0};
         alignas(T) unsigned char storage[sizeof(T)];
     };

@@ -1,7 +1,6 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <optional>
@@ -47,39 +46,6 @@ bool entries_compatible(const detail::pending_entry& lhs,
         },
         lhs.body);
 }
-
-// Temporary stage probe (BATCHLIN_SERVE_STAGE_PROBE=1): accumulates
-// per-stage wall time across all workers, printed at stop().
-struct stage_probe {
-    std::atomic<std::uint64_t> ns[10] = {};
-    std::atomic<std::uint64_t> batches{0};
-    static bool on()
-    {
-        // Read-only env lookup; nothing in batchlin calls setenv.
-        // NOLINTNEXTLINE(concurrency-mt-unsafe)
-        static const bool v = std::getenv("BATCHLIN_SERVE_STAGE_PROBE");
-        return v;
-    }
-};
-inline stage_probe g_stage_probe;
-struct stage_timer {
-    std::chrono::steady_clock::time_point t;
-    stage_timer()
-    {
-        if (stage_probe::on()) t = std::chrono::steady_clock::now();
-    }
-    void lap(int i)
-    {
-        if (!stage_probe::on()) return;
-        auto n = std::chrono::steady_clock::now();
-        g_stage_probe.ns[i].fetch_add(
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(n - t)
-                    .count()),
-            std::memory_order_relaxed);
-        t = n;
-    }
-};
 
 }  // namespace
 
@@ -198,13 +164,11 @@ solve_service::solve_service(xpu::exec_policy policy, service_config config)
             lane.policy.faults =
                 config_.shard_faults[static_cast<std::size_t>(sidx)];
         }
-        if (launch_mode_ == xpu::launch_mode::persistent) {
-            // Every queued entry carries at least one system, so the
-            // admission budget bounds the entry count and no single ring
-            // can ever be full with the budget respected.
-            lane.ring = std::make_unique<mpmc_ring<detail::pending_ptr>>(
-                static_cast<std::size_t>(config_.max_queue_systems));
-        }
+        // Every queued entry carries at least one system, so the
+        // admission budget bounds the entry count and no single ring can
+        // ever be full with the budget respected.
+        lane.ring = std::make_unique<mpmc_ring<detail::pending_ptr>>(
+            static_cast<std::size_t>(config_.max_queue_systems));
         for (int i = 0; i < config_.workers; ++i) {
             worker_queues_.emplace_back(lane.policy);
             // A long-lived service must not accumulate unbounded
@@ -219,13 +183,8 @@ solve_service::solve_service(xpu::exec_policy policy, service_config config)
                      static_cast<std::size_t>(config_.shards));
     for (index_type sidx = 0; sidx < config_.shards; ++sidx) {
         for (int i = 0; i < config_.workers; ++i) {
-            if (launch_mode_ == xpu::launch_mode::persistent) {
-                workers_.emplace_back(
-                    [this, sidx, i] { persistent_loop(sidx, i); });
-            } else {
-                workers_.emplace_back(
-                    [this, sidx, i] { worker_loop(sidx, i); });
-            }
+            workers_.emplace_back(
+                [this, sidx, i] { dispatch_loop(sidx, i); });
         }
     }
     // The hang watchdog only earns its thread when it can actually act:
@@ -240,42 +199,25 @@ solve_service::solve_service(xpu::exec_policy policy, service_config config)
 
 solve_service::~solve_service() { stop(); }
 
-bool solve_service::accepting() const
-{
-    return accepting_.load(std::memory_order_acquire);
-}
-
 void solve_service::drain()
 {
-    if (launch_mode_ == xpu::launch_mode::persistent) {
-        // No condition variable in the lock-free path; poll the progress
-        // counters (see the member comment for why the predicate is never
-        // transiently true while an entry changes hands).
-        while (ring_pending_.load(std::memory_order_acquire) != 0 ||
-               ring_in_flight_.load(std::memory_order_acquire) != 0) {
-            std::this_thread::sleep_for(std::chrono::microseconds(50));
-        }
-        return;
+    // Poll the progress counters (see the member comment for why the
+    // predicate is never transiently true while an entry changes hands).
+    while (ring_pending_.load(std::memory_order_acquire) != 0 ||
+           ring_in_flight_.load(std::memory_order_acquire) != 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_idle_.wait(lk, [&] {
-        return queued_systems_ == 0 && in_flight_entries_ == 0;
-    });
 }
 
 void solve_service::stop()
 {
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        accepting_.store(false, std::memory_order_release);
-        stopping_.store(true, std::memory_order_release);
-    }
-    cv_work_.notify_all();
-    cv_space_.notify_all();
-    // Ring unconditionally so parked resident workers observe stopping_:
-    // a worker parking concurrently with this bump sees the generation
-    // change in its `word == heard` re-check and does not sleep.
+    gate_.close();
+    // Ring unconditionally so parked workers (and blocked submitters)
+    // observe the closed gate: one parking concurrently with this bump
+    // sees the generation change in its `word == heard` re-check and does
+    // not sleep.
     bell_.ring_always();
+    space_bell_.ring_always();
     for (std::thread& worker : workers_) {
         if (worker.joinable()) {
             worker.join();
@@ -284,58 +226,18 @@ void solve_service::stop()
     if (watchdog_.joinable()) {
         watchdog_.join();
     }
-    if (stage_probe::on()) {
-        const double n = std::max<double>(
-            1.0, static_cast<double>(g_stage_probe.batches.load()));
-        static const char* names[] = {"pop",   "group", "exec_total",
-                                      "parts", "solve", "scatter",
-                                      "stats", "wake"};
-        std::fprintf(stderr, "stage probe (%0.0f batches), us/batch:\n", n);
-        for (int i = 0; i < 8; ++i) {
-            std::fprintf(stderr, "  %-10s %8.2f\n", names[i],
-                         static_cast<double>(g_stage_probe.ns[i].load()) /
-                             1e3 / n);
-        }
-    }
-    // A submitter that passed the accepting check just before stop() may
-    // have published an entry the exiting workers no longer saw; resolve
-    // such stragglers as rejected so no ticket is orphaned.
+    // Submitters cannot leave stragglers (a worker exits only once the
+    // gate is sealed and its ring is empty), but failover can: a
+    // migration onto a lane whose workers already exited. Resolve such
+    // entries as rejected so no ticket is orphaned.
     for (shard_lane& lane : lanes_) {
-        if (!lane.ring) {
-            continue;
-        }
         detail::pending_ptr leftover;
-        while (lane.ring->try_pop(leftover)) {
-            ring_pending_.fetch_sub(1, std::memory_order_acq_rel);
-            const auto items = static_cast<size_type>(leftover->items);
-            ring_systems_.fetch_sub(items, std::memory_order_acq_rel);
-            lane.ring_systems.fetch_sub(items, std::memory_order_relaxed);
+        while (pop_one(lane, leftover)) {
             lane.backlog_ns.fetch_sub(leftover->cost_ns,
                                       std::memory_order_relaxed);
             ++rejected_requests_;
             reply_without_solving(*leftover, request_status::rejected);
-        }
-    }
-    // Windowed flavor of the same sweep: an evicted lane whose workers
-    // exited mid-failover (or a submit racing stop) may leave queued
-    // entries behind; no ticket may be orphaned.
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        for (shard_lane& lane : lanes_) {
-            while (!lane.queue.empty()) {
-                detail::pending_ptr leftover =
-                    std::move(lane.queue.front());
-                lane.queue.pop_front();
-                const auto items =
-                    static_cast<size_type>(leftover->items);
-                lane.queued_systems -= items;
-                queued_systems_ -= items;
-                lane.backlog_ns.fetch_sub(leftover->cost_ns,
-                                          std::memory_order_relaxed);
-                ++rejected_requests_;
-                reply_without_solving(*leftover,
-                                      request_status::rejected);
-            }
+            ring_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
         }
     }
 }
@@ -374,19 +276,9 @@ service_stats solve_service::stats() const
         static_cast<int>(brownout_max_.load(std::memory_order_relaxed));
     s.brownout_batches =
         brownout_batches_.load(std::memory_order_relaxed);
-    if (launch_mode_ == xpu::launch_mode::persistent) {
-        s.queue_depth_requests =
-            ring_pending_.load(std::memory_order_acquire);
-        s.queue_depth_systems = static_cast<std::uint64_t>(
-            ring_systems_.load(std::memory_order_acquire));
-    } else {
-        std::uint64_t depth_requests = 0;
-        for (const shard_lane& lane : lanes_) {
-            depth_requests += lane.queue.size();
-        }
-        s.queue_depth_requests = depth_requests;
-        s.queue_depth_systems = static_cast<std::uint64_t>(queued_systems_);
-    }
+    s.queue_depth_requests = ring_pending_.load(std::memory_order_acquire);
+    s.queue_depth_systems = static_cast<std::uint64_t>(
+        ring_systems_.load(std::memory_order_acquire));
     s.uptime_seconds =
         seconds_between(start_, std::chrono::steady_clock::now());
     s.shards.reserve(lanes_.size());
@@ -406,17 +298,9 @@ service_stats solve_service::stats() const
         ss.launch_faults = lane.launch_faults;
         ss.breaker_trips = lane.brk.trips;
         ss.breaker_active = lane.brk.active();
-        switch (lane.guard.current()) {
-        case shard::lane_state::healthy:
-            ss.state = "healthy";
-            break;
-        case shard::lane_state::evicted:
-            ss.state = "evicted";
-            break;
-        case shard::lane_state::probing:
-            ss.state = "probing";
-            break;
-        }
+        // Indexed by shard::lane_state.
+        constexpr const char* kStates[] = {"healthy", "evicted", "probing"};
+        ss.state = kStates[static_cast<std::size_t>(lane.guard.current())];
         ss.evictions =
             lane.guard.evictions.load(std::memory_order_relaxed);
         ss.probes = lane.guard.probes.load(std::memory_order_relaxed);
@@ -427,11 +311,8 @@ service_stats solve_service::stats() const
         ss.migrated_systems =
             lane.migrated_systems.load(std::memory_order_relaxed);
         ss.heartbeat = lane.heartbeat.load(std::memory_order_relaxed);
-        ss.queue_depth_systems =
-            launch_mode_ == xpu::launch_mode::persistent
-                ? static_cast<std::uint64_t>(
-                      lane.ring_systems.load(std::memory_order_acquire))
-                : static_cast<std::uint64_t>(lane.queued_systems);
+        ss.queue_depth_systems = static_cast<std::uint64_t>(
+            lane.ring_systems.load(std::memory_order_acquire));
         ss.backlog_ns = lane.backlog_ns.load(std::memory_order_relaxed);
         ss.modeled_busy_seconds =
             static_cast<double>(lane.modeled_busy_ns) * 1e-9;
@@ -463,14 +344,84 @@ service_stats solve_service::stats() const
     return s;
 }
 
-shard::decision solve_service::route_request(std::uint64_t key,
-                                             index_type items,
-                                             index_type rows,
-                                             index_type nnz,
-                                             index_type exclude) const
+bool solve_service::admit(detail::pending_entry& entry, int priority)
+{
+    const auto items = static_cast<size_type>(entry.items);
+    const auto deadline = entry.deadline;
+    // A request larger than the whole admission bound can never fit;
+    // refuse it up front rather than block its submitter forever.
+    if (items > config_.max_queue_systems || !gate_.try_enter()) {
+        ++rejected_requests_;
+        reply_without_solving(entry, request_status::rejected);
+        return false;
+    }
+    const auto refuse = [&](request_status status,
+                            const char* error = nullptr) {
+        gate_.leave();
+        reply_without_solving(entry, status, error);
+        return false;
+    };
+    // Watermark shedding: above the soft watermark only positive-
+    // priority requests are admitted; everything else is refused
+    // *before* it can deepen the backlog the brownout ladder and the
+    // hard bound are already fighting.
+    if (priority <= 0 && config_.shed_watermark < 1.0) {
+        const auto mark = static_cast<size_type>(
+            std::max(config_.shed_watermark, 0.0) *
+            static_cast<double>(config_.max_queue_systems));
+        const size_type depth = ring_systems_.load(std::memory_order_acquire);
+        if (depth >= mark && depth + items > mark) {
+            ++rejected_requests_;
+            shed_requests_.fetch_add(1, std::memory_order_relaxed);
+            return refuse(request_status::rejected, kShedError);
+        }
+    }
+    // Reserve the budget; when it is full, reject or block per on_full.
+    // A blocked submitter stays inside the gate; stop() rings
+    // `space_bell_` so it notices the closed gate at once, and only then
+    // may the workers exit.
+    for (size_type prev = ring_systems_.load(std::memory_order_acquire);;) {
+        if (prev + items <= config_.max_queue_systems) {
+            if (ring_systems_.compare_exchange_weak(
+                    prev, prev + items, std::memory_order_acq_rel)) {
+                return true;
+            }
+            continue;  // the failed CAS reloaded prev
+        }
+        if (config_.on_full == overflow_policy::reject || gate_.closed()) {
+            ++rejected_requests_;
+            return refuse(request_status::rejected);
+        }
+        // Deadline checkpoint 1b (blocked admission): a request whose
+        // deadline passes while its submitter waits for space expires
+        // instead of occupying the queue it can no longer use.
+        const auto now = std::chrono::steady_clock::now();
+        if (now >= deadline) {
+            expired_requests_.fetch_add(1, std::memory_order_relaxed);
+            return refuse(request_status::expired);
+        }
+        // Park until a pop frees budget (pop_one rings), stop() closes
+        // the gate, or the deadline passes.
+        const auto wake = [&] {
+            return ring_systems_.load(std::memory_order_seq_cst) + items <=
+                       config_.max_queue_systems ||
+                   gate_.closed();
+        };
+        if (deadline == std::chrono::steady_clock::time_point::max()) {
+            space_bell_.park(wake);
+        } else {
+            space_bell_.park_for(wake, deadline - now);
+        }
+        prev = ring_systems_.load(std::memory_order_acquire);
+    }
+}
+
+shard::decision solve_service::route_request(
+    const detail::pending_entry& entry, index_type exclude) const
 {
     if (lanes_.size() == 1) {
-        return router_.route(key, items, rows, nnz, {});
+        return router_.route(entry.key, entry.items, entry.rows, entry.nnz,
+                             {});
     }
     std::vector<std::int64_t> backlog;
     backlog.reserve(lanes_.size());
@@ -484,8 +435,8 @@ shard::decision solve_service::route_request(std::uint64_t key,
         alive.push_back(routable ? 1 : 0);
         any_dead = any_dead || !routable;
     }
-    return router_.route(key, items, rows, nnz, backlog,
-                         any_dead ? &alive : nullptr);
+    return router_.route(entry.key, entry.items, entry.rows, entry.nnz,
+                         backlog, any_dead ? &alive : nullptr);
 }
 
 std::int64_t solve_service::steady_now_ns()
@@ -521,9 +472,8 @@ bool solve_service::evict_lane(shard_lane& lane, bool by_watchdog)
 void solve_service::migrate_entry(shard_lane& from,
                                   detail::pending_ptr entry)
 {
-    // Precondition: the entry is fully off-books — not on any queue or
-    // ring, its backlog charge retired, and (persistent mode) its global
-    // admission budget released. Called without mu_ held.
+    // Precondition: the entry is fully off-books — not on any ring, its
+    // backlog charge retired, and its global admission budget released.
     const auto items = static_cast<size_type>(entry->items);
     // Deadline checkpoint 5 of 5 (failover re-queue): a request that
     // outlived its deadline while its shard died expires instead of
@@ -544,16 +494,7 @@ void solve_service::migrate_entry(shard_lane& from,
             "failover: no healthy shard left to migrate to");
         return;
     }
-    const auto [rows, nnz] = std::visit(
-        [](const auto& typed) {
-            return std::make_pair(
-                std::visit([](const auto& m) { return m.rows(); },
-                           typed.request.a),
-                detail::nnz_per_item(typed.request.a));
-        },
-        entry->body);
-    const shard::decision where =
-        route_request(entry->key, entry->items, rows, nnz, from.id);
+    const shard::decision where = route_request(*entry, from.id);
     shard_lane& target = lanes_[static_cast<std::size_t>(where.shard)];
     entry->shard = where.shard;
     entry->cost_ns = where.cost_ns;
@@ -565,80 +506,21 @@ void solve_service::migrate_entry(shard_lane& from,
     from.migrated_systems.fetch_add(static_cast<std::uint64_t>(items),
                                     std::memory_order_relaxed);
     target.backlog_ns.fetch_add(where.cost_ns, std::memory_order_relaxed);
-    if (launch_mode_ == xpu::launch_mode::persistent) {
-        // Re-reserve the global budget the pop released. Unconditional:
-        // already-admitted work must not be dropped because new arrivals
-        // filled the budget meanwhile — the transient overshoot is
-        // bounded by one batch and drains with the backlog.
-        ring_systems_.fetch_add(items, std::memory_order_acq_rel);
-        target.ring_systems.fetch_add(items, std::memory_order_relaxed);
-        ring_pending_.fetch_add(1, std::memory_order_seq_cst);
-        while (!target.ring->try_push(entry)) {
-            std::this_thread::yield();
-        }
-        bell_.ring();
-        return;
-    }
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        target.queue.push_back(std::move(entry));
-        target.queued_systems += items;
-        queued_systems_ += items;
-    }
-    cv_work_.notify_all();
+    // Re-reserve the global budget the pop released. Unconditional:
+    // already-admitted work must not be dropped because new arrivals
+    // filled the budget meanwhile — the transient overshoot is bounded by
+    // one batch and drains with the backlog.
+    ring_systems_.fetch_add(items, std::memory_order_acq_rel);
+    enqueue(target, std::move(entry));
 }
 
 void solve_service::failover_drain(shard_lane& lane)
 {
-    if (launch_mode_ == xpu::launch_mode::persistent) {
-        detail::pending_ptr entry;
-        while (lane.ring->try_pop(entry)) {
-            // Same in_flight-before-pending order as pop_from: the drain
-            // predicate must never observe the entry in neither counter.
-            ring_in_flight_.fetch_add(1, std::memory_order_acq_rel);
-            ring_pending_.fetch_sub(1, std::memory_order_acq_rel);
-            const auto items = static_cast<size_type>(entry->items);
-            ring_systems_.fetch_sub(items, std::memory_order_acq_rel);
-            lane.ring_systems.fetch_sub(items, std::memory_order_relaxed);
-            lane.backlog_ns.fetch_sub(entry->cost_ns,
-                                      std::memory_order_relaxed);
-            migrate_entry(lane, std::move(entry));
-            ring_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-        }
-        return;
-    }
-    std::vector<detail::pending_ptr> drained;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        while (!lane.queue.empty()) {
-            detail::pending_ptr entry = std::move(lane.queue.front());
-            lane.queue.pop_front();
-            const auto items = static_cast<size_type>(entry->items);
-            lane.queued_systems -= items;
-            queued_systems_ -= items;
-            // Booked in-flight for the handoff so drain() cannot observe
-            // a transient "all quiet" while entries sit in the local
-            // vector.
-            ++in_flight_entries_;
-            lane.backlog_ns.fetch_sub(entry->cost_ns,
-                                      std::memory_order_relaxed);
-            drained.push_back(std::move(entry));
-        }
-    }
-    if (drained.empty()) {
-        return;
-    }
-    cv_space_.notify_all();
-    const std::size_t count = drained.size();
-    for (detail::pending_ptr& entry : drained) {
+    detail::pending_ptr entry;
+    while (pop_one(lane, entry)) {
+        lane.backlog_ns.fetch_sub(entry->cost_ns, std::memory_order_relaxed);
         migrate_entry(lane, std::move(entry));
-    }
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        in_flight_entries_ -= count;
-        if (queued_systems_ == 0 && in_flight_entries_ == 0) {
-            cv_idle_.notify_all();
-        }
+        ring_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
     }
 }
 
@@ -685,10 +567,6 @@ bool solve_service::maybe_probe(shard_lane& lane, xpu::queue& q)
     if (send_probe(q)) {
         lane.consecutive_exhausted.store(0, std::memory_order_relaxed);
         lane.guard.probe_succeeded();
-        // Routing weight is restored; wake windowed workers (and
-        // submitters parked on backpressure) into the healthy path.
-        cv_work_.notify_all();
-        cv_space_.notify_all();
         return true;
     }
     lane.evicted_at_ns.store(steady_now_ns(), std::memory_order_release);
@@ -702,9 +580,9 @@ void solve_service::watchdog_loop()
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             config_.hang_timeout)
             .count();
-    while (!stopping_.load(std::memory_order_acquire)) {
+    while (!gate_.closed()) {
         std::this_thread::sleep_for(config_.watchdog_interval);
-        if (stopping_.load(std::memory_order_acquire)) {
+        if (gate_.closed()) {
             return;
         }
         for (shard_lane& lane : lanes_) {
@@ -722,7 +600,6 @@ void solve_service::watchdog_loop()
                 // the launch returns or throws; everything still queued
                 // behind it is drained onto the survivors now.
                 failover_drain(lane);
-                cv_work_.notify_all();
                 bell_.ring_always();
             }
         }
@@ -749,45 +626,22 @@ int solve_service::brownout_for_depth(size_type depth_systems) const
     return 0;
 }
 
-size_type solve_service::steal_threshold_systems() const
-{
-    return config_.steal_threshold > 0
-               ? static_cast<size_type>(config_.steal_threshold)
-               : static_cast<size_type>(config_.max_batch);
-}
-
-int solve_service::steal_victim_locked(index_type thief_shard) const
+int solve_service::steal_victim(index_type thief_shard) const
 {
     if (!config_.work_stealing || lanes_.size() < 2) {
         return -1;
     }
     int victim = -1;
-    size_type deepest = steal_threshold_systems();
-    for (const shard_lane& lane : lanes_) {
-        if (lane.id == thief_shard) {
-            continue;
-        }
-        if (lane.queued_systems > deepest) {
-            deepest = lane.queued_systems;
-            victim = static_cast<int>(lane.id);
-        }
-    }
-    return victim;
-}
-
-int solve_service::steal_victim_ring(index_type thief_shard) const
-{
-    if (!config_.work_stealing || lanes_.size() < 2) {
-        return -1;
-    }
-    int victim = -1;
-    size_type deepest = steal_threshold_systems();
+    // Victim depth below which nothing is stolen (0 = max_batch).
+    size_type deepest = static_cast<size_type>(
+        config_.steal_threshold > 0 ? config_.steal_threshold
+                                    : config_.max_batch);
     for (const shard_lane& lane : lanes_) {
         if (lane.id == thief_shard) {
             continue;
         }
         const size_type depth =
-            lane.ring_systems.load(std::memory_order_acquire);
+            lane.ring_systems.load(std::memory_order_seq_cst);
         if (depth > deepest) {
             deepest = depth;
             victim = static_cast<int>(lane.id);
@@ -796,203 +650,94 @@ int solve_service::steal_victim_ring(index_type thief_shard) const
     return victim;
 }
 
-detail::pending_ptr solve_service::pop_entry_locked(shard_lane& lane,
-                                                    std::size_t index)
+bool solve_service::pop_one(shard_lane& lane, detail::pending_ptr& entry)
 {
-    detail::pending_ptr entry = std::move(
-        lane.queue[static_cast<std::deque<detail::pending_ptr>::size_type>(
-            index)]);
-    lane.queue.erase(lane.queue.begin() +
-                     static_cast<std::deque<
-                         detail::pending_ptr>::difference_type>(index));
-    lane.queued_systems -= static_cast<size_type>(entry->items);
-    queued_systems_ -= static_cast<size_type>(entry->items);
-    ++in_flight_entries_;
-    cv_space_.notify_all();
-    return entry;
+    if (!lane.ring->try_pop(entry)) {
+        return false;
+    }
+    // in_flight is bumped before pending drops so the drain predicate
+    // (pending == 0 && in_flight == 0) never observes this entry in
+    // neither counter.
+    ring_in_flight_.fetch_add(1, std::memory_order_acq_rel);
+    ring_pending_.fetch_sub(1, std::memory_order_acq_rel);
+    const auto items = static_cast<size_type>(entry->items);
+    // seq_cst: the Dekker half a blocked submitter's park pairs with.
+    ring_systems_.fetch_sub(items, std::memory_order_seq_cst);
+    lane.ring_systems.fetch_sub(items, std::memory_order_relaxed);
+    space_bell_.ring();
+    return true;
 }
 
-void solve_service::worker_loop(index_type shard_id, int local_id)
+void solve_service::pop_into(shard_lane& lane,
+                             std::vector<detail::pending_ptr>& chunk,
+                             index_type& total)
 {
-    const std::size_t widx =
-        static_cast<std::size_t>(shard_id) *
-            static_cast<std::size_t>(config_.workers) +
-        static_cast<std::size_t>(local_id);
-    xpu::queue& q = worker_queues_[widx];
-    detail::graph_cache& cache = graph_caches_[widx];
-    shard_lane& own = lanes_[static_cast<std::size_t>(shard_id)];
-    std::unique_lock<std::mutex> lk(mu_);
-    for (;;) {
-        own.heartbeat.fetch_add(1, std::memory_order_relaxed);
-        cv_work_.wait(lk, [&] {
-            return stopping_ || !own.queue.empty() ||
-                   steal_victim_locked(shard_id) >= 0 ||
-                   (config_.failover && !own.guard.available());
-        });
-        if (config_.failover && !own.guard.available()) {
-            // Evicted lane: this worker must not execute client batches.
-            // Drain anything still queued here onto the survivors, then
-            // spend the idle time half-open probing for revival.
-            lk.unlock();
-            failover_drain(own);
-            if (stopping_.load(std::memory_order_acquire)) {
-                lk.lock();
-                if (own.queue.empty() &&
-                    steal_victim_locked(shard_id) < 0) {
-                    return;
-                }
-                continue;
-            }
-            if (!maybe_probe(own, q)) {
-                // Still dead: sleep out the probe cooldown off-mutex so
-                // an evicted lane costs no CPU (stop() interrupts via
-                // the stopping_ check above on the next pass).
-                std::this_thread::sleep_for(config_.probe_interval);
-            }
-            lk.lock();
-            continue;
-        }
-        bool stolen = false;
-        shard_lane* src = &own;
-        if (own.queue.empty()) {
-            const int victim = steal_victim_locked(shard_id);
-            if (victim < 0) {
-                if (stopping_) {
-                    return;
-                }
-                continue;
-            }
-            src = &lanes_[static_cast<std::size_t>(victim)];
-            stolen = true;
-        }
+    detail::pending_ptr entry;
+    while (total < config_.max_batch && pop_one(lane, entry)) {
+        total += entry->items;
+        chunk.push_back(std::move(entry));
+    }
+}
 
-        std::vector<detail::pending_ptr> batch;
-        batch.push_back(pop_entry_locked(*src, 0));
-        const auto now = std::chrono::steady_clock::now();
-        if (batch.front()->deadline <= now) {
-            // Already dead on arrival at the worker: complete it without
-            // opening a batching window for it.
-            expired_requests_.fetch_add(1, std::memory_order_relaxed);
-            --in_flight_entries_;
-            detail::pending_ptr dead = std::move(batch.front());
-            src->backlog_ns.fetch_sub(dead->cost_ns,
-                                      std::memory_order_relaxed);
-            lk.unlock();
-            reply_without_solving(*dead, request_status::expired);
-            lk.lock();
-            if (queued_systems_ == 0 && in_flight_entries_ == 0) {
-                cv_idle_.notify_all();
+void solve_service::hold_window(shard_lane& own,
+                                std::vector<detail::pending_ptr>& chunk,
+                                index_type& total, int brownout)
+{
+    using clock = std::chrono::steady_clock;
+    const detail::pending_entry& leader = *chunk.front();
+    const auto companion = [&](const detail::pending_entry& e) {
+        return e.key == leader.key && entries_compatible(leader, e);
+    };
+    // A request of another key closes the window at once: held here it
+    // would wait out the leader's window, while left on the ring a
+    // sibling worker can serve it.
+    for (std::size_t i = 1; i < chunk.size(); ++i) {
+        if (!companion(*chunk[i])) {
+            return;
+        }
+    }
+    // Brownout level 1+ shrinks the window so backlog drains sooner.
+    const auto window_end =
+        leader.enqueued +
+        (brownout >= 1 ? config_.max_wait / 4 : config_.max_wait);
+    // The ring is empty from here on (the last pop came up short).
+    auto quiet_since = clock::now();
+    while (total < config_.max_batch && !gate_.closed()) {
+        // Adaptive flush: once the ring has stayed empty for idle_flush,
+        // no companion is coming — with closed-loop clients none can
+        // arrive until an in-flight reply resolves — so launch instead of
+        // burning the whole window.
+        auto close_at = window_end;
+        if (config_.idle_flush.count() > 0) {
+            close_at = std::min(close_at, quiet_since + config_.idle_flush);
+        }
+        const auto now = clock::now();
+        if (now >= close_at) {
+            return;
+        }
+        bell_.park_for(
+            [&] {
+                return own.ring_systems.load(std::memory_order_seq_cst) !=
+                           0 ||
+                       gate_.closed();
+            },
+            close_at - now);
+        // Pop arrivals one at a time so the first foreign one stops the
+        // hold and everything behind it stays on the ring.
+        detail::pending_ptr entry;
+        while (total < config_.max_batch && pop_one(own, entry)) {
+            quiet_since = clock::now();
+            total += entry->items;
+            const bool ours = companion(*entry);
+            chunk.push_back(std::move(entry));
+            if (!ours) {
+                return;
             }
-            continue;
-        }
-
-        index_type total = batch.front()->items;
-        // Brownout level from the admission depth at dequeue: level 1+
-        // shrinks the batching window so backlog drains sooner; levels
-        // 2/3 additionally cap per-request work inside execute().
-        const int brownout = brownout_for_depth(queued_systems_);
-        const auto effective_wait =
-            brownout >= 1 ? config_.max_wait / 4 : config_.max_wait;
-        // A tripped breaker suspends coalescing on this shard: the leader
-        // launches solo, so a fault pattern tied to batch composition
-        // stops taking whole batches of unrelated requests down with it —
-        // while the other shards keep coalescing.
-        if (own.brk.remaining == 0) {
-            if (stolen) {
-                // Steal path: grab whatever compatible overflow the victim
-                // holds and launch immediately — stolen work is backlog by
-                // definition, there is nothing to hold a window open for.
-                for (std::size_t i = 0;
-                     i < src->queue.size() && total < config_.max_batch;) {
-                    if (src->queue[i]->key == batch.front()->key &&
-                        entries_compatible(*batch.front(),
-                                           *src->queue[i])) {
-                        batch.push_back(pop_entry_locked(*src, i));
-                        total += batch.back()->items;
-                    } else {
-                        ++i;
-                    }
-                }
-            } else {
-                const auto window_end =
-                    batch.front()->enqueued + effective_wait;
-                for (;;) {
-                    // Gather everything compatible already queued here.
-                    for (std::size_t i = 0;
-                         i < own.queue.size() &&
-                         total < config_.max_batch;) {
-                        if (own.queue[i]->key == batch.front()->key &&
-                            entries_compatible(*batch.front(),
-                                               *own.queue[i])) {
-                            batch.push_back(pop_entry_locked(own, i));
-                            total += batch.back()->items;
-                        } else {
-                            ++i;
-                        }
-                    }
-                    if (total >= config_.max_batch || stopping_) {
-                        break;
-                    }
-                    if (std::chrono::steady_clock::now() >= window_end) {
-                        break;
-                    }
-                    // Hold the window open for companions; submit()
-                    // notifies.
-                    if (config_.idle_flush.count() > 0 &&
-                        own.queue.empty()) {
-                        // Adaptive flush: this shard's queue is empty, so
-                        // with closed-loop clients no companion can
-                        // arrive until an in-flight reply resolves. Grant
-                        // stragglers only a short grace period instead of
-                        // burning the whole window — this is what keeps
-                        // low-concurrency coalesced throughput at batch1
-                        // levels.
-                        const auto flush_at =
-                            std::chrono::steady_clock::now() +
-                            config_.idle_flush;
-                        cv_work_.wait_until(lk,
-                                            std::min(flush_at, window_end));
-                        if (own.queue.empty()) {
-                            break;
-                        }
-                    } else {
-                        cv_work_.wait_until(lk, window_end);
-                    }
-                }
-            }
-        }
-        if (stolen) {
-            own.steals.fetch_add(1, std::memory_order_relaxed);
-            own.stolen_systems.fetch_add(static_cast<std::uint64_t>(total),
-                                         std::memory_order_relaxed);
-            for (detail::pending_ptr& entry : batch) {
-                src->backlog_ns.fetch_sub(entry->cost_ns,
-                                          std::memory_order_relaxed);
-                own.backlog_ns.fetch_add(entry->cost_ns,
-                                         std::memory_order_relaxed);
-                entry->shard = own.id;
-            }
-        }
-
-        const std::size_t popped = batch.size();
-        lk.unlock();
-        try {
-            execute(own, q, cache, std::move(batch), brownout);
-        } catch (...) {
-            // execute() fails tickets individually; anything that still
-            // escapes would terminate the worker thread (and with it the
-            // process). Swallow it — affected tickets resolve through
-            // their tickets; an unresolved slot would hang its client.
-        }
-        lk.lock();
-        in_flight_entries_ -= popped;
-        if (queued_systems_ == 0 && in_flight_entries_ == 0) {
-            cv_idle_.notify_all();
         }
     }
 }
 
-void solve_service::persistent_loop(index_type shard_id, int local_id)
+void solve_service::dispatch_loop(index_type shard_id, int local_id)
 {
     const std::size_t widx =
         static_cast<std::size_t>(shard_id) *
@@ -1001,16 +746,30 @@ void solve_service::persistent_loop(index_type shard_id, int local_id)
     xpu::queue& q = worker_queues_[widx];
     detail::graph_cache& cache = graph_caches_[widx];
     shard_lane& own = lanes_[static_cast<std::size_t>(shard_id)];
+    // Idle keeps sleeping while this shard's ring is empty and no other
+    // ring is worth stealing from. The seq_cst loads pair with enqueue's
+    // seq_cst increments (serve/doorbell.hpp).
+    const auto work_or_stop = [&] {
+        return own.ring_systems.load(std::memory_order_seq_cst) != 0 ||
+               steal_victim(shard_id) >= 0 || gate_.closed();
+    };
+    // Exit test: no submitter can publish any more, and this shard's
+    // ring is empty. The gate is read first (serve/gate.hpp). Failover
+    // may still move work onto an exited lane; stop() sweeps that.
+    const auto finished = [&] {
+        return gate_.sealed() &&
+               own.ring_systems.load(std::memory_order_seq_cst) == 0;
+    };
     int idle = 0;
     for (;;) {
         own.heartbeat.fetch_add(1, std::memory_order_relaxed);
         if (config_.failover && !own.guard.available()) {
-            // Evicted lane, resident flavor: push queued work to the
-            // survivors and spend the idle time half-open probing. The
-            // worker keeps running so a successful probe can resume it.
+            // Evicted lane: this worker must not execute client batches.
+            // Push queued work to the survivors and spend the idle time
+            // half-open probing; the worker keeps running so a successful
+            // probe can resume it.
             failover_drain(own);
-            if (stopping_.load(std::memory_order_acquire) &&
-                ring_pending_.load(std::memory_order_acquire) == 0) {
+            if (finished()) {
                 return;
             }
             if (!maybe_probe(own, q)) {
@@ -1019,83 +778,66 @@ void solve_service::persistent_loop(index_type shard_id, int local_id)
             continue;
         }
         // Gather a chunk without blocking — own ring first, then (when
-        // idle) the deepest neighbor past the steal threshold. No
-        // batching window: the resident loop launches whatever has
-        // accumulated — under load the ring itself is the window (entries
-        // pile up while the previous batch solves), and when idle there
-        // is nothing to wait for.
-        stage_timer st;
+        // idle) the deepest neighbor past the steal threshold.
         std::vector<detail::pending_ptr> chunk;
         index_type total = 0;
-        auto pop_from = [&](shard_lane& lane) {
-            detail::pending_ptr entry;
-            while (total < config_.max_batch && lane.ring->try_pop(entry)) {
-                // in_flight is bumped before pending drops so the drain
-                // predicate (pending == 0 && in_flight == 0) never
-                // observes this entry in neither counter.
-                ring_in_flight_.fetch_add(1, std::memory_order_acq_rel);
-                ring_pending_.fetch_sub(1, std::memory_order_acq_rel);
-                const auto items = static_cast<size_type>(entry->items);
-                ring_systems_.fetch_sub(items, std::memory_order_acq_rel);
-                lane.ring_systems.fetch_sub(items,
-                                            std::memory_order_relaxed);
-                total += entry->items;
-                chunk.push_back(std::move(entry));
-            }
-        };
-        pop_from(own);
-        if (chunk.empty()) {
-            const int victim = steal_victim_ring(shard_id);
-            if (victim >= 0) {
-                shard_lane& vic =
-                    lanes_[static_cast<std::size_t>(victim)];
-                pop_from(vic);
-                if (!chunk.empty()) {
-                    own.steals.fetch_add(1, std::memory_order_relaxed);
-                    own.stolen_systems.fetch_add(
-                        static_cast<std::uint64_t>(total),
-                        std::memory_order_relaxed);
-                    for (detail::pending_ptr& entry : chunk) {
-                        vic.backlog_ns.fetch_sub(
-                            entry->cost_ns, std::memory_order_relaxed);
-                        own.backlog_ns.fetch_add(
-                            entry->cost_ns, std::memory_order_relaxed);
-                        entry->shard = own.id;
-                    }
+        pop_into(own, chunk, total);
+        bool stolen = false;
+        if (const int victim = chunk.empty() ? steal_victim(shard_id) : -1;
+            victim >= 0) {
+            shard_lane& vic = lanes_[static_cast<std::size_t>(victim)];
+            pop_into(vic, chunk, total);
+            stolen = !chunk.empty();
+            if (stolen) {
+                own.steals.fetch_add(1, std::memory_order_relaxed);
+                own.stolen_systems.fetch_add(
+                    static_cast<std::uint64_t>(total),
+                    std::memory_order_relaxed);
+                for (detail::pending_ptr& entry : chunk) {
+                    vic.backlog_ns.fetch_sub(entry->cost_ns,
+                                             std::memory_order_relaxed);
+                    own.backlog_ns.fetch_add(entry->cost_ns,
+                                             std::memory_order_relaxed);
+                    entry->shard = own.id;
                 }
             }
         }
         if (chunk.empty()) {
-            if (stopping_.load(std::memory_order_acquire) &&
-                ring_pending_.load(std::memory_order_acquire) == 0) {
+            if (finished()) {
                 return;
             }
             // Idle backoff: a couple of polite yields (the producers are
             // usually mid-submit on the same host), then park on the
-            // doorbell futex instead of burning the core in a poll loop
-            // — an idle resident worker must cost nothing. The parked
-            // registration is seq_cst against the producer's pending
-            // increment (serve/doorbell.hpp), so a push between the
-            // re-check and the wait is always answered by a bump.
+            // doorbell futex instead of burning the core in a poll loop.
             if (++idle < 4) {
                 std::this_thread::yield();
                 continue;
             }
-            bell_.park([&] {
-                return ring_pending_.load(std::memory_order_seq_cst) != 0 ||
-                       stopping_.load(std::memory_order_acquire);
-            });
+            bell_.park(work_or_stop);
             continue;
         }
         idle = 0;
-        st.lap(0);  // pop
+        // Brownout level from the admission depth at dequeue: level 1+
+        // shrinks the batching window; levels 2/3 additionally cap
+        // per-request work inside execute_typed().
         const int brownout = brownout_for_depth(
             ring_systems_.load(std::memory_order_acquire));
+        // A tripped breaker suspends coalescing on this shard: every entry
+        // launches solo, so a fault pattern tied to batch composition
+        // stops taking whole batches of unrelated requests down with it —
+        // while the other shards keep coalescing.
+        const bool solo = own.brk.suspended.load(std::memory_order_acquire);
+        // Stolen work is backlog by definition, and an entry already past
+        // its deadline (checkpoint 2, dequeue) has nothing to wait for:
+        // neither opens a window.
+        if (!stolen && !solo &&
+            chunk.front()->deadline > std::chrono::steady_clock::now()) {
+            hold_window(own, chunk, total, brownout);
+        }
 
         // Group the chunk into compatible fused launches. FIFO arrivals
         // of one coalescing key are usually adjacent, so the quadratic
         // sweep stays tiny (chunk is bounded by max_batch systems).
-        const bool solo = own.brk.suspended.load(std::memory_order_acquire);
         std::vector<char> taken(chunk.size(), 0);
         for (std::size_t i = 0; i < chunk.size(); ++i) {
             if (taken[i]) {
@@ -1120,28 +862,22 @@ void solve_service::persistent_loop(index_type shard_id, int local_id)
                 }
             }
             const std::size_t popped = group.size();
-            st.lap(1);  // group
             try {
-                execute(own, q, cache, std::move(group), brownout);
+                if (group.front()->body.index() == 0) {
+                    execute_typed<double>(own, q, cache, std::move(group),
+                                          brownout);
+                } else {
+                    execute_typed<float>(own, q, cache, std::move(group),
+                                         brownout);
+                }
             } catch (...) {
-                // execute() resolves tickets individually; see
-                // worker_loop for why nothing may escape.
+                // execute_typed() fails tickets individually; anything that
+                // still escapes would terminate the worker thread (and
+                // with it the process). Swallow it — an unresolved slot
+                // would hang its client.
             }
-            st.lap(2);  // execute (total)
             ring_in_flight_.fetch_sub(popped, std::memory_order_acq_rel);
         }
-    }
-}
-
-void solve_service::execute(shard_lane& lane, xpu::queue& q,
-                            detail::graph_cache& cache,
-                            std::vector<detail::pending_ptr> batch,
-                            int brownout)
-{
-    if (batch.front()->body.index() == 0) {
-        execute_typed<double>(lane, q, cache, std::move(batch), brownout);
-    } else {
-        execute_typed<float>(lane, q, cache, std::move(batch), brownout);
     }
 }
 
@@ -1179,7 +915,6 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
                                   std::vector<detail::pending_ptr> batch,
                                   int brownout)
 {
-    stage_timer st;
     const auto launch_time = std::chrono::steady_clock::now();
     launch_age_scope age(lane.launch_started_ns, steady_now_ns());
     std::vector<detail::pending_ptr> live;
@@ -1192,29 +927,17 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
         reply_without_solving(*entry, request_status::expired);
     }
 
-    // Shape of the live batch, captured before the request matrices move
-    // into the replies: the inputs of the modeled-busy-time bookkeeping.
-    index_type batch_rows = 0;
-    index_type batch_nnz = 0;
-    if (!live.empty()) {
-        const auto& front =
-            std::get<detail::typed_pending<T>>(live.front()->body);
-        batch_rows = std::visit([](const auto& m) { return m.rows(); },
-                                front.request.a);
-        batch_nnz = detail::nnz_per_item<T>(front.request.a);
-    }
+    // Shape of the live batch: the inputs of the modeled-busy-time
+    // bookkeeping.
+    const index_type batch_rows = live.empty() ? 0 : live.front()->rows;
+    const index_type batch_nnz = live.empty() ? 0 : live.front()->nnz;
 
     // Wake timing: resolution only ever wakes slots a waiter registered
-    // on (see reply_slot::resolve). The persistent path additionally
-    // defers those wakes to one sweep after the batch is fully resolved —
-    // its lock-free admission shrugs off the resulting thundering herd,
-    // and each client wakes exactly once per fused window. The windowed
-    // path wakes immediately instead: staggered wakeups keep clients
-    // refilling the mutex-guarded queue while the worker finishes its
-    // bookkeeping, which is what keeps the next window full.
+    // on (see reply_slot::resolve), and those wakes are deferred to one
+    // sweep after the batch is fully resolved — the lock-free admission
+    // shrugs off the resulting thundering herd, and each client wakes
+    // exactly once per fused window.
     std::vector<conc::atomic<std::uint32_t>*> wake_list;
-    auto* const deferred_wakes =
-        launch_mode_ == xpu::launch_mode::persistent ? &wake_list : nullptr;
     std::uint64_t ok_requests = 0;
     std::uint64_t ok_systems = 0;
     std::uint64_t failed = 0;
@@ -1245,7 +968,7 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
             reply.a = std::move(typed.request.a);
             reply.b = std::move(typed.request.b);
             reply.x = std::move(typed.request.x);
-            if (try_reply(typed, std::move(reply), deferred_wakes)) {
+            if (try_reply(typed, std::move(reply), wake_list)) {
                 ++failed;
             }
         }
@@ -1420,10 +1143,8 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
             };
 
             index_type fused_attempts = 0;
-            st.lap(3);  // split + parts build
             std::optional<solver::solve_result> combined =
                 attempt_with_retries(parts, total, fused_attempts);
-            st.lap(4);  // solve (rebind+replay or eager)
             if (combined) {
                 if (config_.failover) {
                     lane.consecutive_exhausted.store(
@@ -1451,7 +1172,7 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
                     offset += entry->items;
                     latencies.push_back(
                         seconds_between(entry->enqueued, done));
-                    try_reply(typed, std::move(reply), deferred_wakes);
+                    try_reply(typed, std::move(reply), wake_list);
                     ++ok_requests;
                     ok_systems += static_cast<std::uint64_t>(entry->items);
                     if (fused_attempts > 1) {
@@ -1520,7 +1241,7 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
                     reply.b = std::move(typed.request.b);
                     reply.x = std::move(typed.request.x);
                     const bool ok = reply.status == request_status::ok;
-                    try_reply(typed, std::move(reply), deferred_wakes);
+                    try_reply(typed, std::move(reply), wake_list);
                     if (ok) {
                         ++ok_requests;
                         ok_systems +=
@@ -1537,7 +1258,6 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
             fail_remaining("unknown error in batch execution");
         }
     }
-    st.lap(5);  // reply scatter (split_log + moves + try_reply)
 
     // Retire the batch's routed cost from the lane backlog (atomic, so
     // the router's lock-free reads stay consistent without the mutex).
@@ -1615,7 +1335,6 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
                              config_.breaker_cooldown);
         }
     }
-    st.lap(6);  // stats lock
 
     // Deferred wake sweep: every entry of the batch is resolved by now,
     // so a client blocked on its first fused request wakes once and
@@ -1625,15 +1344,6 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
     for (conc::atomic<std::uint32_t>* word : wake_list) {
         detail::futex_wake_all(*word);
     }
-    st.lap(7);  // wake sweep
-    g_stage_probe.batches.fetch_add(1, std::memory_order_relaxed);
 }
-
-template void solve_service::execute_typed<double>(
-    shard_lane&, xpu::queue&, detail::graph_cache&,
-    std::vector<detail::pending_ptr>, int);
-template void solve_service::execute_typed<float>(
-    shard_lane&, xpu::queue&, detail::graph_cache&,
-    std::vector<detail::pending_ptr>, int);
 
 }  // namespace batchlin::serve

@@ -10,37 +10,52 @@
 // time/size window (`max_batch`, `max_wait`); results and per-system
 // convergence records are scattered back per request.
 //
-// Threading model: one mutex guards the admission queue and statistics;
-// each worker thread owns a private `xpu::queue`, so the pooled launch
-// resources (arenas, counter blocks, spill scratch) are never shared —
-// the contract `xpu::queue` documents and debug-asserts. Admission is
-// bounded: when `max_queue_systems` is reached, requests are rejected or
-// the submitter blocks, per `overflow_policy`. Per-request deadlines are
-// honored before launch: an expired request completes with
-// `request_status::expired` and is never solved. `stop` drains gracefully
-// (queued work is still solved; batching windows are cut short).
+// Threading model: admission is lock-free. `submit` reserves its systems
+// against the global budget with atomics and pushes the request into its
+// shard's bounded MPMC ring (serve/ring.hpp); idle workers sleep on a
+// futex doorbell (serve/doorbell.hpp) that a producer rings only when
+// somebody is parked, and a ticket waits on its own reply slot
+// (serve/reply_slot.hpp). An admission gate (serve/gate.hpp) keeps
+// stop() from retiring the workers while a submitter is between its
+// "accepting?" check and its push. All four protocols are model-checked
+// by the conc:: suite. One mutex remains; it guards only the post-batch
+// statistics. Each worker thread owns a private `xpu::queue`, so the
+// pooled launch resources (arenas, counter blocks, spill scratch) are
+// never shared — the contract `xpu::queue` documents and debug-asserts.
+// Admission is bounded: when `max_queue_systems` is reached, requests are
+// rejected or the submitter blocks, per `overflow_policy`; a request
+// larger than the whole bound is always rejected. Per-request deadlines
+// are honored before launch: an expired request completes with
+// `request_status::expired` and is never solved. `stop` drains
+// gracefully (queued work is still solved; batching windows are cut
+// short).
 //
-// Head-of-line note: the batcher is FIFO per worker — a leader holding
-// its window can delay queued requests of a different coalescing key by
-// up to `max_wait`; add workers to bound that.
+// One dispatch loop serves every launch mode. The mode only decides how
+// a fused batch is submitted: eagerly (`direct`), or through the
+// worker's graph cache at replay cost (`graph_replay`) or resident cost
+// (`persistent`).
+//
+// Head-of-line note: a batching window is held only while everything
+// its worker has popped is the leader's companion; the first request of
+// another key closes it, launches the leader's batch at once, and leaves
+// later arrivals on the ring for sibling workers. A request of another
+// key therefore waits for at most the leader's solve, never its window.
 //
 // Sharding (`service_config::shards` / `shard_devices`): the service runs
-// one `shard::lane` per registry device — its own run-queue (or ring in
-// persistent mode), worker pool, graph caches, circuit breaker and fault
-// accounting. `submit` routes each request through `shard::router`
-// (coalesce-key affinity, cost-model spill, see shard/router.hpp), and
-// idle workers steal from run-queues holding more than a full batch. The
-// registry derives every lane's policy from the same base policy
-// (kernel-behavior fields untouched), so replies stay bit-identical no
-// matter how many shards serve them or where placement and stealing move
-// a batch. A single-shard service behaves exactly like the unsharded
-// service did.
+// one `shard::lane` per registry device — its own ring, worker pool,
+// graph caches, circuit breaker and fault accounting. `submit` routes
+// each request through `shard::router` (coalesce-key affinity,
+// cost-model spill, see shard/router.hpp), and idle workers steal from
+// rings holding more than a full batch. The registry derives every lane's
+// policy from the same base policy (kernel-behavior fields untouched), so
+// replies stay bit-identical no matter how many shards serve them or
+// where placement and stealing move a batch. A single-shard service
+// behaves exactly like the unsharded service did.
 #pragma once
 
 #include <atomic>
 #include <bit>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -53,6 +68,7 @@
 #include "conc/shim.hpp"
 #include "serve/doorbell.hpp"
 #include "serve/futex.hpp"
+#include "serve/gate.hpp"
 #include "serve/reply_slot.hpp"
 #include "serve/ring.hpp"
 #include "serve/stats.hpp"
@@ -161,7 +177,7 @@ struct service_config {
     /// as emulated wall time; overrides `shards`.
     std::vector<std::string> shard_devices;
     /// Cross-shard work stealing: an idle shard's worker pulls from the
-    /// deepest run-queue holding more than `steal_threshold` systems.
+    /// deepest ring holding more than `steal_threshold` systems.
     bool work_stealing = true;
     /// Victim depth (systems) below which nothing is stolen; 0 = auto
     /// (`max_batch`: only overflow beyond what the victim's own next
@@ -174,15 +190,20 @@ struct service_config {
     std::vector<xpu::fault_plan> shard_faults;
     /// Most systems one fused launch may carry.
     index_type max_batch = 64;
-    /// How long a batch leader waits for companions before launching.
+    /// How long a batch leader waits for companions before launching,
+    /// measured from the leader's submit, in every launch mode. The
+    /// window closes early once `max_batch` compatible systems are
+    /// gathered, or as soon as the worker pops a request of another key.
+    /// Stolen work and a shard with a tripped breaker launch without a
+    /// window. Zero launches whatever has accumulated immediately.
     std::chrono::microseconds max_wait{200};
-    /// Adaptive window flush: when the admission queue is empty — every
-    /// other client is waiting on an in-flight reply, so no companion can
-    /// arrive until something completes — the leader waits only this long
-    /// for stragglers before launching instead of holding the full
-    /// `max_wait` window open. This removes the low-load pathology where
-    /// a lone request burns the whole window for companions that cannot
-    /// exist. Zero disables (always wait out `max_wait`).
+    /// Adaptive window flush: once the shard's ring has stayed empty for
+    /// this long — every other client is waiting on an in-flight reply,
+    /// so no companion can arrive until something completes — the leader
+    /// launches instead of holding the full `max_wait` window open. This
+    /// removes the low-load pathology where a lone request burns the
+    /// whole window for companions that cannot exist. Applies in every
+    /// launch mode. Zero disables (always wait out `max_wait`).
     std::chrono::microseconds idle_flush{25};
     /// Cached graph recordings per worker and precision in the
     /// `graph_replay` / `persistent` launch modes (LRU-evicted). Each
@@ -220,7 +241,7 @@ struct service_config {
 
     /// --- Failover (PR 10) ---
     /// Master switch for device-loss failover: lane eviction when retries
-    /// exhaust on a device error, queue/ring drain + migration to
+    /// exhaust on a device error, ring drain + migration to
     /// surviving shards, the hang watchdog, and half-open probing. Off by
     /// default: eviction changes *where* a persistently-faulting batch
     /// completes, and the PR 5 resilience suites pin down the
@@ -375,6 +396,10 @@ struct pending_entry {
     std::chrono::steady_clock::time_point enqueued;
     std::chrono::steady_clock::time_point deadline;
     index_type items = 0;
+    /// Matrix order and stored nonzeros per item: the router's cost-model
+    /// inputs, kept for re-routing and the modeled busy time.
+    index_type rows = 0;
+    index_type nnz = 0;
     std::variant<typed_pending<double>, typed_pending<float>> body;
     /// Shard the entry is currently assigned to (updated when stolen).
     index_type shard = 0;
@@ -387,10 +412,10 @@ struct pending_entry {
     index_type migrations = 0;
 };
 
-/// Entries travel the admission queue / ring / batch pipeline by pointer:
-/// a `pending_entry` is a few hundred bytes of matrices-by-value, and the
-/// multi-stage handoff (submit -> ring/queue -> chunk -> group -> live)
-/// would otherwise move that struct four or five times per request. One
+/// Entries travel the ring / batch pipeline by pointer: a `pending_entry`
+/// is a few hundred bytes of matrices-by-value, and the multi-stage
+/// handoff (submit -> ring -> chunk -> group -> live) would otherwise
+/// move that struct four or five times per request. One
 /// heap allocation at submit makes every later hop an 8-byte pointer
 /// move, and keeps the MPMC ring's cell array small enough to stay
 /// cache-resident.
@@ -536,10 +561,11 @@ public:
             detail::coalesce_key<T>(request.a, request.opts);
         const index_type nnz = detail::nnz_per_item<T>(request.a);
 
-        detail::typed_pending<T> typed{
-            std::move(request),
-            std::make_shared<detail::reply_slot<solve_reply<T>>>()};
-        ticket<T> fut{typed.slot};
+        auto slot = std::make_shared<detail::reply_slot<solve_reply<T>>>();
+        ticket<T> fut{slot};
+        detail::pending_ptr entry = std::make_unique<detail::pending_entry>(
+            key, now, deadline, items, rows, nnz,
+            detail::typed_pending<T>{std::move(request), std::move(slot)});
 
         ++submitted_requests_;
         submitted_systems_ += static_cast<std::uint64_t>(items);
@@ -549,96 +575,27 @@ public:
         // queued, and never silently read as "no deadline".
         if (expired_at_admission) {
             expired_requests_.fetch_add(1, std::memory_order_relaxed);
-            reply_without_solving(typed, request_status::expired);
+            reply_without_solving(*entry, request_status::expired);
             return fut;
         }
 
         // Placement: coalesce-key affinity with cost-model spill (see
         // shard/router.hpp). Reads the lane backlogs lock-free.
-        const shard::decision where = route_request(key, items, rows, nnz);
-
-        if (launch_mode_ == xpu::launch_mode::persistent) {
-            // Lock-free admission: the resident workers poll the rings,
-            // so no mutex is taken and nobody needs a wakeup.
-            submit_to_ring(std::move(typed), key, now, deadline, items,
-                           priority, where);
-            return fut;
-        }
-
-        std::unique_lock<std::mutex> lk(mu_);
-        if (!accepting_) {
-            ++rejected_requests_;
-            lk.unlock();
-            reply_without_solving(typed, request_status::rejected);
-            return fut;
-        }
-        // Watermark shedding: above the soft watermark only positive-
-        // priority requests are admitted; everything else is refused
-        // *before* it can deepen the backlog the brownout ladder and the
-        // hard bound are already fighting.
-        if (priority <= 0 &&
-            queued_systems_ >= shed_threshold_systems() &&
-            queued_systems_ + static_cast<size_type>(items) >
-                shed_threshold_systems()) {
-            ++rejected_requests_;
-            shed_requests_.fetch_add(1, std::memory_order_relaxed);
-            lk.unlock();
-            reply_without_solving(typed, request_status::rejected,
-                                  kShedError);
-            return fut;
-        }
-        if (queued_systems_ + static_cast<size_type>(items) >
-            config_.max_queue_systems) {
-            if (config_.on_full == overflow_policy::reject) {
-                ++rejected_requests_;
-                lk.unlock();
-                reply_without_solving(typed, request_status::rejected);
-                return fut;
-            }
-            const auto space_ok = [&] {
-                return !accepting_ ||
-                       queued_systems_ + static_cast<size_type>(items) <=
-                           config_.max_queue_systems;
-            };
-            bool have_space = true;
-            if (deadline ==
-                std::chrono::steady_clock::time_point::max()) {
-                cv_space_.wait(lk, space_ok);
-            } else {
-                // Deadline checkpoint 1b (blocked admission): a request
-                // whose deadline passes while its submitter is parked on
-                // backpressure expires instead of occupying the queue it
-                // can no longer use.
-                have_space = cv_space_.wait_until(lk, deadline, space_ok);
-            }
-            if (!have_space) {
-                expired_requests_.fetch_add(1, std::memory_order_relaxed);
-                lk.unlock();
-                reply_without_solving(typed, request_status::expired);
-                return fut;
-            }
-            if (!accepting_) {
-                ++rejected_requests_;
-                lk.unlock();
-                reply_without_solving(typed, request_status::rejected);
-                return fut;
-            }
-        }
-        auto entry = std::make_unique<detail::pending_entry>(
-            key, now, deadline, items, std::move(typed));
+        const shard::decision where = route_request(*entry);
         entry->shard = where.shard;
         entry->cost_ns = where.cost_ns;
+        // Nothing between admit() and leave() below may throw: a
+        // submitter stuck inside the gate would keep stop() waiting.
+        if (!admit(*entry, priority)) {
+            return fut;
+        }
         shard_lane& lane = lanes_[static_cast<std::size_t>(where.shard)];
-        lane.queue.push_back(std::move(entry));
-        lane.queued_systems += static_cast<size_type>(items);
-        queued_systems_ += static_cast<size_type>(items);
         lane.backlog_ns.fetch_add(where.cost_ns, std::memory_order_relaxed);
         lane.routed_requests.fetch_add(1, std::memory_order_relaxed);
         lane.routed_systems.fetch_add(static_cast<std::uint64_t>(items),
                                       std::memory_order_relaxed);
-        // notify_all: idle workers must wake, and workers holding a
-        // batching window open must re-scan for the new arrival.
-        cv_work_.notify_all();
+        enqueue(lane, std::move(entry));
+        gate_.leave();
         return fut;
     }
 
@@ -651,7 +608,7 @@ public:
     /// short), and joins the workers. Idempotent.
     void stop();
 
-    bool accepting() const;
+    bool accepting() const { return !gate_.closed(); }
 
     /// Point-in-time statistics snapshot.
     service_stats stats() const;
@@ -676,65 +633,49 @@ private:
     /// Completes a request without solving it (rejected / expired /
     /// shed) and wakes the waiter immediately — these paths resolve one
     /// request, not a batch, so there is nothing to defer for.
-    template <typename T>
-    static void reply_without_solving(detail::typed_pending<T>& typed,
-                                      request_status status,
-                                      const char* error = nullptr)
-    {
-        solve_reply<T> reply;
-        reply.status = status;
-        if (error != nullptr) {
-            reply.error = error;
-        }
-        reply.a = std::move(typed.request.a);
-        reply.b = std::move(typed.request.b);
-        reply.x = std::move(typed.request.x);
-        typed.slot->store_reply(std::move(reply));
-        if (auto* word = typed.slot->resolve()) {
-            detail::futex_wake_all(*word);
-        }
-    }
-
     static void reply_without_solving(detail::pending_entry& entry,
                                       request_status status,
                                       const char* error = nullptr)
     {
         std::visit(
             [&](auto& typed) {
-                reply_without_solving(typed, status, error);
+                decltype(typed.slot->wait_and_take()) reply;
+                reply.status = status;
+                if (error != nullptr) {
+                    reply.error = error;
+                }
+                reply.a = std::move(typed.request.a);
+                reply.b = std::move(typed.request.b);
+                reply.x = std::move(typed.request.x);
+                typed.slot->store_reply(std::move(reply));
+                if (auto* word = typed.slot->resolve()) {
+                    detail::futex_wake_all(*word);
+                }
             },
             entry.body);
     }
 
-    /// Systems depth at which the shed watermark engages; past
-    /// max_queue_systems when shedding is disabled.
-    size_type shed_threshold_systems() const
-    {
-        if (config_.shed_watermark >= 1.0) {
-            return config_.max_queue_systems + 1;
-        }
-        const double frac = config_.shed_watermark < 0.0
-                                ? 0.0
-                                : config_.shed_watermark;
-        return static_cast<size_type>(
-            frac * static_cast<double>(config_.max_queue_systems));
-    }
+    /// Admission control for `entry`: the gate, the size bound, the shed
+    /// watermark and the global budget (blocking per `on_full`). True
+    /// means the budget is reserved and the gate entered — the caller
+    /// publishes the entry and then leaves the gate. A refusal has
+    /// bumped its counter, resolved the ticket and left the gate again.
+    bool admit(detail::pending_entry& entry, int priority);
 
     /// Resolves a slot exactly once: a second set (e.g. the failure
     /// sweep running after some replies already resolved) is a no-op.
     /// Returns whether this call resolved the ticket. If a waiter had
-    /// registered on the slot, its futex word is either woken here
-    /// (`deferred_wakes == nullptr`) or appended for the caller to wake
-    /// after the whole batch is resolved (see execute_typed) — so in
-    /// persistent mode a client waiting on the first of several fused
+    /// registered on the slot, its futex word is appended to `wakes` for
+    /// the caller to wake after the whole batch is resolved (see
+    /// execute_typed) — so a client waiting on the first of several fused
     /// requests wakes once with all of them ready. Resolution is
     /// single-threaded per entry (the owning worker, or stop() after the
     /// join), so the unsynchronized `state` pre-check cannot race
     /// another resolver.
     template <typename T>
-    static bool try_reply(
-        detail::typed_pending<T>& typed, solve_reply<T> reply,
-        std::vector<conc::atomic<std::uint32_t>*>* deferred_wakes = nullptr)
+    static bool try_reply(detail::typed_pending<T>& typed,
+                          solve_reply<T> reply,
+                          std::vector<conc::atomic<std::uint32_t>*>& wakes)
     {
         if (typed.slot->state.load(std::memory_order_relaxed) ==
             detail::slot_ready) {
@@ -742,97 +683,23 @@ private:
         }
         typed.slot->store_reply(std::move(reply));
         if (auto* word = typed.slot->resolve()) {
-            if (deferred_wakes != nullptr) {
-                deferred_wakes->push_back(word);
-            } else {
-                detail::futex_wake_all(*word);
-            }
+            wakes.push_back(word);
         }
         return true;
     }
 
     using shard_lane = shard::lane<detail::pending_ptr>;
 
-    /// Lock-free admission of the persistent mode: reserves the systems
-    /// budget with atomics and pushes into the routed shard's ring.
-    /// Rejections resolve the ticket exactly like the locked path.
-    template <typename T>
-    void submit_to_ring(detail::typed_pending<T> typed, std::uint64_t key,
-                        std::chrono::steady_clock::time_point now,
-                        std::chrono::steady_clock::time_point deadline,
-                        index_type items, int priority,
-                        shard::decision where)
+    /// Publishes an admitted entry (its global budget already reserved)
+    /// on `lane`'s ring and rings the doorbell. Both counters are bumped
+    /// seq_cst before the push: a parking worker re-checks them after
+    /// registering as parked (the Dekker handshake of serve/doorbell.hpp),
+    /// so no push is ever left unattended, and a worker about to exit
+    /// sees the lane count (serve/gate.hpp).
+    void enqueue(shard_lane& lane, detail::pending_ptr entry)
     {
-        if (!accepting_.load(std::memory_order_acquire) ||
-            static_cast<size_type>(items) > config_.max_queue_systems) {
-            ++rejected_requests_;
-            reply_without_solving(typed, request_status::rejected);
-            return;
-        }
-        // Watermark shedding (lock-free mirror of the windowed check).
-        if (priority <= 0) {
-            const size_type depth =
-                ring_systems_.load(std::memory_order_acquire);
-            const size_type mark = shed_threshold_systems();
-            if (depth >= mark &&
-                depth + static_cast<size_type>(items) > mark) {
-                ++rejected_requests_;
-                shed_requests_.fetch_add(1, std::memory_order_relaxed);
-                reply_without_solving(typed, request_status::rejected,
-                                      kShedError);
-                return;
-            }
-        }
-        const auto budget = static_cast<size_type>(items);
-        size_type prev = ring_systems_.fetch_add(
-            budget, std::memory_order_acq_rel);
-        if (prev + budget > config_.max_queue_systems) {
-            ring_systems_.fetch_sub(budget, std::memory_order_acq_rel);
-            if (config_.on_full == overflow_policy::reject) {
-                ++rejected_requests_;
-                reply_without_solving(typed, request_status::rejected);
-                return;
-            }
-            // Block: spin until the resident workers free enough budget.
-            for (;;) {
-                if (!accepting_.load(std::memory_order_acquire)) {
-                    ++rejected_requests_;
-                    reply_without_solving(typed, request_status::rejected);
-                    return;
-                }
-                // Deadline checkpoint 1b (blocked admission), persistent
-                // flavor: give up once the deadline passes mid-spin.
-                if (deadline !=
-                        std::chrono::steady_clock::time_point::max() &&
-                    std::chrono::steady_clock::now() >= deadline) {
-                    expired_requests_.fetch_add(
-                        1, std::memory_order_relaxed);
-                    reply_without_solving(typed, request_status::expired);
-                    return;
-                }
-                prev = ring_systems_.load(std::memory_order_acquire);
-                if (prev + budget <= config_.max_queue_systems &&
-                    ring_systems_.compare_exchange_weak(
-                        prev, prev + budget, std::memory_order_acq_rel)) {
-                    break;
-                }
-                std::this_thread::yield();
-            }
-        }
-        shard_lane& lane = lanes_[static_cast<std::size_t>(where.shard)];
-        detail::pending_ptr entry = std::make_unique<detail::pending_entry>(
-            key, now, deadline, items, std::move(typed));
-        entry->shard = where.shard;
-        entry->cost_ns = where.cost_ns;
-        lane.ring_systems.fetch_add(budget, std::memory_order_relaxed);
-        lane.backlog_ns.fetch_add(where.cost_ns, std::memory_order_relaxed);
-        lane.routed_requests.fetch_add(1, std::memory_order_relaxed);
-        lane.routed_systems.fetch_add(static_cast<std::uint64_t>(items),
-                                      std::memory_order_relaxed);
-        // pending is published before the push so a stopping worker never
-        // exits between the push and the count becoming visible. seq_cst:
-        // the increment must order against a parking worker's re-check
-        // (see persistent_loop) so no push is ever left unattended.
+        lane.ring_systems.fetch_add(static_cast<size_type>(entry->items),
+                                    std::memory_order_seq_cst);
         ring_pending_.fetch_add(1, std::memory_order_seq_cst);
         while (!lane.ring->try_push(entry)) {
             // Only transiently possible: each ring is sized for the full
@@ -847,8 +714,7 @@ private:
     /// probing lanes carry zero routing weight; `exclude` (when >= 0)
     /// additionally bars one lane — the failover migration uses it so a
     /// dead lane never re-routes work to itself.
-    shard::decision route_request(std::uint64_t key, index_type items,
-                                  index_type rows, index_type nnz,
+    shard::decision route_request(const detail::pending_entry& entry,
                                   index_type exclude = -1) const;
 
     /// steady_clock now in integer nanoseconds (the watchdog/probe time
@@ -864,15 +730,14 @@ private:
     bool evict_lane(shard_lane& lane, bool by_watchdog);
 
     /// Re-routes one already-admitted entry off dead `from` onto a
-    /// surviving lane (queue or ring per launch mode), re-charging the
-    /// backlog books on both sides. Entries past their deadline expire
-    /// here (deadline checkpoint 5: failover re-queue); entries past the
-    /// migration cap, or with no surviving lane, fail with a structured
-    /// error. Ring pushes re-reserve the global budget themselves.
+    /// surviving lane's ring, re-charging the backlog books on both
+    /// sides and re-reserving the global budget. Entries past their
+    /// deadline expire here (deadline checkpoint 5: failover re-queue);
+    /// entries past the migration cap, or with no surviving lane, fail
+    /// with a structured error.
     void migrate_entry(shard_lane& from, detail::pending_ptr entry);
 
-    /// Drains everything queued on an evicted lane and migrates it:
-    /// windowed run-queue under mu_, persistent MPMC ring lock-free.
+    /// Drains everything queued on an evicted lane's ring and migrates it.
     void failover_drain(shard_lane& lane);
 
     /// Sends one synthetic half-open probe batch (a tiny CG solve built
@@ -895,33 +760,31 @@ private:
     /// ladder is disabled).
     int brownout_for_depth(size_type depth_systems) const;
 
-    /// Victim depth below which nothing is stolen (config, 0 = max_batch).
-    size_type steal_threshold_systems() const;
+    /// The one worker loop of every launch mode: pops its shard's ring
+    /// (stealing from deeper rings when idle), holds the batching window
+    /// open for companions, groups compatible entries up to `max_batch`,
+    /// and executes each group; parks on the doorbell when idle.
+    void dispatch_loop(index_type shard_id, int local_id);
 
-    void worker_loop(index_type shard_id, int local_id);
+    /// Pops one entry off `lane`'s ring, moving it from the pending books
+    /// (global and lane) to the in-flight count; the caller retires it
+    /// from `ring_in_flight_` once it is resolved or handed on.
+    bool pop_one(shard_lane& lane, detail::pending_ptr& entry);
 
-    /// Resident solver loop of `launch_mode::persistent`: polls its
-    /// shard's ring (stealing from deeper rings when idle), groups
-    /// compatible entries up to `max_batch`, executes without ever
-    /// parking on the admission mutex.
-    void persistent_loop(index_type shard_id, int local_id);
+    /// Pops entries off `lane`'s ring into `chunk` (via pop_one) until
+    /// `total` reaches `max_batch` systems or the ring is empty.
+    void pop_into(shard_lane& lane, std::vector<detail::pending_ptr>& chunk,
+                  index_type& total);
 
-    /// Removes lane.queue[index] under the caller's lock: books it as
-    /// in-flight and frees its admission budget.
-    detail::pending_ptr pop_entry_locked(shard_lane& lane,
-                                         std::size_t index);
+    /// The batching window of `chunk.front()` (the leader): keeps popping
+    /// `own`'s ring until the window closes (see `service_config::
+    /// max_wait` / `idle_flush`), parking on the doorbell in between.
+    void hold_window(shard_lane& own, std::vector<detail::pending_ptr>& chunk,
+                     index_type& total, int brownout);
 
-    /// Deepest run-queue worth stealing from (windowed modes, caller
-    /// holds mu_); -1 when no victim clears the threshold.
-    int steal_victim_locked(index_type thief_shard) const;
-
-    /// Deepest ring worth stealing from (persistent mode, lock-free);
-    /// -1 when no victim clears the threshold.
-    int steal_victim_ring(index_type thief_shard) const;
-
-    void execute(shard_lane& lane, xpu::queue& q,
-                 detail::graph_cache& cache,
-                 std::vector<detail::pending_ptr> batch, int brownout);
+    /// Deepest ring worth stealing from; -1 when no victim clears the
+    /// threshold.
+    int steal_victim(index_type thief_shard) const;
 
     template <typename T>
     void execute_typed(shard_lane& lane, xpu::queue& q,
@@ -942,20 +805,14 @@ private:
     shard::router router_;
     std::deque<shard_lane> lanes_;
 
+    /// Guards the post-batch statistics below (the plain counters, the
+    /// histogram, the latency window, and the lanes' completion-side
+    /// fields).
     mutable std::mutex mu_;
-    std::condition_variable cv_work_;
-    std::condition_variable cv_space_;
-    std::condition_variable cv_idle_;
-    /// Total queued systems across every lane (the admission budget of
-    /// the windowed modes).
-    size_type queued_systems_ = 0;
-    std::size_t in_flight_entries_ = 0;
-    /// Atomic (not merely mu_-guarded): the persistent admission path
-    /// reads these without the mutex. conc::atomic (= std::atomic in the
-    /// default build) so the checked build model-checks the protocols
-    /// they participate in.
-    conc::atomic<bool> accepting_{true};
-    conc::atomic<bool> stopping_{false};
+    /// Closed once by stop(): admission refuses, windows close, and
+    /// workers exit once it is sealed and the rings are drained
+    /// (serve/gate.hpp).
+    admission_gate gate_;
 
     /// Submission-side counters are atomic — bumped on the submitter's
     /// thread before admission, outside the mutex.
@@ -988,22 +845,28 @@ private:
     std::uint64_t refine_sweeps_ = 0;
     std::uint64_t refine_fallbacks_ = 0;
 
-    /// Persistent-mode lock-free budget/progress counters (the rings
-    /// themselves live in the lanes). `ring_pending_` counts entries
-    /// published but not yet popped; `ring_in_flight_` counts entries
-    /// popped but not yet replied. A worker bumps in_flight *before*
-    /// dropping pending, so `pending == 0 && in_flight == 0` never holds
-    /// transiently while an entry changes hands — that predicate is the
-    /// drain/shutdown condition.
+    /// Lock-free budget/progress counters (the rings themselves live in
+    /// the lanes). `ring_systems_` is the admission budget in use;
+    /// `ring_pending_` counts entries published but not yet popped;
+    /// `ring_in_flight_` counts entries popped but not yet replied. A
+    /// worker bumps in_flight *before* dropping pending, so `pending == 0
+    /// && in_flight == 0` never holds transiently while an entry changes
+    /// hands — that predicate is the drain/shutdown condition.
     conc::atomic<size_type> ring_systems_{0};
     conc::atomic<std::uint64_t> ring_pending_{0};
     conc::atomic<std::uint64_t> ring_in_flight_{0};
-    /// Parking protocol of the resident workers: a worker that finds the
-    /// ring empty registers as parked, re-checks `ring_pending_`, and
-    /// sleeps on the doorbell word; a producer rings after its push only
-    /// when someone is parked, so the loaded steady state pays no wake
-    /// syscalls at all. Protocol and rationale: serve/doorbell.hpp.
+    /// Parking protocol of the workers: a worker with nothing to do (or
+    /// holding a batching window) registers as parked, re-checks its
+    /// shard's ring, and sleeps on the doorbell word; a producer rings
+    /// after its push only when someone is parked, so the loaded steady
+    /// state pays no wake syscalls at all. Protocol and rationale:
+    /// serve/doorbell.hpp.
     doorbell bell_;
+    /// The same protocol for submitters blocked by `overflow_policy::
+    /// block`: every pop rings it, so a freed budget wakes them at once.
+    /// Its own cache line: every pop reads `parked`, while the workers'
+    /// doorbell next door is written on every park.
+    alignas(64) doorbell space_bell_;
 
     // Resilience counters (guarded by mu_). Circuit-breaker state is per
     // lane (`shard::breaker`) — a faulting shard trips and cools down

@@ -48,7 +48,7 @@ struct shard_stats {
     /// Worker-loop liveness counter (stalls while work is queued mean a
     /// wedged lane).
     std::uint64_t heartbeat = 0;
-    /// Current run-queue depth of this shard, in systems.
+    /// Current ring depth of this shard, in systems.
     std::uint64_t queue_depth_systems = 0;
     /// Estimated not-yet-completed work (router cost model) — what the
     /// placement policy balances on.

@@ -1,14 +1,14 @@
 // shard::lane — per-shard runtime state of the sharded serve layer, and
 // the per-shard circuit breaker.
 //
-// One lane per registry entry: its run-queue (windowed modes) or MPMC
-// ring (persistent mode), the backlog estimate the router balances on,
-// the breaker and fault accounting that isolate a misbehaving shard, and
-// the per-shard counters `serve::stats` exposes. The lane itself holds no
-// threads and no locks: the windowed fields are guarded by the service
-// mutex, the ring and the atomics are lock-free, and the `xpu::queue`s
-// executing a lane's work are owned by the service's worker threads (one
-// queue per worker, the single-threaded contract `xpu::queue` documents).
+// One lane per registry entry: its MPMC admission ring, the backlog
+// estimate the router balances on, the breaker and fault accounting that
+// isolate a misbehaving shard, and the per-shard counters `serve::stats`
+// exposes. The lane itself holds no threads and no locks: the ring and
+// the atomics are lock-free, the completion-side counters are guarded by
+// the service's statistics mutex, and the `xpu::queue`s executing a
+// lane's work are owned by the service's worker threads (one queue per
+// worker, the single-threaded contract `xpu::queue` documents).
 //
 // The struct is templated on the queued entry pointer so this header
 // does not depend on the serve layer's pending-entry internals (which in
@@ -17,7 +17,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 
 #include "conc/shim.hpp"
@@ -34,7 +33,7 @@ namespace batchlin::shard {
 /// (its workers degrade to solo/native solves) while the other shards
 /// keep serving fused batches. State is guarded by the service mutex;
 /// `suspended` mirrors `remaining > 0` for lock-free readers (the
-/// persistent loop checks it per batch).
+/// dispatch loop checks it per batch).
 struct breaker {
     std::uint32_t window_count = 0;
     std::uint32_t window_faulted = 0;
@@ -175,12 +174,8 @@ struct lane {
     /// policy plus any per-shard injected fault schedule).
     xpu::exec_policy policy;
 
-    /// Windowed-mode run-queue, guarded by the service mutex.
-    std::deque<EntryPtr> queue;
-    size_type queued_systems = 0;
-
-    /// Persistent-mode admission ring (null in the windowed modes) and
-    /// its system count — the steal-victim depth signal.
+    /// Admission ring and its system count — the steal-victim depth
+    /// signal and the batching window's "ring stayed empty" signal.
     std::unique_ptr<serve::mpmc_ring<EntryPtr>> ring;
     conc::atomic<size_type> ring_systems{0};
 
@@ -216,12 +211,11 @@ struct lane {
     conc::atomic<std::uint64_t> migrated_requests{0};
     conc::atomic<std::uint64_t> migrated_systems{0};
 
-    /// Submission-side counters (atomic: bumped on submitter threads,
-    /// outside the service mutex in persistent mode).
+    /// Submission-side counters (atomic: bumped on submitter threads).
     conc::atomic<std::uint64_t> routed_requests{0};
     conc::atomic<std::uint64_t> routed_systems{0};
     /// Steals this lane's workers performed as the thief (atomic: the
-    /// persistent loop bumps them outside the mutex).
+    /// dispatch loop bumps them outside the mutex).
     conc::atomic<std::uint64_t> steals{0};
     conc::atomic<std::uint64_t> stolen_systems{0};
 

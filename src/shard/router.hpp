@@ -16,7 +16,7 @@
 //     per-shard queue depth, with enough hysteresis that small same-key
 //     bursts stay together and keep fusing.
 //  3. Stealing (implemented in the serve lanes, thresholds here): an idle
-//     shard pulls from the deepest run-queue once it holds more than a
+//     shard pulls from the deepest ring once it holds more than a
 //     full batch, so routing mistakes and load skew self-correct.
 //
 // Costs are int64 nanoseconds: the modeled solve of a handful of 8-row

@@ -63,9 +63,12 @@ enum class launch_mode {
     /// `khr::command_graph`), paying `emulated_replay_us` instead of the
     /// full `emulated_launch_us` per submission.
     graph_replay,
-    /// Persistent-kernel serving: the worker's solver loop stays resident
-    /// and consumes coalesced batches from a lock-free ring buffer, so a
-    /// steady-state submission costs no host launch at all.
+    /// Persistent-kernel serving: fused batches go through the recorded
+    /// graph like `graph_replay`, but each submission is charged
+    /// `submit_cost::resident` — the solver kernel is modeled as already
+    /// resident on the device, so a steady-state submission costs no host
+    /// launch at all. The serve layer's scheduling is the same in every
+    /// mode; only this submit cost differs.
     persistent,
 };
 

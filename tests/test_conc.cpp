@@ -6,10 +6,10 @@
 //  * ConcEngine — self-tests of the scheduler and race detector: the
 //    checker's own teeth (determinism, race detection, deadlock-as-
 //    lost-wake, spurious wakeup injection, preemption bounding).
-//  * ConcRing / ConcSlot / ConcBell / ConcShard — the load-bearing
-//    invariants of the production protocols, run against the *production*
-//    code (serve::mpmc_ring, serve::detail::reply_slot, serve::doorbell,
-//    shard::lane counters) under exhaustive exploration at 2-3 threads
+//  * ConcRing / ConcSlot / ConcBell / ConcGate / ConcShard — the load-
+//    bearing invariants of the production protocols, run against the
+//    *production* code (serve::mpmc_ring, serve::detail::reply_slot,
+//    serve::doorbell, serve::admission_gate, shard::lane counters) under exhaustive exploration at 2-3 threads
 //    plus seeded random walks at higher thread counts.
 //  * ConcMutant — the detector-teeth suite: each test seeds one defect
 //    (a weakened memory order via the ring's Orders traits, a dropped
@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -35,6 +36,7 @@
 #include "conc/conc.hpp"
 #include "serve/doorbell.hpp"
 #include "serve/futex.hpp"
+#include "serve/gate.hpp"
 #include "serve/reply_slot.hpp"
 #include "serve/ring.hpp"
 #include "shard/lane.hpp"
@@ -562,10 +564,38 @@ void production_park(serve::doorbell& bell, const std::function<bool()>& keep)
 
 void production_ring(serve::doorbell& bell) { bell.ring(); }
 
+/// The batching window's hold: the same handshake with a timeout.
+void timed_park(serve::doorbell& bell, const std::function<bool()>& keep)
+{
+    bell.park_for(keep, std::chrono::microseconds(50));
+}
+
+/// A ring that bumps the generation but drops the futex wake.
+void ring_without_wake(serve::doorbell& bell)
+{
+    if (bell.parked.load(std::memory_order_seq_cst) > 0) {
+        bell.word.fetch_add(1, std::memory_order_release);
+        // mutant: futex_wake_all dropped
+    }
+}
+
 TEST(ConcBell, SubmitNeverLosesAWakeAgainstPark)
 {
     const conc::report rep =
         explore_bell_protocol(exhaustive(), production_park, production_ring);
+    EXPECT_TRUE(rep.ok) << rep.summary();
+    EXPECT_TRUE(rep.complete) << rep.summary();
+}
+
+TEST(ConcBell, TimedParkNeverLosesASubmit)
+{
+    // A worker holding a batching window parks with a timeout. The engine
+    // models the timeout firing as a spurious return and nothing more, so
+    // if the timed parker only ever saw a submit because its timeout
+    // fired, some schedule would end in a deadlock report. The ring must
+    // wake a timed parker exactly as surely as an untimed one.
+    const conc::report rep =
+        explore_bell_protocol(exhaustive(), timed_park, production_ring);
     EXPECT_TRUE(rep.ok) << rep.summary();
     EXPECT_TRUE(rep.complete) << rep.summary();
 }
@@ -599,12 +629,66 @@ TEST(ConcBell, StopAlwaysWakesAParkedWorker)
 }
 
 // ---------------------------------------------------------------------------
+// ConcGate: the submit-vs-stop handshake (serve/gate.hpp).
+// ---------------------------------------------------------------------------
+
+// One submitter, one worker, one stop(). The submitter publishes one entry
+// (seq_cst, as enqueue does) if `enter` admits it, then leaves the gate;
+// the worker pops, or exits once the gate is sealed and nothing is
+// pending. A worker that exits must leave nothing behind: an entry pushed
+// after the last worker exited is a ticket that never resolves.
+conc::report explore_gate_protocol(
+    const conc::options& o,
+    const std::function<bool(serve::admission_gate&)>& enter)
+{
+    return conc::explore(o, [&] {
+        serve::admission_gate gate;
+        conc::atomic<std::uint32_t> pending{0};
+        bool admitted = false;
+        bool consumed = false;
+        bool exited = false;
+        conc::thread submitter([&] {
+            if (enter(gate)) {
+                admitted = true;
+                pending.fetch_add(1, std::memory_order_seq_cst);
+                gate.leave();
+            }
+        });
+        conc::thread worker([&] {
+            for (int round = 0; round < 3 && !exited; ++round) {
+                if (pending.load(std::memory_order_seq_cst) > 0) {
+                    pending.fetch_sub(1, std::memory_order_seq_cst);
+                    consumed = true;
+                } else if (gate.sealed() &&
+                           pending.load(std::memory_order_seq_cst) == 0) {
+                    exited = true;
+                }
+            }
+        });
+        conc::thread stopper([&] { gate.close(); });
+        submitter.join();
+        worker.join();
+        stopper.join();
+        conc::require(!exited || admitted == consumed,
+                      "no entry is published after the worker exits");
+    });
+}
+
+TEST(ConcGate, SubmitRacingStopNeverOrphansAnEntry)
+{
+    const conc::report rep = explore_gate_protocol(
+        exhaustive(), [](serve::admission_gate& g) { return g.try_enter(); });
+    EXPECT_TRUE(rep.ok) << rep.summary();
+    EXPECT_TRUE(rep.complete) << rep.summary();
+}
+
+// ---------------------------------------------------------------------------
 // ConcShard: lane backlog books and the breaker's lock-free flag.
 // ---------------------------------------------------------------------------
 
 TEST(ConcShard, BacklogBooksBalanceAcrossSubmitStealRetire)
 {
-    // The transfer discipline of the persistent loop (service.cpp): a
+    // The transfer discipline of the dispatch loop (service.cpp): a
     // submit adds to the routed lane, a steal moves fetch_sub/fetch_add
     // between lanes, a retire subtracts what actually ran. The books must
     // balance under every interleaving.
@@ -633,7 +717,7 @@ TEST(ConcShard, BacklogBooksBalanceAcrossSubmitStealRetire)
 TEST(ConcShard, BreakerSuspendedFlagIsMonotoneOverCooldown)
 {
     // The breaker's plain fields are service-mutex-guarded; `suspended` is
-    // the lock-free mirror the persistent loop reads per batch. A tripped
+    // the lock-free mirror the dispatch loop reads per batch. A tripped
     // breaker must read true for exactly the cooldown, then false.
     const conc::report rep = conc::explore(exhaustive(), [] {
         shard::breaker brk;
@@ -837,14 +921,20 @@ TEST(ConcMutant, DoorbellRingWithoutWakeIsCaughtAsDeadlock)
     // Bumping the generation without the futex wake leaves an already-
     // sleeping worker asleep forever (the futex checks the word only at
     // sleep time).
-    const conc::report rep = explore_bell_protocol(
-        exhaustive(), production_park, [](serve::doorbell& bell) {
-            if (bell.parked.load(std::memory_order_seq_cst) > 0) {
-                bell.word.fetch_add(1, std::memory_order_release);
-                // mutant: futex_wake_all dropped
-            }
-        });
+    const conc::report rep =
+        explore_bell_protocol(exhaustive(), production_park, ring_without_wake);
     ASSERT_FALSE(rep.ok) << "dropped doorbell wake went undetected: "
+                         << rep.summary();
+    EXPECT_NE(rep.failure.find("deadlock"), std::string::npos) << rep.failure;
+}
+
+TEST(ConcMutant, TimedParkDoesNotMaskADroppedWake)
+{
+    // The timeout must not hide a lost wake from the checker: a timed
+    // parker facing a ring that never wakes it is still a deadlock.
+    const conc::report rep =
+        explore_bell_protocol(exhaustive(), timed_park, ring_without_wake);
+    ASSERT_FALSE(rep.ok) << "dropped wake hidden by a timed park: "
                          << rep.summary();
     EXPECT_NE(rep.failure.find("deadlock"), std::string::npos) << rep.failure;
 }
@@ -894,6 +984,27 @@ TEST(ConcMutant, DoorbellParkFreshExpectedIsCaught)
     ASSERT_FALSE(rep.ok) << "fresh-expected park went undetected: "
                          << rep.summary();
     EXPECT_NE(rep.failure.find("deadlock"), std::string::npos) << rep.failure;
+}
+
+TEST(ConcMutant, GateCheckBeforeRegisterIsCaught)
+{
+    // try_enter with its Dekker order flipped: the submitter reads the
+    // flag before registering, so stop() and the worker's exit test can
+    // both slip in between and the submitter's push lands after the
+    // worker is gone.
+    const conc::report rep =
+        explore_gate_protocol(exhaustive(), [](serve::admission_gate& g) {
+            const bool open = !g.shut.load(std::memory_order_seq_cst);
+            g.entering.fetch_add(1, std::memory_order_seq_cst);  // mutant
+            if (!open) {
+                g.leave();
+            }
+            return open;
+        });
+    ASSERT_FALSE(rep.ok) << "flipped gate order went undetected: "
+                         << rep.summary();
+    EXPECT_NE(rep.failure.find("property violated"), std::string::npos)
+        << rep.failure;
 }
 
 TEST(ConcMutant, BacklogLostUpdateIsCaught)

@@ -1,6 +1,6 @@
 // Robustness layer tests (PR 10): the device-loss fault model
 // (`xpu::fault_kind::device_lost` / `hang`), serve-side failover (lane
-// eviction, queue/ring drain + migration, the hang watchdog, half-open
+// eviction, ring drain + migration, the hang watchdog, half-open
 // probing), overload degradation (priority shedding, deadline
 // enforcement, brownout), and the seeded chaos soak that mixes all of it
 // with sustained overload and asserts zero lost tickets, balanced books,

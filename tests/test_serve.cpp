@@ -6,10 +6,12 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <limits>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,13 +49,18 @@ solver::solve_options bicgstab_opts()
     return opts;
 }
 
-/// True when BATCHLIN_LAUNCH_MODE sweeps the suite into persistent mode,
-/// which has no batching windows: tests asserting window semantics skip.
-bool persistent_mode_env()
+bl::xpu::exec_policy mode_policy(bl::xpu::launch_mode mode)
 {
-    const char* env = std::getenv("BATCHLIN_LAUNCH_MODE");
-    return env != nullptr && std::string(env) == "persistent";
+    bl::xpu::exec_policy policy = bl::xpu::make_sycl_policy();
+    policy.launch_mode = mode;
+    return policy;
 }
+
+/// Every launch mode, for the tests that pin down behavior the single
+/// dispatch loop must show in all of them.
+const std::vector<bl::xpu::launch_mode> kAllModes{
+    bl::xpu::launch_mode::direct, bl::xpu::launch_mode::graph_replay,
+    bl::xpu::launch_mode::persistent};
 
 template <typename T>
 serve::solve_request<T> make_request(mat::batch_csr<T> a,
@@ -68,6 +75,30 @@ serve::solve_request<T> make_request(mat::batch_csr<T> a,
     req.a = std::move(a);
     req.opts = opts;
     return req;
+}
+
+/// Collects every ticket's status on a detached thread and waits at most
+/// `limit`: a ticket that never resolves fails the caller instead of
+/// hanging it. Empty on timeout.
+std::optional<std::vector<serve::request_status>> statuses_within(
+    std::vector<serve::solve_service::ticket<double>> tickets,
+    std::chrono::seconds limit)
+{
+    auto done =
+        std::make_shared<std::promise<std::vector<serve::request_status>>>();
+    std::future<std::vector<serve::request_status>> result =
+        done->get_future();
+    std::thread([done, tickets = std::move(tickets)]() mutable {
+        std::vector<serve::request_status> out;
+        for (auto& t : tickets) {
+            out.push_back(t.get().status);
+        }
+        done->set_value(std::move(out));
+    }).detach();
+    if (result.wait_for(limit) != std::future_status::ready) {
+        return std::nullopt;
+    }
+    return result.get();
 }
 
 }  // namespace
@@ -254,38 +285,39 @@ TEST(Serve, FloatRequestsAreServedAndKeptApartFromDouble)
 
 TEST(Serve, CompatibleRequestsCoalesceIntoOneLaunch)
 {
-    if (persistent_mode_env()) {
-        GTEST_SKIP() << "persistent mode has no batching windows";
-    }
-    serve::service_config cfg;
-    cfg.workers = 1;
-    cfg.max_batch = 16;
-    cfg.max_wait = milliseconds(500);  // generous window: all 5 must fuse
-    cfg.idle_flush = microseconds(0);  // hold the window even when idle
-    serve::solve_service service(bl::xpu::make_sycl_policy(), cfg);
+    for (const bl::xpu::launch_mode mode : kAllModes) {
+        SCOPED_TRACE(bl::xpu::to_string(mode));
+        serve::service_config cfg;
+        cfg.workers = 1;
+        cfg.max_batch = 16;
+        cfg.max_wait = milliseconds(500);  // generous window: all 5 fuse
+        cfg.idle_flush = microseconds(0);  // hold the window when idle
+        serve::solve_service service(mode_policy(mode), cfg);
 
-    std::vector<serve::solve_service::ticket<double>> tickets;
-    for (int i = 0; i < 5; ++i) {
-        tickets.push_back(service.submit(
-            make_request(work::stencil_3pt<double>(1, 16, 41), cg_opts(),
-                         200 + static_cast<std::uint64_t>(i))));
+        std::vector<serve::solve_service::ticket<double>> tickets;
+        for (int i = 0; i < 5; ++i) {
+            tickets.push_back(service.submit(make_request(
+                work::stencil_3pt<double>(1, 16, 41), cg_opts(),
+                200 + static_cast<std::uint64_t>(i))));
+        }
+        for (auto& t : tickets) {
+            const auto reply = t.get();
+            ASSERT_EQ(reply.status, serve::request_status::ok)
+                << reply.error;
+            EXPECT_EQ(reply.fused_systems, 5);
+        }
+        service.drain();
+        const serve::service_stats s = service.stats();
+        EXPECT_EQ(s.submitted_requests, 5u);
+        EXPECT_EQ(s.completed_requests, 5u);
+        EXPECT_EQ(s.completed_systems, 5u);
+        EXPECT_EQ(s.batches_launched, 1u);
+        ASSERT_GT(s.batch_size_histogram.size(), 5u);
+        EXPECT_EQ(s.batch_size_histogram[5], 1u);
+        EXPECT_DOUBLE_EQ(s.mean_batch_size, 5.0);
+        EXPECT_GT(s.p50_latency_seconds, 0.0);
+        EXPECT_GE(s.p99_latency_seconds, s.p50_latency_seconds);
     }
-    for (auto& t : tickets) {
-        const auto reply = t.get();
-        ASSERT_EQ(reply.status, serve::request_status::ok) << reply.error;
-        EXPECT_EQ(reply.fused_systems, 5);
-    }
-    service.drain();
-    const serve::service_stats s = service.stats();
-    EXPECT_EQ(s.submitted_requests, 5u);
-    EXPECT_EQ(s.completed_requests, 5u);
-    EXPECT_EQ(s.completed_systems, 5u);
-    EXPECT_EQ(s.batches_launched, 1u);
-    ASSERT_GT(s.batch_size_histogram.size(), 5u);
-    EXPECT_EQ(s.batch_size_histogram[5], 1u);
-    EXPECT_DOUBLE_EQ(s.mean_batch_size, 5.0);
-    EXPECT_GT(s.p50_latency_seconds, 0.0);
-    EXPECT_GE(s.p99_latency_seconds, s.p50_latency_seconds);
 }
 
 TEST(Serve, ExpiredRequestsAreNeverSolved)
@@ -422,6 +454,35 @@ TEST(Serve, BlockPolicyWaitsForSpaceInsteadOfRejecting)
     EXPECT_EQ(s.completed_requests, 20u);
 }
 
+TEST(Serve, OversizeRequestUnderBlockPolicyIsRejected)
+{
+    // A request larger than the whole admission bound can never fit, so
+    // a blocking submit must refuse it up front instead of parking its
+    // submitter until stop().
+    for (const bl::xpu::launch_mode mode : kAllModes) {
+        SCOPED_TRACE(bl::xpu::to_string(mode));
+        serve::service_config cfg;
+        cfg.workers = 1;
+        cfg.max_queue_systems = 2;
+        cfg.on_full = serve::overflow_policy::block;
+        serve::solve_service service(mode_policy(mode), cfg);
+
+        auto pending = std::async(std::launch::async, [&] {
+            return service
+                .submit(make_request(work::stencil_3pt<double>(3, 16, 83),
+                                     cg_opts(), 801))
+                .get();
+        });
+        const std::future_status waited =
+            pending.wait_for(std::chrono::seconds(2));
+        // stop() before asserting: it releases a submitter that a broken
+        // admission path left parked, so a regression fails, not hangs.
+        service.stop();
+        EXPECT_EQ(waited, std::future_status::ready);
+        EXPECT_EQ(pending.get().status, serve::request_status::rejected);
+    }
+}
+
 TEST(Serve, StopDrainsQueuedWorkAndRejectsLateSubmits)
 {
     serve::service_config cfg;
@@ -445,6 +506,67 @@ TEST(Serve, StopDrainsQueuedWorkAndRejectsLateSubmits)
         make_request(work::stencil_3pt<double>(1, 16, 82), cg_opts(), 800));
     EXPECT_EQ(late.get().status, serve::request_status::rejected);
     service.stop();  // idempotent
+}
+
+TEST(Serve, SubmitsRacingStopAllResolve)
+{
+    // Submitters hammer the service while stop() runs. One can pass the
+    // "accepting?" check and stall before its push, or sit in blocked
+    // admission; either way its ticket must resolve (solved or rejected),
+    // never hang behind workers that already exited.
+    for (const bl::xpu::launch_mode mode : kAllModes) {
+        SCOPED_TRACE(bl::xpu::to_string(mode));
+        for (int round = 0; round < 6; ++round) {
+            SCOPED_TRACE(round);
+            serve::service_config cfg;
+            cfg.workers = 2;
+            cfg.max_wait = microseconds(50);
+            cfg.max_queue_systems = 8;
+            cfg.on_full = round % 2 == 0 ? serve::overflow_policy::block
+                                         : serve::overflow_policy::reject;
+            serve::solve_service service(mode_policy(mode), cfg);
+
+            std::mutex mu;
+            std::vector<serve::solve_service::ticket<double>> tickets;
+            std::vector<std::thread> submitters;
+            for (int t = 0; t < 4; ++t) {
+                submitters.emplace_back([&, t] {
+                    // Keep going a few submits past stop() to land in the
+                    // check-to-push window from every side.
+                    int after_stop = 0;
+                    for (int i = 0; i < 400 && after_stop < 4; ++i) {
+                        auto ticket = service.submit(make_request(
+                            work::stencil_3pt<double>(1, 16, 91), cg_opts(),
+                            900 + static_cast<std::uint64_t>(t * 1000 + i)));
+                        std::lock_guard<std::mutex> lk(mu);
+                        tickets.push_back(std::move(ticket));
+                        after_stop += service.accepting() ? 0 : 1;
+                    }
+                });
+            }
+            std::this_thread::sleep_for(microseconds(300 * (round + 1)));
+            service.stop();
+            for (std::thread& t : submitters) {
+                t.join();
+            }
+            const std::size_t submitted = tickets.size();
+            const auto statuses =
+                statuses_within(std::move(tickets), std::chrono::seconds(20));
+            ASSERT_TRUE(statuses.has_value()) << "a ticket never resolved";
+            std::uint64_t ok = 0;
+            std::uint64_t rejected = 0;
+            for (const serve::request_status st : *statuses) {
+                ok += st == serve::request_status::ok ? 1 : 0;
+                rejected += st == serve::request_status::rejected ? 1 : 0;
+            }
+            EXPECT_EQ(ok + rejected, submitted);
+            const serve::service_stats s = service.stats();
+            EXPECT_EQ(s.submitted_requests, submitted);
+            EXPECT_EQ(s.completed_requests, ok);
+            EXPECT_EQ(s.rejected_requests, rejected);
+            EXPECT_EQ(s.queue_depth_systems, 0u);
+        }
+    }
 }
 
 TEST(Serve, MalformedRequestsThrowAtSubmit)
@@ -728,13 +850,6 @@ solver::solve_options richardson_opts()
     return opts;
 }
 
-bl::xpu::exec_policy mode_policy(bl::xpu::launch_mode mode)
-{
-    bl::xpu::exec_policy policy = bl::xpu::make_sycl_policy();
-    policy.launch_mode = mode;
-    return policy;
-}
-
 }  // namespace
 
 TEST(Serve, LaunchModesBitIdenticalToDirectAcrossSolvers)
@@ -869,40 +984,43 @@ TEST(Serve, PersistentModeServesThroughTheRing)
 
 TEST(Serve, IdleFlushLaunchesLoneRequestEarly)
 {
-    serve::service_config cfg;
-    cfg.workers = 1;
-    cfg.max_batch = 64;
-    cfg.max_wait = milliseconds(2000);
-    cfg.idle_flush = microseconds(50);
-    serve::solve_service service(bl::xpu::make_sycl_policy(), cfg);
+    for (const bl::xpu::launch_mode mode : kAllModes) {
+        SCOPED_TRACE(bl::xpu::to_string(mode));
+        serve::service_config cfg;
+        cfg.workers = 1;
+        cfg.max_batch = 64;
+        cfg.max_wait = milliseconds(2000);
+        cfg.idle_flush = microseconds(50);
+        serve::solve_service service(mode_policy(mode), cfg);
 
-    const auto t0 = std::chrono::steady_clock::now();
-    auto ticket = service.submit(make_request(
-        work::stencil_3pt<double>(1, 16, 161), cg_opts(), 1000));
-    ASSERT_EQ(ticket.get().status, serve::request_status::ok);
-    const auto elapsed = std::chrono::steady_clock::now() - t0;
-    // The admission queue is empty behind the lone leader, so the window
-    // flushes after ~idle_flush instead of holding the 2 s max_wait.
-    EXPECT_LT(elapsed, milliseconds(500));
+        const auto t0 = std::chrono::steady_clock::now();
+        auto ticket = service.submit(make_request(
+            work::stencil_3pt<double>(1, 16, 161), cg_opts(), 1000));
+        ASSERT_EQ(ticket.get().status, serve::request_status::ok);
+        const auto elapsed = std::chrono::steady_clock::now() - t0;
+        // The shard's ring is empty behind the lone leader, so the window
+        // flushes after ~idle_flush instead of holding the 2 s max_wait.
+        EXPECT_LT(elapsed, milliseconds(500));
+    }
 }
 
 TEST(Serve, ZeroIdleFlushHoldsTheFullWindow)
 {
-    if (persistent_mode_env()) {
-        GTEST_SKIP() << "persistent mode has no batching windows";
-    }
-    serve::service_config cfg;
-    cfg.workers = 1;
-    cfg.max_wait = milliseconds(300);
-    cfg.idle_flush = microseconds(0);
-    serve::solve_service service(bl::xpu::make_sycl_policy(), cfg);
+    for (const bl::xpu::launch_mode mode : kAllModes) {
+        SCOPED_TRACE(bl::xpu::to_string(mode));
+        serve::service_config cfg;
+        cfg.workers = 1;
+        cfg.max_wait = milliseconds(300);
+        cfg.idle_flush = microseconds(0);
+        serve::solve_service service(mode_policy(mode), cfg);
 
-    const auto t0 = std::chrono::steady_clock::now();
-    auto ticket = service.submit(make_request(
-        work::stencil_3pt<double>(1, 16, 162), cg_opts(), 1001));
-    ASSERT_EQ(ticket.get().status, serve::request_status::ok);
-    const auto elapsed = std::chrono::steady_clock::now() - t0;
-    EXPECT_GE(elapsed, milliseconds(250));
+        const auto t0 = std::chrono::steady_clock::now();
+        auto ticket = service.submit(make_request(
+            work::stencil_3pt<double>(1, 16, 162), cg_opts(), 1001));
+        ASSERT_EQ(ticket.get().status, serve::request_status::ok);
+        const auto elapsed = std::chrono::steady_clock::now() - t0;
+        EXPECT_GE(elapsed, milliseconds(250));
+    }
 }
 
 TEST(Serve, RingIsBoundedFifoAndHandsBackOwnership)
