@@ -21,11 +21,12 @@
 #     replay cost) instead of eagerly: results must stay bit-identical and
 #     survive the fault schedules (a replay hitting a device fault
 #     invalidates the cached graph and re-records), and
-#  7. the serve and mixed-precision suites re-run under
-#     BATCHLIN_STORAGE=fp32, flipping the library's default storage
-#     precision: the service normalizes every eligible request to fp32
-#     storage, the coalescing keys must keep policies separated, and the
-#     refinement loop must still restore FP64 accuracy. (The plain solver
+#  7. the serve, mixed-precision, resilience, and graph-record suites
+#     re-run under BATCHLIN_STORAGE=fp32, flipping the library's default
+#     storage precision: the service normalizes every eligible request to
+#     fp32 storage, the coalescing keys must keep policies separated, the
+#     refinement loop must still restore FP64 accuracy, and the fallback
+#     chain must recover fp32-storage batches. (The plain solver
 #     suite is intentionally excluded: fp32 storage floors true residuals
 #     near fp32 epsilon by design, which is exactly what its FP64-accuracy
 #     assertions reject — that interplay is covered by the dedicated
@@ -128,9 +129,12 @@ echo "== config 7/10: serve + mixed precision under fp32 default storage"
 # Same Release build, default storage precision flipped by environment
 # override: serve normalizes eligible requests onto fp32 storage, the
 # coalescing keys keep storage policies apart, and iterative refinement
-# still restores FP64 accuracy on the Table 4 chemistry batches.
+# still restores FP64 accuracy on the Table 4 chemistry batches. The
+# resilience chain and the graph-record path share the storage-aware
+# gather with coalescing, so they re-run here too: the chain's sub-batch
+# gather and the record/rebind copies must honour fp32-storage batches.
 BATCHLIN_STORAGE=fp32 ctest --test-dir build \
-  -R '^(Serve|Assemble|MixedPrecision|Refine)\.' \
+  -R '^(Serve|Assemble|MixedPrecision|Refine|Resilient|Record)\.' \
   -j "$JOBS" --output-on-failure | tail -3
 
 echo "== config 8/10: serve + resilience across two device shards"

@@ -13,10 +13,14 @@
 // solo `solve` calls (tests/test_serve.cpp asserts this).
 #pragma once
 
+#include <algorithm>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "solver/dispatch.hpp"
 #include "solver/options.hpp"
+#include "util/error.hpp"
 
 namespace batchlin::solver {
 
@@ -28,11 +32,7 @@ struct assembly_part {
     const mat::batch_dense<T>* b = nullptr;
     mat::batch_dense<T>* x = nullptr;
 
-    index_type items() const
-    {
-        return std::visit(
-            [](const auto& m) { return m.num_batch_items(); }, *a);
-    }
+    index_type items() const { return items_of(*a); }
 };
 
 /// Whether two batches share format, dimensions, and sparsity pattern
@@ -78,11 +78,166 @@ namespace detail {
 template <typename T>
 index_type validate_assembly(const std::vector<assembly_part<T>>& parts);
 
-/// Builds one combined matrix carrying the shared pattern and every
-/// part's value blocks gathered batch-major (part order).
+/// Values stored per batch item, padding included.
 template <typename T>
-batch_matrix<T> gather_matrix(const std::vector<assembly_part<T>>& parts,
-                              index_type total_items);
+size_type values_per_item(const mat::batch_csr<T>& m)
+{
+    return static_cast<size_type>(m.nnz());
+}
+template <typename T>
+size_type values_per_item(const mat::batch_ell<T>& m)
+{
+    return m.stored_per_item();
+}
+template <typename T>
+size_type values_per_item(const mat::batch_dense<T>& m)
+{
+    return m.item_size();
+}
+
+/// A zero-valued batch of `items` systems with the format, shared
+/// pattern, and storage mode of `src`.
+template <typename T>
+mat::batch_csr<T> empty_like(const mat::batch_csr<T>& src, index_type items)
+{
+    mat::batch_csr<T> out(items, src.rows(), src.cols(), src.row_ptrs(),
+                          src.col_idxs());
+    out.set_storage_precision(src.storage_mode());
+    return out;
+}
+template <typename T>
+mat::batch_ell<T> empty_like(const mat::batch_ell<T>& src, index_type items)
+{
+    mat::batch_ell<T> out(items, src.rows(), src.cols(), src.ell_width());
+    out.col_idxs() = src.col_idxs();
+    out.set_storage_precision(src.storage_mode());
+    return out;
+}
+template <typename T>
+mat::batch_dense<T> empty_like(const mat::batch_dense<T>& src,
+                               index_type items)
+{
+    mat::batch_dense<T> out(items, src.rows(), src.cols());
+    out.set_storage_precision(src.storage_mode());
+    return out;
+}
+
+/// The one item-copy primitive under every gather and scatter: copies
+/// `count` consecutive items of `src`, starting at item `from`, into `dst`
+/// starting at item `to`. Reads whichever value array of `src` is live
+/// (native or fp32) and writes the live array of `dst`, converting on the
+/// way; the two must share format and pattern.
+template <typename M>
+void copy_items(const M& src, index_type from, M& dst, index_type to,
+                index_type count = 1)
+{
+    BATCHLIN_ENSURE_DIMS(from >= 0 && to >= 0 && count >= 0 &&
+                             from + count <= src.num_batch_items() &&
+                             to + count <= dst.num_batch_items(),
+                         "item copy out of range");
+    if (count == 0) {
+        return;
+    }
+    const size_type n = values_per_item(src) * count;
+    const auto copy_from = [&](const auto* in) {
+        const auto copy_into = [&](auto* out) {
+            using V = std::remove_pointer_t<decltype(out)>;
+            std::transform(in, in + n, out,
+                           [](auto v) { return static_cast<V>(v); });
+        };
+        if (dst.storage_mode() == mat::storage_precision::fp32) {
+            copy_into(dst.item_values_fp32(to));
+        } else {
+            copy_into(dst.item_values(to));
+        }
+    };
+    if (src.storage_mode() == mat::storage_precision::fp32) {
+        copy_from(src.item_values_fp32(from));
+    } else {
+        copy_from(src.item_values(from));
+    }
+}
+
+/// One coalesced batch's operands, parts laid out batch-major in order.
+template <typename T>
+struct assembly {
+    batch_matrix<T> a;
+    mat::batch_dense<T> b;
+    mat::batch_dense<T> x;
+};
+
+/// Copies every part's matrix values, right-hand side, and initial guess
+/// into `into`, whose matrix must share the parts' format and pattern (its
+/// values are written at its own storage width).
+template <typename T>
+void gather_into(const std::vector<assembly_part<T>>& parts,
+                 assembly<T>& into)
+{
+    index_type offset = 0;
+    for (const assembly_part<T>& part : parts) {
+        const index_type n = part.items();
+        std::visit(
+            [&](auto& combined) {
+                using MatBatch = std::decay_t<decltype(combined)>;
+                copy_items(std::get<MatBatch>(*part.a), 0, combined, offset,
+                           n);
+            },
+            into.a);
+        copy_items(*part.b, 0, into.b, offset, n);
+        copy_items(*part.x, 0, into.x, offset, n);
+        offset += n;
+    }
+}
+
+/// Allocates the combined operands (the leader's pattern and storage
+/// mode, `total_items` systems) and gathers every part into them.
+template <typename T>
+assembly<T> gather(const std::vector<assembly_part<T>>& parts,
+                   index_type total_items)
+{
+    const batch_matrix<T>& leader = *parts.front().a;
+    const index_type rows = rows_of(leader);
+    assembly<T> out{
+        std::visit(
+            [&](const auto& m) -> batch_matrix<T> {
+                return empty_like(m, total_items);
+            },
+            leader),
+        mat::batch_dense<T>(total_items, rows, 1),
+        mat::batch_dense<T>(total_items, rows, 1)};
+    gather_into(parts, out);
+    return out;
+}
+
+/// Copies the combined solution back into each part's x.
+template <typename T>
+void scatter(const mat::batch_dense<T>& x,
+             const std::vector<assembly_part<T>>& parts)
+{
+    index_type offset = 0;
+    for (const assembly_part<T>& part : parts) {
+        copy_items(x, offset, *part.x, 0, part.items());
+        offset += part.items();
+    }
+}
+
+/// Runs `solve_fn(a, b, x)` once over the parts gathered into one batch
+/// and scatters the solutions back. A single part already is a batch: it
+/// is solved in place, with no gather or scatter.
+template <typename T, typename Solve>
+auto solve_gathered(const std::vector<assembly_part<T>>& parts,
+                    Solve&& solve_fn)
+{
+    const index_type total_items = validate_assembly(parts);
+    if (parts.size() == 1) {
+        return solve_fn(*parts.front().a, *parts.front().b,
+                        *parts.front().x);
+    }
+    assembly<T> ops = gather(parts, total_items);
+    auto result = solve_fn(std::as_const(ops.a), std::as_const(ops.b), ops.x);
+    scatter(ops.x, parts);
+    return result;
+}
 
 }  // namespace detail
 

@@ -3,7 +3,6 @@
 
 namespace batchlin::solver {
 
-BATCHLIN_FOR_EACH_COMBO(BATCHLIN_INSTANTIATE_BICGSTAB, float, float)
 BATCHLIN_FOR_EACH_COMBO(BATCHLIN_INSTANTIATE_BICGSTAB_BOUND, float, float)
 
 }  // namespace batchlin::solver

@@ -175,18 +175,4 @@ void run_bicgstab_bound(xpu::queue& q, const MatBatch& a,
         range.begin, "batch_bicgstab");
 }
 
-template <typename T, typename MatBatch, typename Precond,
-          typename S>
-void run_bicgstab(xpu::queue& q, const MatBatch& a, const Precond& precond,
-                  const mat::batch_dense<T>& b, mat::batch_dense<T>& x,
-                  const stop::criterion& crit, const slm_plan& plan,
-                  const kernel_config& config, log::batch_log& logger,
-                  xpu::batch_range range)
-{
-    const bound_plan slots(plan);  // resolved once, host side (§3.5)
-    spill_buffer<T> spill(q, plan, range.size());
-    run_bicgstab_bound<T, MatBatch, Precond, S>(q, a, precond, b, x, crit, slots, config,
-                       spill.view(), logger, range);
-}
-
 }  // namespace batchlin::solver

@@ -3,7 +3,6 @@
 
 namespace batchlin::solver {
 
-BATCHLIN_FOR_EACH_COMBO(BATCHLIN_INSTANTIATE_CG, double, double)
 BATCHLIN_FOR_EACH_COMBO(BATCHLIN_INSTANTIATE_CG_BOUND, double, double)
 
 }  // namespace batchlin::solver

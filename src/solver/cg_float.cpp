@@ -3,7 +3,6 @@
 
 namespace batchlin::solver {
 
-BATCHLIN_FOR_EACH_COMBO(BATCHLIN_INSTANTIATE_CG, float, float)
 BATCHLIN_FOR_EACH_COMBO(BATCHLIN_INSTANTIATE_CG_BOUND, float, float)
 
 }  // namespace batchlin::solver

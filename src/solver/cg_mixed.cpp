@@ -6,7 +6,6 @@
 
 namespace batchlin::solver {
 
-BATCHLIN_FOR_EACH_COMBO(BATCHLIN_INSTANTIATE_CG, double, float)
 BATCHLIN_FOR_EACH_COMBO(BATCHLIN_INSTANTIATE_CG_BOUND, double, float)
 
 }  // namespace batchlin::solver

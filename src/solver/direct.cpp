@@ -93,9 +93,10 @@ void run_thomas(xpu::queue& q, const mat::batch_csr<T>& a,
 }
 
 template <typename T>
-void run_dense_lu(xpu::queue& q, const mat::batch_csr<T>& a,
-                  const mat::batch_dense<T>& b, mat::batch_dense<T>& x,
-                  log::batch_log& logger, xpu::batch_range range)
+xpu::counters run_dense_lu(xpu::queue& q, const mat::batch_csr<T>& a,
+                           const mat::batch_dense<T>& b,
+                           mat::batch_dense<T>& x, log::batch_log& logger,
+                           xpu::batch_range range)
 {
     BATCHLIN_ENSURE_MSG(a.rows() == a.cols(),
                         "direct LU requires square systems");
@@ -142,6 +143,7 @@ void run_dense_lu(xpu::queue& q, const mat::batch_csr<T>& a,
             g.stats().global_write_bytes += n * n * (n / 3.0) * sizeof(T);
         },
         range.begin, "batch_dense_lu_factorize");
+    xpu::counters stats = q.last_launch_stats();
 
     // Kernel 2: forward/backward substitution from the stored factors.
     q.run_batch(
@@ -177,6 +179,8 @@ void run_dense_lu(xpu::queue& q, const mat::batch_csr<T>& a,
                               : log::solve_status::singular);
         },
         range.begin, "batch_dense_lu_solve");
+    stats += q.last_launch_stats();
+    return stats;
 }
 
 template <typename T>
@@ -276,10 +280,9 @@ void run_banded(xpu::queue& q, const mat::batch_csr<T>& a,
                                 const mat::batch_dense<T>&,                \
                                 mat::batch_dense<T>&, log::batch_log&,     \
                                 xpu::batch_range);                         \
-    template void run_dense_lu<T>(xpu::queue&, const mat::batch_csr<T>&,   \
-                                  const mat::batch_dense<T>&,              \
-                                  mat::batch_dense<T>&, log::batch_log&,   \
-                                  xpu::batch_range);                       \
+    template xpu::counters run_dense_lu<T>(                               \
+        xpu::queue&, const mat::batch_csr<T>&, const mat::batch_dense<T>&, \
+        mat::batch_dense<T>&, log::batch_log&, xpu::batch_range);          \
     template void run_banded<T>(xpu::queue&, const mat::batch_csr<T>&,     \
                                 const mat::batch_dense<T>&,                \
                                 mat::batch_dense<T>&, log::batch_log&,     \

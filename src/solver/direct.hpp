@@ -34,9 +34,10 @@ void run_thomas(xpu::queue& q, const mat::batch_csr<T>& a,
 
 /// Dense LU with partial pivoting per system, from CSR input. Uses a
 /// rows^2 global workspace per system allocated between the two kernels.
-/// Returns per-system success in the logger (converged == non-singular).
+/// Returns per-system success in the logger (converged == non-singular)
+/// and the counters of both launches.
 template <typename T>
-void run_dense_lu(xpu::queue& q, const mat::batch_csr<T>& a,
+xpu::counters run_dense_lu(xpu::queue& q, const mat::batch_csr<T>& a,
                   const mat::batch_dense<T>& b, mat::batch_dense<T>& x,
                   log::batch_log& logger, xpu::batch_range range);
 

@@ -1,6 +1,7 @@
 #include "solver/dispatch.hpp"
 
 #include "solver/instantiate.hpp"
+#include "solver/ladder.hpp"
 #include "solver/run_decl.hpp"
 #include "solver/trsv.hpp"
 #include "util/error.hpp"
@@ -11,27 +12,27 @@ namespace batchlin::solver {
 // The kernels are explicitly instantiated in the per-solver translation
 // units (including the double-over-fp32 mixed TUs); declare those
 // instantiations so this file stays cheap to compile.
-#define BATCHLIN_EXTERN_CG(T, S, MatBatch, ...) \
-    extern BATCHLIN_INSTANTIATE_CG(T, S, MatBatch, __VA_ARGS__)
-#define BATCHLIN_EXTERN_BICGSTAB(T, S, MatBatch, ...) \
-    extern BATCHLIN_INSTANTIATE_BICGSTAB(T, S, MatBatch, __VA_ARGS__)
-#define BATCHLIN_EXTERN_GMRES(T, S, MatBatch, ...) \
-    extern BATCHLIN_INSTANTIATE_GMRES(T, S, MatBatch, __VA_ARGS__)
-#define BATCHLIN_EXTERN_RICHARDSON(T, S, MatBatch, ...) \
-    extern BATCHLIN_INSTANTIATE_RICHARDSON(T, S, MatBatch, __VA_ARGS__)
+#define BATCHLIN_EXTERN_CG_BOUND(T, S, MatBatch, ...) \
+    extern BATCHLIN_INSTANTIATE_CG_BOUND(T, S, MatBatch, __VA_ARGS__)
+#define BATCHLIN_EXTERN_BICGSTAB_BOUND(T, S, MatBatch, ...) \
+    extern BATCHLIN_INSTANTIATE_BICGSTAB_BOUND(T, S, MatBatch, __VA_ARGS__)
+#define BATCHLIN_EXTERN_GMRES_BOUND(T, S, MatBatch, ...) \
+    extern BATCHLIN_INSTANTIATE_GMRES_BOUND(T, S, MatBatch, __VA_ARGS__)
+#define BATCHLIN_EXTERN_RICHARDSON_BOUND(T, S, MatBatch, ...) \
+    extern BATCHLIN_INSTANTIATE_RICHARDSON_BOUND(T, S, MatBatch, __VA_ARGS__)
 
-BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_CG, float, float)
-BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_CG, double, double)
-BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_CG, double, float)
-BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_BICGSTAB, float, float)
-BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_BICGSTAB, double, double)
-BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_BICGSTAB, double, float)
-BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_GMRES, float, float)
-BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_GMRES, double, double)
-BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_GMRES, double, float)
-BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_RICHARDSON, float, float)
-BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_RICHARDSON, double, double)
-BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_RICHARDSON, double, float)
+BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_CG_BOUND, float, float)
+BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_CG_BOUND, double, double)
+BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_CG_BOUND, double, float)
+BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_BICGSTAB_BOUND, float, float)
+BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_BICGSTAB_BOUND, double, double)
+BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_BICGSTAB_BOUND, double, float)
+BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_GMRES_BOUND, float, float)
+BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_GMRES_BOUND, double, double)
+BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_GMRES_BOUND, double, float)
+BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_RICHARDSON_BOUND, float, float)
+BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_RICHARDSON_BOUND, double, double)
+BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_RICHARDSON_BOUND, double, float)
 
 std::string to_string(matrix_format f)
 {
@@ -62,24 +63,6 @@ index_type pattern_nnz(const batch_matrix<T>& a)
     return static_cast<index_type>(dense.item_size());
 }
 
-template <typename T>
-index_type rows_of(const batch_matrix<T>& a)
-{
-    return std::visit([](const auto& m) { return m.rows(); }, a);
-}
-
-template <typename T>
-index_type items_of(const batch_matrix<T>& a)
-{
-    return std::visit([](const auto& m) { return m.num_batch_items(); }, a);
-}
-
-template <typename T>
-mat::storage_precision storage_of(const batch_matrix<T>& a)
-{
-    return std::visit([](const auto& m) { return m.storage_mode(); }, a);
-}
-
 template <typename T, typename S>
 size_type precond_workspace(precond::type p, index_type rows,
                             index_type nnz, index_type block_size)
@@ -100,94 +83,164 @@ size_type precond_workspace(precond::type p, index_type rows,
     return 0;
 }
 
-/// Level 3 of the dispatch: the solver axis, with format and
-/// preconditioner already resolved to concrete types. S is the storage
-/// type the kernels read matrix/preconditioner payloads at.
+/// Operands of one bound launch, shared by every rung of the ladder.
+template <typename T>
+struct launch_operands {
+    const mat::batch_dense<T>& b;
+    mat::batch_dense<T>& x;
+    const solve_options& opts;
+    const bound_plan& slots;
+    const kernel_config& config;
+    spill_view<T> spill;
+    log::batch_log& logger;
+    xpu::batch_range range;
+};
+
+/// Level 3 of the dispatch: the solver axis, with format, storage and
+/// preconditioner already resolved to concrete types.
 template <typename T, typename S, typename MatBatch, typename Precond>
-void dispatch_solver(xpu::queue& q, const MatBatch& a, const Precond& pc,
-                     const mat::batch_dense<T>& b, mat::batch_dense<T>& x,
-                     const solve_options& opts, const slm_plan& plan,
-                     const kernel_config& config, log::batch_log& logger,
-                     xpu::batch_range range)
+std::shared_ptr<void> launch_solver(xpu::queue& q, const MatBatch& a,
+                                    std::shared_ptr<Precond> pc,
+                                    const launch_operands<T>& ops)
 {
+    const solve_options& opts = ops.opts;
     switch (opts.solver) {
     case solver_type::cg:
-        run_cg<T, MatBatch, Precond, S>(q, a, pc, b, x, opts.criterion,
-                                        plan, config, logger, range);
-        return;
+        run_cg_bound<T, MatBatch, Precond, S>(
+            q, a, *pc, ops.b, ops.x, opts.criterion, ops.slots, ops.config,
+            ops.spill, ops.logger, ops.range);
+        break;
     case solver_type::bicgstab:
-        run_bicgstab<T, MatBatch, Precond, S>(q, a, pc, b, x,
-                                              opts.criterion, plan, config,
-                                              logger, range);
-        return;
+        run_bicgstab_bound<T, MatBatch, Precond, S>(
+            q, a, *pc, ops.b, ops.x, opts.criterion, ops.slots, ops.config,
+            ops.spill, ops.logger, ops.range);
+        break;
     case solver_type::gmres:
-        run_gmres<T, MatBatch, Precond, S>(q, a, pc, b, x, opts.criterion,
-                                           plan, config, opts.gmres_restart,
-                                           logger, range);
-        return;
+        run_gmres_bound<T, MatBatch, Precond, S>(
+            q, a, *pc, ops.b, ops.x, opts.criterion, ops.slots, ops.config,
+            ops.spill, opts.gmres_restart, ops.logger, ops.range);
+        break;
     case solver_type::richardson:
-        run_richardson<T, MatBatch, Precond, S>(
-            q, a, pc, b, x, opts.criterion, plan, config,
-            static_cast<T>(opts.richardson_relaxation), logger, range);
-        return;
+        run_richardson_bound<T, MatBatch, Precond, S>(
+            q, a, *pc, ops.b, ops.x, opts.criterion, ops.slots, ops.config,
+            ops.spill, static_cast<T>(opts.richardson_relaxation),
+            ops.logger, ops.range);
+        break;
     case solver_type::trsv:
         BATCHLIN_UNSUPPORTED("BatchTrsv is dispatched separately");
     }
+    return pc;
 }
 
-/// Level 2 of the dispatch: the preconditioner axis. The `if constexpr`
-/// guards keep illegal combinations (Table 3) from ever instantiating.
+/// Level 2 of the dispatch: the preconditioner axis, constructed from the
+/// launch's own matrix. The `if constexpr` guards keep illegal
+/// combinations (Table 3) from ever instantiating.
 template <typename T, typename S, typename MatBatch>
-void dispatch_precond(xpu::queue& q, const MatBatch& a,
-                      const mat::batch_dense<T>& b, mat::batch_dense<T>& x,
-                      const solve_options& opts, const slm_plan& plan,
-                      const kernel_config& config, log::batch_log& logger,
-                      xpu::batch_range range)
+std::shared_ptr<void> launch_precond(xpu::queue& q, const MatBatch& a,
+                                     const launch_operands<T>& ops)
 {
-    constexpr bool is_csr =
-        std::is_same_v<MatBatch, mat::batch_csr<T>>;
-    switch (opts.preconditioner) {
+    constexpr bool is_csr = std::is_same_v<MatBatch, mat::batch_csr<T>>;
+    switch (ops.opts.preconditioner) {
     case precond::type::none:
-        dispatch_solver<T, S>(q, a, precond::identity<T, S>{}, b, x, opts,
-                              plan, config, logger, range);
-        return;
+        return launch_solver<T, S>(
+            q, a, std::make_shared<precond::identity<T, S>>(), ops);
     case precond::type::jacobi:
         if constexpr (is_csr) {
-            dispatch_solver<T, S>(q, a, precond::jacobi<T, S>(a), b, x,
-                                  opts, plan, config, logger, range);
+            return launch_solver<T, S>(
+                q, a, std::make_shared<precond::jacobi<T, S>>(a), ops);
         } else {
-            dispatch_solver<T, S>(q, a, precond::jacobi<T, S>{}, b, x,
-                                  opts, plan, config, logger, range);
+            return launch_solver<T, S>(
+                q, a, std::make_shared<precond::jacobi<T, S>>(), ops);
         }
-        return;
     case precond::type::ilu:
         if constexpr (is_csr) {
-            dispatch_solver<T, S>(q, a, precond::ilu0<T, S>(a), b, x, opts,
-                                  plan, config, logger, range);
-            return;
+            return launch_solver<T, S>(
+                q, a, std::make_shared<precond::ilu0<T, S>>(a), ops);
         }
         BATCHLIN_UNSUPPORTED("BatchIlu requires the BatchCsr format");
     case precond::type::isai:
         if constexpr (is_csr) {
-            dispatch_solver<T, S>(q, a, precond::isai<T, S>(a), b, x, opts,
-                                  plan, config, logger, range);
-            return;
+            return launch_solver<T, S>(
+                q, a, std::make_shared<precond::isai<T, S>>(a), ops);
         }
         BATCHLIN_UNSUPPORTED("BatchIsai requires the BatchCsr format");
     case precond::type::block_jacobi:
         if constexpr (is_csr) {
-            dispatch_solver<T, S>(
+            return launch_solver<T, S>(
                 q, a,
-                precond::block_jacobi<T, S>(a, opts.block_jacobi_size), b,
-                x, opts, plan, config, logger, range);
-            return;
+                std::make_shared<precond::block_jacobi<T, S>>(
+                    a, ops.opts.block_jacobi_size),
+                ops);
         }
         BATCHLIN_UNSUPPORTED(
             "BatchBlockJacobi requires the BatchCsr format");
     }
+    return nullptr;
 }
 
 }  // namespace
+
+namespace detail {
+
+template <typename T>
+launch_setup resolve_launch(const xpu::exec_policy& policy,
+                            const batch_matrix<T>& a,
+                            const solve_options& opts)
+{
+    const index_type rows = rows_of(a);
+    const index_type nnz = pattern_nnz(a);
+    launch_setup setup;
+    const xpu::reduce_path* reduction_override =
+        opts.reduction ? &*opts.reduction : nullptr;
+    setup.config = choose_launch_config(policy, rows, opts.sub_group_size,
+                                        reduction_override);
+    // Storage axis: a matrix already compressed to fp32 is honored as
+    // stored (its native bits are gone); otherwise the options decide.
+    setup.compressed =
+        storage_of(a) == mat::storage_precision::fp32 ||
+        mat::effective_storage<T>(opts.storage) ==
+            mat::storage_precision::fp32;
+    // fp32 payloads pack into half the workspace slots, so the planner
+    // sees the smaller footprint and fits more preconditioners into SLM.
+    const size_type pc_elems =
+        setup.compressed
+            ? precond_workspace<T, float>(opts.preconditioner, rows, nnz,
+                                          opts.block_jacobi_size)
+            : precond_workspace<T, T>(opts.preconditioner, rows, nnz,
+                                      opts.block_jacobi_size);
+    setup.plan = plan_workspace(opts.solver, rows, nnz, pc_elems,
+                                policy.slm_bytes_per_group, sizeof(T),
+                                opts.gmres_restart, opts.slm);
+    setup.plan.zero_spill = opts.zero_spill;
+    return setup;
+}
+
+template <typename T>
+std::shared_ptr<void> launch_bound(xpu::queue& q, const batch_matrix<T>& a,
+                                   const mat::batch_dense<T>& b,
+                                   mat::batch_dense<T>& x,
+                                   const solve_options& opts,
+                                   const bound_plan& slots,
+                                   const kernel_config& config,
+                                   spill_view<T> spill,
+                                   log::batch_log& logger,
+                                   xpu::batch_range range)
+{
+    const launch_operands<T> ops{b,      x,      opts,  slots,
+                                 config, spill, logger, range};
+    // Level 1 of the dispatch: the format axis, plus the storage width
+    // the matrix holds.
+    return std::visit(
+        [&](const auto& concrete) {
+            if (concrete.storage_mode() == mat::storage_precision::fp32) {
+                return launch_precond<T, float>(q, concrete, ops);
+            }
+            return launch_precond<T, T>(q, concrete, ops);
+        },
+        a);
+}
+
+}  // namespace detail
 
 template <typename T>
 solve_result solve_range(xpu::queue& q, const batch_matrix<T>& a,
@@ -214,24 +267,12 @@ solve_result solve_range(xpu::queue& q, const batch_matrix<T>& a,
     if (opts.record_history) {
         result.log.enable_history(opts.criterion.max_iterations);
     }
-    const index_type nnz = pattern_nnz(a);
-    const xpu::reduce_path* reduction_override =
-        opts.reduction ? &*opts.reduction : nullptr;
-    result.config = choose_launch_config(q.policy(), rows,
-                                         opts.sub_group_size,
-                                         reduction_override);
+    detail::launch_setup setup = detail::resolve_launch(q.policy(), a, opts);
+    result.plan = std::move(setup.plan);
+    result.config = setup.config;
+    const bool native = storage_of(a) == mat::storage_precision::native;
 
-    // Storage axis: what the caller asked for vs what the matrix holds.
-    // A matrix already compressed to fp32 is honored as stored (its native
-    // bits are gone); a native matrix under an fp32 request is compressed
-    // into a temporary copy below — a convenience for env-driven sweeps,
-    // while hot paths (solve_refined, serve) pre-convert once and reuse.
-    const mat::storage_precision actual = storage_of(a);
-    mat::storage_precision eff = mat::effective_storage<T>(opts.storage);
-    if (actual == mat::storage_precision::fp32) {
-        eff = mat::storage_precision::fp32;
-    }
-
+    wall_timer timer;
     if (opts.solver == solver_type::trsv) {
         BATCHLIN_ENSURE_MSG(
             std::holds_alternative<mat::batch_csr<T>>(a),
@@ -241,63 +282,25 @@ solve_result solve_range(xpu::queue& q, const batch_matrix<T>& a,
                             "preconditioner");
         // The triangular direct solve has no refinement loop to recover
         // narrowed bits, so it only accepts native storage.
-        BATCHLIN_ENSURE_MSG(actual == mat::storage_precision::native,
-                            "BatchTrsv requires native storage");
-        result.plan =
-            plan_workspace(solver_type::trsv, rows, nnz, 0,
-                           q.policy().slm_bytes_per_group, sizeof(T),
-                           opts.gmres_restart, opts.slm);
-        result.plan.zero_spill = opts.zero_spill;
-        wall_timer timer;
+        BATCHLIN_ENSURE_MSG(native, "BatchTrsv requires native storage");
         run_trsv<T>(q, std::get<mat::batch_csr<T>>(a), b, x,
                     opts.trsv_triangle, result.plan, result.config,
                     result.log, range);
-        result.wall_seconds = timer.seconds();
-        result.stats = q.last_launch_stats();
-        return result;
-    }
-
-    const bool compressed = eff == mat::storage_precision::fp32;
-    // fp32 payloads pack into half the workspace slots, so the planner
-    // sees the smaller footprint and fits more preconditioners into SLM.
-    const size_type pc_elems =
-        compressed ? precond_workspace<T, float>(opts.preconditioner, rows,
-                                                 nnz, opts.block_jacobi_size)
-                   : precond_workspace<T, T>(opts.preconditioner, rows, nnz,
-                                             opts.block_jacobi_size);
-    result.plan = plan_workspace(opts.solver, rows, nnz, pc_elems,
-                                 q.policy().slm_bytes_per_group, sizeof(T),
-                                 opts.gmres_restart, opts.slm);
-    result.plan.zero_spill = opts.zero_spill;
-
-    wall_timer timer;
-    // Level 1 of the dispatch: the format axis (plus the storage axis
-    // resolved above).
-    const auto launch = [&](const batch_matrix<T>& mat_ref) {
-        std::visit(
-            [&](const auto& concrete) {
-                if (compressed) {
-                    dispatch_precond<T, float>(q, concrete, b, x, opts,
-                                               result.plan, result.config,
-                                               result.log, range);
-                } else {
-                    dispatch_precond<T, T>(q, concrete, b, x, opts,
-                                           result.plan, result.config,
-                                           result.log, range);
-                }
-            },
-            mat_ref);
-    };
-    if (compressed && actual == mat::storage_precision::native) {
-        batch_matrix<T> tmp = a;
-        std::visit(
-            [](auto& m) {
-                m.set_storage_precision(mat::storage_precision::fp32);
-            },
-            tmp);
-        launch(tmp);
     } else {
-        launch(a);
+        const bound_plan slots(result.plan);  // resolved once (§3.5)
+        spill_buffer<T> spill(q, result.plan, range.size());
+        if (setup.compressed && native) {
+            // A native matrix under an fp32 request is compressed into a
+            // temporary copy — a convenience for env-driven sweeps, while
+            // hot paths (solve_refined, serve) pre-convert once and reuse.
+            batch_matrix<T> tmp = a;
+            set_storage(tmp, mat::storage_precision::fp32);
+            detail::launch_bound(q, tmp, b, x, opts, slots, result.config,
+                                 spill.view(), result.log, range);
+        } else {
+            detail::launch_bound(q, a, b, x, opts, slots, result.config,
+                                 spill.view(), result.log, range);
+        }
     }
     result.wall_seconds = timer.seconds();
     result.stats = q.last_launch_stats();
@@ -319,7 +322,15 @@ solve_result solve(xpu::queue& q, const batch_matrix<T>& a,
                                    const solve_options&);                   \
     template solve_result solve_range<T>(                                   \
         xpu::queue&, const batch_matrix<T>&, const mat::batch_dense<T>&,    \
-        mat::batch_dense<T>&, const solve_options&, xpu::batch_range)
+        mat::batch_dense<T>&, const solve_options&, xpu::batch_range);      \
+    template detail::launch_setup detail::resolve_launch<T>(                \
+        const xpu::exec_policy&, const batch_matrix<T>&,                    \
+        const solve_options&);                                              \
+    template std::shared_ptr<void> detail::launch_bound<T>(                 \
+        xpu::queue&, const batch_matrix<T>&, const mat::batch_dense<T>&,    \
+        mat::batch_dense<T>&, const solve_options&, const bound_plan&,      \
+        const kernel_config&, spill_view<T>, log::batch_log&,               \
+        xpu::batch_range)
 
 BATCHLIN_INSTANTIATE_DISPATCH(float);
 BATCHLIN_INSTANTIATE_DISPATCH(double);

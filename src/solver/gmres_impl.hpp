@@ -208,18 +208,4 @@ void run_gmres_bound(xpu::queue& q, const MatBatch& a,
         range.begin, "batch_gmres");
 }
 
-template <typename T, typename MatBatch, typename Precond,
-          typename S>
-void run_gmres(xpu::queue& q, const MatBatch& a, const Precond& precond,
-               const mat::batch_dense<T>& b, mat::batch_dense<T>& x,
-               const stop::criterion& crit, const slm_plan& plan,
-               const kernel_config& config, index_type restart,
-               log::batch_log& logger, xpu::batch_range range)
-{
-    const bound_plan slots(plan);  // resolved once, host side (§3.5)
-    spill_buffer<T> spill(q, plan, range.size());
-    run_gmres_bound<T, MatBatch, Precond, S>(q, a, precond, b, x, crit, slots, config, spill.view(),
-                    restart, logger, range);
-}
-
 }  // namespace batchlin::solver

@@ -6,7 +6,6 @@
 
 namespace batchlin::solver {
 
-BATCHLIN_FOR_EACH_COMBO(BATCHLIN_INSTANTIATE_GMRES, double, float)
 BATCHLIN_FOR_EACH_COMBO(BATCHLIN_INSTANTIATE_GMRES_BOUND, double, float)
 
 }  // namespace batchlin::solver

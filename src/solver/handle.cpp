@@ -30,10 +30,8 @@ perf::solve_profile make_profile(const solver::solve_result& result,
                                  const solver::batch_matrix<T>& a,
                                  index_type target_items)
 {
-    const index_type measured =
-        std::visit([](const auto& m) { return m.num_batch_items(); }, a);
-    const index_type rows =
-        std::visit([](const auto& m) { return m.rows(); }, a);
+    const index_type measured = solver::items_of(a);
+    const index_type rows = solver::rows_of(a);
     BATCHLIN_ENSURE_MSG(measured > 0, "empty measurement batch");
     BATCHLIN_ENSURE_MSG(target_items > 0, "empty target batch");
 

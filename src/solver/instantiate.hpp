@@ -41,26 +41,12 @@
     macro(T, S, ::batchlin::mat::batch_dense<T>,                            \
           ::batchlin::precond::jacobi<T, S>)
 
-#define BATCHLIN_INSTANTIATE_CG(T, S, MatBatch, ...)                       \
-    template void run_cg<T, MatBatch, __VA_ARGS__, S>(                             \
-        xpu::queue&, const MatBatch&, const __VA_ARGS__&,                       \
-        const mat::batch_dense<T>&, mat::batch_dense<T>&,                   \
-        const stop::criterion&, const slm_plan&, const kernel_config&,      \
-        log::batch_log&, xpu::batch_range);
-
 #define BATCHLIN_INSTANTIATE_CG_BOUND(T, S, MatBatch, ...)                 \
     template void run_cg_bound<T, MatBatch, __VA_ARGS__, S>(                       \
         xpu::queue&, const MatBatch&, const __VA_ARGS__&,                       \
         const mat::batch_dense<T>&, mat::batch_dense<T>&,                   \
         const stop::criterion&, const bound_plan&, const kernel_config&,    \
         spill_view<T>, log::batch_log&, xpu::batch_range);
-
-#define BATCHLIN_INSTANTIATE_BICGSTAB(T, S, MatBatch, ...)                 \
-    template void run_bicgstab<T, MatBatch, __VA_ARGS__, S>(                       \
-        xpu::queue&, const MatBatch&, const __VA_ARGS__&,                       \
-        const mat::batch_dense<T>&, mat::batch_dense<T>&,                   \
-        const stop::criterion&, const slm_plan&, const kernel_config&,      \
-        log::batch_log&, xpu::batch_range);
 
 #define BATCHLIN_INSTANTIATE_BICGSTAB_BOUND(T, S, MatBatch, ...)           \
     template void run_bicgstab_bound<T, MatBatch, __VA_ARGS__, S>(                 \
@@ -69,26 +55,12 @@
         const stop::criterion&, const bound_plan&, const kernel_config&,    \
         spill_view<T>, log::batch_log&, xpu::batch_range);
 
-#define BATCHLIN_INSTANTIATE_RICHARDSON(T, S, MatBatch, ...)              \
-    template void run_richardson<T, MatBatch, __VA_ARGS__, S>(                    \
-        xpu::queue&, const MatBatch&, const __VA_ARGS__&,                      \
-        const mat::batch_dense<T>&, mat::batch_dense<T>&,                  \
-        const stop::criterion&, const slm_plan&, const kernel_config&, T,  \
-        log::batch_log&, xpu::batch_range);
-
 #define BATCHLIN_INSTANTIATE_RICHARDSON_BOUND(T, S, MatBatch, ...)        \
     template void run_richardson_bound<T, MatBatch, __VA_ARGS__, S>(              \
         xpu::queue&, const MatBatch&, const __VA_ARGS__&,                      \
         const mat::batch_dense<T>&, mat::batch_dense<T>&,                  \
         const stop::criterion&, const bound_plan&, const kernel_config&,   \
         spill_view<T>, T, log::batch_log&, xpu::batch_range);
-
-#define BATCHLIN_INSTANTIATE_GMRES(T, S, MatBatch, ...)                    \
-    template void run_gmres<T, MatBatch, __VA_ARGS__, S>(                          \
-        xpu::queue&, const MatBatch&, const __VA_ARGS__&,                       \
-        const mat::batch_dense<T>&, mat::batch_dense<T>&,                   \
-        const stop::criterion&, const slm_plan&, const kernel_config&,      \
-        index_type, log::batch_log&, xpu::batch_range);
 
 #define BATCHLIN_INSTANTIATE_GMRES_BOUND(T, S, MatBatch, ...)              \
     template void run_gmres_bound<T, MatBatch, __VA_ARGS__, S>(                    \

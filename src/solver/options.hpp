@@ -42,6 +42,32 @@ matrix_format format_of(const batch_matrix<T>& a)
 
 std::string to_string(matrix_format f);
 
+template <typename T>
+index_type items_of(const batch_matrix<T>& a)
+{
+    return std::visit([](const auto& m) { return m.num_batch_items(); }, a);
+}
+
+template <typename T>
+index_type rows_of(const batch_matrix<T>& a)
+{
+    return std::visit([](const auto& m) { return m.rows(); }, a);
+}
+
+template <typename T>
+mat::storage_precision storage_of(const batch_matrix<T>& a)
+{
+    return std::visit([](const auto& m) { return m.storage_mode(); }, a);
+}
+
+/// Converts the value array of `a` to `mode` in place (a no-op when it
+/// already is stored that way).
+template <typename T>
+void set_storage(batch_matrix<T>& a, mat::storage_precision mode)
+{
+    std::visit([mode](auto& m) { m.set_storage_precision(mode); }, a);
+}
+
 /// All runtime knobs of one batched solve. Every combination of the first
 /// four fields corresponds to a cell of Table 3; the remaining fields are
 /// the performance-tuning switches of §3.5–3.6 (auto by default).

@@ -1,103 +1,26 @@
 #include "solver/record.hpp"
 
 #include <algorithm>
-#include <type_traits>
-#include <variant>
 
-#include "solver/instantiate.hpp"
-#include "solver/run_decl.hpp"
+#include "solver/ladder.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 
 namespace batchlin::solver {
 
-// The bound kernels are explicitly instantiated in the per-solver
-// translation units; declare those instantiations here (same scheme as
-// dispatch.cpp) so this file stays cheap to compile.
-#define BATCHLIN_EXTERN_CG_BOUND(T, S, MatBatch, ...) \
-    extern BATCHLIN_INSTANTIATE_CG_BOUND(T, S, MatBatch, __VA_ARGS__)
-#define BATCHLIN_EXTERN_BICGSTAB_BOUND(T, S, MatBatch, ...) \
-    extern BATCHLIN_INSTANTIATE_BICGSTAB_BOUND(T, S, MatBatch, __VA_ARGS__)
-#define BATCHLIN_EXTERN_GMRES_BOUND(T, S, MatBatch, ...) \
-    extern BATCHLIN_INSTANTIATE_GMRES_BOUND(T, S, MatBatch, __VA_ARGS__)
-#define BATCHLIN_EXTERN_RICHARDSON_BOUND(T, S, MatBatch, ...) \
-    extern BATCHLIN_INSTANTIATE_RICHARDSON_BOUND(T, S, MatBatch, __VA_ARGS__)
-
-BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_CG_BOUND, float, float)
-BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_CG_BOUND, double, double)
-BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_CG_BOUND, double, float)
-BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_BICGSTAB_BOUND, float, float)
-BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_BICGSTAB_BOUND, double, double)
-BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_BICGSTAB_BOUND, double, float)
-BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_GMRES_BOUND, float, float)
-BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_GMRES_BOUND, double, double)
-BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_GMRES_BOUND, double, float)
-BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_RICHARDSON_BOUND, float, float)
-BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_RICHARDSON_BOUND, double, double)
-BATCHLIN_FOR_EACH_COMBO(BATCHLIN_EXTERN_RICHARDSON_BOUND, double, float)
-
-namespace {
-
-/// nnz used for preconditioner-workspace sizing, per format (mirrors
-/// dispatch.cpp).
 template <typename T>
-index_type pattern_nnz(const batch_matrix<T>& a)
-{
-    if (const auto* csr = std::get_if<mat::batch_csr<T>>(&a)) {
-        return csr->nnz();
-    }
-    if (const auto* ell = std::get_if<mat::batch_ell<T>>(&a)) {
-        return ell->rows() * ell->ell_width();
-    }
-    const auto& dense = std::get<mat::batch_dense<T>>(a);
-    return static_cast<index_type>(dense.item_size());
-}
-
-template <typename T, typename S>
-size_type precond_workspace(precond::type p, index_type rows,
-                            index_type nnz, index_type block_size)
-{
-    switch (p) {
-    case precond::type::none:
-        return precond::identity<T, S>::workspace_elems(rows, nnz);
-    case precond::type::jacobi:
-        return precond::jacobi<T, S>::workspace_elems(rows, nnz);
-    case precond::type::ilu:
-        return precond::ilu0<T, S>::workspace_elems(rows, nnz);
-    case precond::type::isai:
-        return precond::isai<T, S>::workspace_elems(rows, nnz);
-    case precond::type::block_jacobi:
-        return precond::block_jacobi<T, S>::workspace_elems(rows, nnz,
-                                                            block_size);
-    }
-    return 0;
-}
-
-template <typename T>
-mat::storage_precision storage_of(const batch_matrix<T>& a)
-{
-    return std::visit([](const auto& m) { return m.storage_mode(); }, a);
-}
-
-}  // namespace
-
-template <typename T>
-recorded_solve<T>::recorded_solve(batch_matrix<T> a, mat::batch_dense<T> b,
-                                  mat::batch_dense<T> x,
+recorded_solve<T>::recorded_solve(detail::assembly<T> ops,
                                   const solve_options& opts, slm_plan plan,
-                                  kernel_config config,
-                                  index_type total_items)
-    : a_(std::move(a)),
-      b_(std::move(b)),
-      x_(std::move(x)),
+                                  kernel_config config)
+    : ops_(std::move(ops)),
       opts_(opts),
       plan_(std::move(plan)),
       slots_(plan_),
       config_(config),
-      total_items_(total_items),
+      total_items_(ops_.b.num_batch_items()),
       spill_(static_cast<std::size_t>(plan_.global_elems_per_group) *
-             static_cast<std::size_t>(total_items)),
-      log_(total_items)
+             static_cast<std::size_t>(total_items_)),
+      log_(total_items_)
 {}
 
 template <typename T>
@@ -113,167 +36,30 @@ std::unique_ptr<recorded_solve<T>> recorded_solve<T>::record(
                         "BatchTrsv cannot be graph-recorded; use the "
                         "direct launch path");
     const index_type total_items = detail::validate_assembly(parts);
-    const index_type rows =
-        std::visit([](const auto& m) { return m.rows(); },
-                   *parts.front().a);
 
-    // Resolve plan + launch config exactly as solve_range does, so a
-    // replay is bit-identical to the eager solve of the same batch.
-    // Storage resolution also mirrors solve_range: an fp32 matrix (or an
-    // fp32 request on the owned gathered copy) records the S=float
-    // kernels; the gathered copy is compressed in place — it is owned, so
-    // no per-replay conversion cost exists.
-    batch_matrix<T> a = detail::gather_matrix(parts, total_items);
-    const mat::storage_precision request_storage = storage_of(a);
-    mat::storage_precision eff = mat::effective_storage<T>(opts.storage);
-    if (request_storage == mat::storage_precision::fp32) {
-        eff = mat::storage_precision::fp32;
+    // The same launch resolution as the eager solve_range, so a replay is
+    // bit-identical to the eager solve of the same batch. An fp32 request
+    // on native parts compresses the owned gathered copy in place — it is
+    // owned, so no per-replay conversion cost exists.
+    detail::assembly<T> ops = detail::gather(parts, total_items);
+    const mat::storage_precision request_storage = storage_of(ops.a);
+    detail::launch_setup setup = detail::resolve_launch(q.policy(), ops.a,
+                                                        opts);
+    if (setup.compressed) {
+        set_storage(ops.a, mat::storage_precision::fp32);
     }
-    const bool compressed = eff == mat::storage_precision::fp32;
-    if (compressed && request_storage == mat::storage_precision::native) {
-        std::visit(
-            [](auto& m) {
-                m.set_storage_precision(mat::storage_precision::fp32);
-            },
-            a);
-    }
-    const index_type nnz = pattern_nnz(a);
-    const xpu::reduce_path* reduction_override =
-        opts.reduction ? &*opts.reduction : nullptr;
-    const kernel_config config = choose_launch_config(
-        q.policy(), rows, opts.sub_group_size, reduction_override);
-    const size_type pc_elems =
-        compressed ? precond_workspace<T, float>(opts.preconditioner, rows,
-                                                 nnz, opts.block_jacobi_size)
-                   : precond_workspace<T, T>(opts.preconditioner, rows, nnz,
-                                             opts.block_jacobi_size);
-    slm_plan plan = plan_workspace(opts.solver, rows, nnz, pc_elems,
-                                   q.policy().slm_bytes_per_group,
-                                   sizeof(T), opts.gmres_restart, opts.slm);
-    plan.zero_spill = opts.zero_spill;
-
-    mat::batch_dense<T> b(total_items, rows, 1);
-    mat::batch_dense<T> x(total_items, rows, 1);
-    auto b_out = b.values().begin();
-    auto x_out = x.values().begin();
-    for (const assembly_part<T>& part : parts) {
-        b_out = std::copy(part.b->values().begin(), part.b->values().end(),
-                          b_out);
-        x_out = std::copy(part.x->values().begin(), part.x->values().end(),
-                          x_out);
-    }
-
-    std::unique_ptr<recorded_solve> rs(
-        new recorded_solve(std::move(a), std::move(b), std::move(x), opts,
-                           std::move(plan), config, total_items));
+    std::unique_ptr<recorded_solve> rs(new recorded_solve(
+        std::move(ops), opts, std::move(setup.plan), setup.config));
     rs->request_storage_ = request_storage;
-
-    const xpu::batch_range range{0, total_items};
-    const spill_view<T> spill{rs->spill_.data(),
-                              rs->plan_.global_elems_per_group};
-
-    // Level 3 of the record dispatch: the solver axis. Captures in the
-    // recorded closure point into rs-owned storage only. The storage tag
-    // threads the S axis through the lambda (mirrors dispatch.cpp).
-    auto record_solver = [&](auto storage_tag, auto& concrete,
-                             auto pc_owned) {
-        using S = typename decltype(storage_tag)::type;
-        using MatBatch = std::decay_t<decltype(concrete)>;
-        using Precond = typename decltype(pc_owned)::element_type;
-        auto& pc = *pc_owned;
-        switch (opts.solver) {
-        case solver_type::cg:
-            run_cg_bound<T, MatBatch, Precond, S>(
-                q, concrete, pc, rs->b_, rs->x_, opts.criterion, rs->slots_,
-                rs->config_, spill, rs->log_, range);
-            break;
-        case solver_type::bicgstab:
-            run_bicgstab_bound<T, MatBatch, Precond, S>(
-                q, concrete, pc, rs->b_, rs->x_, opts.criterion, rs->slots_,
-                rs->config_, spill, rs->log_, range);
-            break;
-        case solver_type::gmres:
-            run_gmres_bound<T, MatBatch, Precond, S>(
-                q, concrete, pc, rs->b_, rs->x_, opts.criterion, rs->slots_,
-                rs->config_, spill, opts.gmres_restart, rs->log_, range);
-            break;
-        case solver_type::richardson:
-            run_richardson_bound<T, MatBatch, Precond, S>(
-                q, concrete, pc, rs->b_, rs->x_, opts.criterion, rs->slots_,
-                rs->config_, spill,
-                static_cast<T>(opts.richardson_relaxation), rs->log_,
-                range);
-            break;
-        case solver_type::trsv:
-            BATCHLIN_UNSUPPORTED("BatchTrsv cannot be graph-recorded");
-        }
-        rs->precond_ = std::move(pc_owned);
-    };
-
-    // Level 2: the preconditioner axis, constructed ONCE from the owned
-    // (address-stable) combined matrix; `if constexpr` keeps the illegal
-    // Table-3 combinations from instantiating (mirrors dispatch.cpp).
-    auto record_precond = [&](auto storage_tag, auto& concrete) {
-        using S = typename decltype(storage_tag)::type;
-        using MatBatch = std::decay_t<decltype(concrete)>;
-        constexpr bool is_csr =
-            std::is_same_v<MatBatch, mat::batch_csr<T>>;
-        switch (opts.preconditioner) {
-        case precond::type::none:
-            record_solver(storage_tag, concrete,
-                          std::make_shared<precond::identity<T, S>>());
-            return;
-        case precond::type::jacobi:
-            if constexpr (is_csr) {
-                record_solver(
-                    storage_tag, concrete,
-                    std::make_shared<precond::jacobi<T, S>>(concrete));
-            } else {
-                record_solver(storage_tag, concrete,
-                              std::make_shared<precond::jacobi<T, S>>());
-            }
-            return;
-        case precond::type::ilu:
-            if constexpr (is_csr) {
-                record_solver(
-                    storage_tag, concrete,
-                    std::make_shared<precond::ilu0<T, S>>(concrete));
-                return;
-            }
-            BATCHLIN_UNSUPPORTED("BatchIlu requires the BatchCsr format");
-        case precond::type::isai:
-            if constexpr (is_csr) {
-                record_solver(
-                    storage_tag, concrete,
-                    std::make_shared<precond::isai<T, S>>(concrete));
-                return;
-            }
-            BATCHLIN_UNSUPPORTED("BatchIsai requires the BatchCsr format");
-        case precond::type::block_jacobi:
-            if constexpr (is_csr) {
-                record_solver(storage_tag, concrete,
-                              std::make_shared<precond::block_jacobi<T, S>>(
-                                  concrete, opts.block_jacobi_size));
-                return;
-            }
-            BATCHLIN_UNSUPPORTED(
-                "BatchBlockJacobi requires the BatchCsr format");
-        }
-    };
 
     xpu::command_graph recorder;
     recorder.begin_recording(q);
     try {
-        // Level 1: the format axis (storage already resolved above).
-        std::visit(
-            [&](auto& concrete) {
-                if (compressed) {
-                    record_precond(std::type_identity<float>{}, concrete);
-                } else {
-                    record_precond(std::type_identity<T>{}, concrete);
-                }
-            },
-            rs->a_);
+        rs->precond_ = detail::launch_bound(
+            q, rs->ops_.a, rs->ops_.b, rs->ops_.x, opts, rs->slots_,
+            rs->config_,
+            spill_view<T>{rs->spill_.data(), rs->plan_.global_elems_per_group},
+            rs->log_, {0, total_items});
         recorder.end_recording();
     } catch (...) {
         if (recorder.recording()) {
@@ -305,53 +91,18 @@ bool recorded_solve<T>::compatible(
     }
     // The caller's batcher guarantees the parts are mutually coalescible;
     // checking the leader against the recorded pattern covers the batch.
-    // Storage compares against the *request-side* mode — a_ itself may be
-    // compressed beyond what the requests carry (opts-driven).
+    // Storage compares against the *request-side* mode — ops_.a itself may
+    // be compressed beyond what the requests carry (opts-driven).
     return storage_of(*parts.front().a) == request_storage_ &&
-           same_shape(a_, *parts.front().a);
+           same_shape(ops_.a, *parts.front().a);
 }
 
 template <typename T>
 void recorded_solve<T>::rebind(const std::vector<assembly_part<T>>& parts)
 {
-    std::visit(
-        [&](auto& combined) {
-            using MatBatch = std::decay_t<decltype(combined)>;
-            if (combined.storage_mode() == mat::storage_precision::fp32) {
-                auto out = combined.values_fp32().begin();
-                for (const assembly_part<T>& part : parts) {
-                    const auto& m = std::get<MatBatch>(*part.a);
-                    if (m.storage_mode() == mat::storage_precision::fp32) {
-                        const auto& values = m.values_fp32();
-                        out = std::copy(values.begin(), values.end(), out);
-                    } else {
-                        // Native requests under a compressed recording:
-                        // narrow on copy (the opts-driven compression the
-                        // record path applied).
-                        const auto& values = m.values();
-                        out = std::transform(
-                            values.begin(), values.end(), out,
-                            [](T v) { return static_cast<float>(v); });
-                    }
-                }
-                return;
-            }
-            auto out = combined.values().begin();
-            for (const assembly_part<T>& part : parts) {
-                const auto& values =
-                    std::get<MatBatch>(*part.a).values();
-                out = std::copy(values.begin(), values.end(), out);
-            }
-        },
-        a_);
-    auto b_out = b_.values().begin();
-    auto x_out = x_.values().begin();
-    for (const assembly_part<T>& part : parts) {
-        b_out = std::copy(part.b->values().begin(), part.b->values().end(),
-                          b_out);
-        x_out = std::copy(part.x->values().begin(), part.x->values().end(),
-                          x_out);
-    }
+    // Native requests under a compressed recording narrow on copy (the
+    // opts-driven compression the record path applied).
+    detail::gather_into(parts, ops_);
     ++rebinds_;
 }
 
@@ -371,12 +122,7 @@ template <typename T>
 void recorded_solve<T>::scatter(
     const std::vector<assembly_part<T>>& parts) const
 {
-    auto x_in = x_.values().begin();
-    for (const assembly_part<T>& part : parts) {
-        std::copy_n(x_in, part.x->values().size(),
-                    part.x->values().begin());
-        x_in += static_cast<std::ptrdiff_t>(part.x->values().size());
-    }
+    detail::scatter(ops_.x, parts);
 }
 
 template class recorded_solve<float>;

@@ -9,10 +9,12 @@
 // all three out of the loop:
 //
 //   record()  — gathers the parts into owned, address-stable operands,
-//               resolves plan + launch config once, constructs the
-//               preconditioner once, and records the bound solver kernel
-//               into a finalized `xpu::graph_exec` whose closure captures
-//               raw pointers into the owned storage.
+//               resolves plan + launch config once, and records the
+//               bound solver kernel — through the same dispatch ladder an
+//               eager solve launches through (ladder.hpp) — into a
+//               finalized `xpu::graph_exec` whose closure captures raw
+//               pointers into the owned storage; the preconditioner is
+//               constructed once, at record time.
 //   rebind()  — swaps in the next batch's data by value copy (matrix
 //               values, right-hand sides, initial guesses). No
 //               re-recording: the sparsity pattern is shared, and every
@@ -93,21 +95,18 @@ public:
     void invalidate() { exec_.invalidate(); }
 
 private:
-    recorded_solve(batch_matrix<T> a, mat::batch_dense<T> b,
-                   mat::batch_dense<T> x, const solve_options& opts,
-                   slm_plan plan, kernel_config config,
-                   index_type total_items);
+    recorded_solve(detail::assembly<T> ops, const solve_options& opts,
+                   slm_plan plan, kernel_config config);
 
     // Owned, address-stable operands the recorded closure points into.
     // The object lives behind a unique_ptr and these members never move
     // or reallocate after construction.
-    batch_matrix<T> a_;
-    mat::batch_dense<T> b_;
-    mat::batch_dense<T> x_;
+    detail::assembly<T> ops_;
     solve_options opts_;
-    /// Storage mode of the *request* matrices at record time. a_ itself
-    /// may be compressed beyond this (opts-driven), so compatibility and
-    /// rebind compare incoming parts against the request-side mode.
+    /// Storage mode of the *request* matrices at record time. ops_.a
+    /// itself may be compressed beyond this (opts-driven), so
+    /// compatibility compares incoming parts against the request-side
+    /// mode.
     mat::storage_precision request_storage_ = mat::storage_precision::native;
     slm_plan plan_;
     bound_plan slots_;
@@ -115,8 +114,8 @@ private:
     index_type total_items_ = 0;
     std::vector<T> spill_;
     log::batch_log log_;
-    /// Type-erased owned preconditioner (points into a_ for the
-    /// pattern-dependent ones; a_ is address-stable, see above).
+    /// Type-erased owned preconditioner (points into ops_.a for the
+    /// pattern-dependent ones; ops_.a is address-stable, see above).
     std::shared_ptr<void> precond_;
     xpu::graph_exec exec_;
     std::uint64_t rebinds_ = 0;

@@ -1,8 +1,6 @@
 #include "solver/refined.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <variant>
 
 #include "solver/residual.hpp"
 #include "solver/resilient.hpp"
@@ -10,104 +8,6 @@
 #include "util/timer.hpp"
 
 namespace batchlin::solver {
-
-namespace {
-
-template <typename T>
-index_type items_of(const batch_matrix<T>& a)
-{
-    return std::visit([](const auto& m) { return m.num_batch_items(); }, a);
-}
-
-template <typename T>
-index_type rows_of(const batch_matrix<T>& a)
-{
-    return std::visit([](const auto& m) { return m.rows(); }, a);
-}
-
-template <typename T>
-mat::storage_precision storage_of(const batch_matrix<T>& a)
-{
-    return std::visit([](const auto& m) { return m.storage_mode(); }, a);
-}
-
-// r = b - A x accumulated in FP64, reading the native matrix. This is the
-// refinement RHS, so the vector itself is needed, not just its norm
-// (residual.hpp covers the norm-only case).
-template <typename T>
-void residual_vector(const mat::batch_csr<T>& a, const mat::batch_dense<T>& b,
-                     const mat::batch_dense<T>& x, mat::batch_dense<T>& r)
-{
-#pragma omp parallel for schedule(static)
-    for (index_type item = 0; item < a.num_batch_items(); ++item) {
-        const T* vals = a.item_values(item);
-        for (index_type i = 0; i < a.rows(); ++i) {
-            double acc = static_cast<double>(b.at(item, i, 0));
-            for (index_type k = a.row_ptrs()[i]; k < a.row_ptrs()[i + 1];
-                 ++k) {
-                acc -= static_cast<double>(vals[k]) *
-                       static_cast<double>(x.at(item, a.col_idxs()[k], 0));
-            }
-            r.at(item, i, 0) = static_cast<T>(acc);
-        }
-    }
-}
-
-template <typename T>
-void residual_vector(const mat::batch_ell<T>& a, const mat::batch_dense<T>& b,
-                     const mat::batch_dense<T>& x, mat::batch_dense<T>& r)
-{
-#pragma omp parallel for schedule(static)
-    for (index_type item = 0; item < a.num_batch_items(); ++item) {
-        for (index_type i = 0; i < a.rows(); ++i) {
-            double acc = static_cast<double>(b.at(item, i, 0));
-            for (index_type k = 0; k < a.ell_width(); ++k) {
-                const index_type col = a.col_at(i, k);
-                if (col != mat::ell_padding) {
-                    acc -= static_cast<double>(a.val_at(item, i, k)) *
-                           static_cast<double>(x.at(item, col, 0));
-                }
-            }
-            r.at(item, i, 0) = static_cast<T>(acc);
-        }
-    }
-}
-
-template <typename T>
-void residual_vector(const mat::batch_dense<T>& a,
-                     const mat::batch_dense<T>& b,
-                     const mat::batch_dense<T>& x, mat::batch_dense<T>& r)
-{
-#pragma omp parallel for schedule(static)
-    for (index_type item = 0; item < a.num_batch_items(); ++item) {
-        for (index_type i = 0; i < a.rows(); ++i) {
-            double acc = static_cast<double>(b.at(item, i, 0));
-            for (index_type j = 0; j < a.cols(); ++j) {
-                acc -= static_cast<double>(a.at(item, i, j)) *
-                       static_cast<double>(x.at(item, j, 0));
-            }
-            r.at(item, i, 0) = static_cast<T>(acc);
-        }
-    }
-}
-
-template <typename T>
-std::vector<double> column_norms(const mat::batch_dense<T>& v)
-{
-    std::vector<double> out(static_cast<std::size_t>(v.num_batch_items()),
-                            0.0);
-    for (index_type item = 0; item < v.num_batch_items(); ++item) {
-        double sq = 0.0;
-        for (index_type i = 0; i < v.rows(); ++i) {
-            const double e = static_cast<double>(v.at(item, i, 0));
-            sq += e * e;
-        }
-        out[static_cast<std::size_t>(item)] = std::sqrt(sq);
-    }
-    return out;
-}
-
-}  // namespace
 
 template <typename T>
 refined_result solve_refined(xpu::queue& q, const batch_matrix<T>& a,
@@ -166,7 +66,7 @@ refined_result solve_refined(xpu::queue& q, const batch_matrix<T>& a,
 
     accumulate(solve(q, compressed, b, x, inner));
 
-    const std::vector<double> bnorm = column_norms(b);
+    const std::vector<double> bnorm = item_norms(b);
     const auto target = [&](index_type i) {
         return opts.criterion.type == stop::tolerance_type::absolute
                    ? opts.criterion.tolerance
@@ -177,8 +77,8 @@ refined_result solve_refined(xpu::queue& q, const batch_matrix<T>& a,
     mat::batch_dense<T> r(items, rows, 1);
     mat::batch_dense<T> d(items, rows, 1);
     const auto true_norms = [&] {
-        std::visit([&](const auto& m) { residual_vector(m, b, x, r); }, a);
-        return column_norms(r);
+        residual_vectors(a, b, x, r);
+        return item_norms(r);
     };
     std::vector<double> rnorm = true_norms();
     const auto all_met = [&] {
@@ -233,13 +133,13 @@ refined_result solve_refined(xpu::queue& q, const batch_matrix<T>& a,
     if (!all_met() && ropts.fallback_to_native) {
         // Refinement stalled (or ran out of sweeps) short of the target:
         // demote to the native-storage fallback chain so the caller never
-        // gets worse accuracy than a plain native solve. (The resilience
-        // layer reports no counters; only the inner launches are summed.)
+        // gets worse accuracy than a plain native solve.
         solve_options primary = opts;
         primary.storage = mat::storage_precision::native;
         primary.refine_sweeps = 0;
         const resilient_result rr =
             solve_resilient(q, a, b, x, default_chain(primary));
+        out.stats += rr.stats;
         out.fell_back = true;
         for (index_type i = 0; i < items; ++i) {
             iterations[static_cast<std::size_t>(i)] += rr.log.iterations(i);
@@ -276,11 +176,7 @@ refined_result solve_refined(xpu::queue& q, const batch_matrix<T>& a,
         return solve_refined(q, a, a, b, x, opts, ropts);
     }
     batch_matrix<T> compressed = a;
-    std::visit(
-        [](auto& m) {
-            m.set_storage_precision(mat::storage_precision::fp32);
-        },
-        compressed);
+    set_storage(compressed, mat::storage_precision::fp32);
     return solve_refined(q, a, compressed, b, x, opts, ropts);
 }
 
@@ -289,35 +185,11 @@ refined_result solve_refined_coalesced(
     xpu::queue& q, const std::vector<assembly_part<T>>& parts,
     const solve_options& opts, const refine_options& ropts)
 {
-    const index_type total_items = detail::validate_assembly(parts);
-    const index_type rows = rows_of(*parts.front().a);
-
-    if (parts.size() == 1) {
-        return solve_refined(q, *parts.front().a, *parts.front().b,
-                             *parts.front().x, opts, ropts);
-    }
-
-    const batch_matrix<T> a = detail::gather_matrix(parts, total_items);
-    mat::batch_dense<T> b(total_items, rows, 1);
-    mat::batch_dense<T> x(total_items, rows, 1);
-    auto b_out = b.values().begin();
-    auto x_out = x.values().begin();
-    for (const assembly_part<T>& part : parts) {
-        b_out = std::copy(part.b->values().begin(), part.b->values().end(),
-                          b_out);
-        x_out = std::copy(part.x->values().begin(), part.x->values().end(),
-                          x_out);
-    }
-
-    refined_result result = solve_refined(q, a, b, x, opts, ropts);
-
-    auto x_in = x.values().begin();
-    for (const assembly_part<T>& part : parts) {
-        std::copy_n(x_in, part.x->values().size(),
-                    part.x->values().begin());
-        x_in += static_cast<std::ptrdiff_t>(part.x->values().size());
-    }
-    return result;
+    return detail::solve_gathered(
+        parts, [&](const batch_matrix<T>& a, const mat::batch_dense<T>& b,
+                   mat::batch_dense<T>& x) {
+            return solve_refined(q, a, b, x, opts, ropts);
+        });
 }
 
 #define BATCHLIN_INSTANTIATE_REFINED(T)                                     \

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstring>
 
 #include "matrix/conversions.hpp"
+#include "solver/assemble.hpp"
 #include "solver/direct.hpp"
 #include "solver/residual.hpp"
 #include "xpu/fault.hpp"
@@ -20,58 +19,21 @@ double now_seconds()
         .count();
 }
 
-/// Gathers the listed items of a dense multivector into a fresh batch.
-template <typename T>
-mat::batch_dense<T> gather_dense(const mat::batch_dense<T>& src,
-                                 const std::vector<index_type>& items)
+/// Gathers the listed items of a batch into a fresh one with the same
+/// format, pattern, and storage mode.
+template <typename M>
+M gather_items(const M& src, const std::vector<index_type>& items)
 {
-    mat::batch_dense<T> out(static_cast<index_type>(items.size()),
-                            src.rows(), src.cols());
+    M out = detail::empty_like(src, static_cast<index_type>(items.size()));
     for (index_type j = 0; j < out.num_batch_items(); ++j) {
-        std::copy_n(src.item_values(items[static_cast<std::size_t>(j)]),
-                    src.item_size(), out.item_values(j));
+        detail::copy_items(src, items[static_cast<std::size_t>(j)], out, j);
     }
     return out;
 }
 
 template <typename T>
-mat::batch_csr<T> gather_items(const mat::batch_csr<T>& src,
-                               const std::vector<index_type>& items)
-{
-    mat::batch_csr<T> out(static_cast<index_type>(items.size()), src.rows(),
-                          src.cols(), src.row_ptrs(), src.col_idxs());
-    for (index_type j = 0; j < out.num_batch_items(); ++j) {
-        std::copy_n(src.item_values(items[static_cast<std::size_t>(j)]),
-                    src.nnz(), out.item_values(j));
-    }
-    return out;
-}
-
-template <typename T>
-mat::batch_ell<T> gather_items(const mat::batch_ell<T>& src,
-                               const std::vector<index_type>& items)
-{
-    mat::batch_ell<T> out(static_cast<index_type>(items.size()), src.rows(),
-                          src.cols(), src.ell_width());
-    out.col_idxs() = src.col_idxs();
-    for (index_type j = 0; j < out.num_batch_items(); ++j) {
-        std::copy_n(src.item_values(items[static_cast<std::size_t>(j)]),
-                    src.stored_per_item(), out.item_values(j));
-    }
-    return out;
-}
-
-template <typename T>
-mat::batch_dense<T> gather_items(const mat::batch_dense<T>& src,
-                                 const std::vector<index_type>& items)
-{
-    return gather_dense(src, items);
-}
-
-/// Gathers the listed items of the matrix batch, keeping its format.
-template <typename T>
-batch_matrix<T> gather_matrix(const batch_matrix<T>& a,
-                              const std::vector<index_type>& items)
+batch_matrix<T> gather_items(const batch_matrix<T>& a,
+                             const std::vector<index_type>& items)
 {
     return std::visit(
         [&](const auto& m) -> batch_matrix<T> {
@@ -80,12 +42,15 @@ batch_matrix<T> gather_matrix(const batch_matrix<T>& a,
         a);
 }
 
-/// The direct terminal stage wants CSR; dense and ELL convert losslessly.
+/// The direct terminal stage wants CSR at native storage: dense and ELL
+/// convert losslessly, and LU has no refinement loop to recover narrowed
+/// bits, so an fp32-storage batch is widened first.
 template <typename T>
-mat::batch_csr<T> as_csr(const batch_matrix<T>& a)
+mat::batch_csr<T> as_native_csr(batch_matrix<T> a)
 {
-    if (const auto* csr = std::get_if<mat::batch_csr<T>>(&a)) {
-        return *csr;
+    set_storage(a, mat::storage_precision::native);
+    if (auto* csr = std::get_if<mat::batch_csr<T>>(&a)) {
+        return std::move(*csr);
     }
     if (const auto* ell = std::get_if<mat::batch_ell<T>>(&a)) {
         return mat::to_csr(*ell);
@@ -93,44 +58,29 @@ mat::batch_csr<T> as_csr(const batch_matrix<T>& a)
     return mat::to_csr(std::get<mat::batch_dense<T>>(a));
 }
 
-/// Host-side 2-norm of each item of `v`.
-template <typename T>
-std::vector<double> item_norms(const mat::batch_dense<T>& v)
-{
-    std::vector<double> norms(static_cast<std::size_t>(
-        v.num_batch_items()));
-    for (index_type i = 0; i < v.num_batch_items(); ++i) {
-        double sum = 0.0;
-        const T* vals = v.item_values(i);
-        for (size_type k = 0; k < v.item_size(); ++k) {
-            const double e = static_cast<double>(vals[k]);
-            sum += e * e;
-        }
-        norms[static_cast<std::size_t>(i)] = std::sqrt(sum);
-    }
-    return norms;
-}
-
 /// Runs one stage over the gathered scope with launch retries. Returns the
 /// per-system log of the scope; on exhausted retries every system of the
-/// scope is marked `device_fault`.
+/// scope is marked `device_fault`. Adds the counters of every launch that
+/// completed to `stats`.
 template <typename T>
 log::batch_log run_stage(xpu::queue& q, const fallback_stage& stage,
                          const batch_matrix<T>& a,
                          const mat::batch_dense<T>& b,
                          mat::batch_dense<T>& x, index_type launch_retries,
-                         index_type& retries_used)
+                         index_type& retries_used, xpu::counters& stats)
 {
     const index_type n = b.num_batch_items();
     for (index_type attempt = 0;; ++attempt) {
         try {
             if (stage.direct) {
-                const mat::batch_csr<T> csr = as_csr(a);
+                const mat::batch_csr<T> csr = as_native_csr(a);
                 log::batch_log lg(n);
-                run_dense_lu(q, csr, b, x, lg, {0, n});
+                stats += run_dense_lu(q, csr, b, x, lg, {0, n});
                 return lg;
             }
-            return solve(q, a, b, x, stage.opts).log;
+            solve_result res = solve(q, a, b, x, stage.opts);
+            stats += res.stats;
+            return std::move(res.log);
         } catch (const xpu::device_error&) {
             if (attempt >= launch_retries) {
                 log::batch_log lg(n);
@@ -224,7 +174,7 @@ resilient_result solve_resilient(xpu::queue& q, const batch_matrix<T>& a,
     const fallback_stage& primary = opts.chain.front();
     log::batch_log stage_log =
         run_stage(q, primary, a, b, x, opts.launch_retries,
-                  out.launch_retries_used);
+                  out.launch_retries_used, out.stats);
     if (opts.verify_residuals) {
         verify_converged(a, b, x, primary.opts.criterion, opts.verify_slack,
                          stage_log);
@@ -250,8 +200,8 @@ resilient_result solve_resilient(xpu::queue& q, const batch_matrix<T>& a,
          ++stage_idx) {
         const fallback_stage& stage =
             opts.chain[static_cast<std::size_t>(stage_idx)];
-        batch_matrix<T> sub_a = gather_matrix(a, scope);
-        mat::batch_dense<T> sub_b = gather_dense(b, scope);
+        batch_matrix<T> sub_a = gather_items(a, scope);
+        mat::batch_dense<T> sub_b = gather_items(b, scope);
         // Zero initial guess: the unhealthy iterate may carry poisoned
         // values that would instantly re-trip the non-finite guards.
         mat::batch_dense<T> sub_x(static_cast<index_type>(scope.size()),
@@ -259,7 +209,7 @@ resilient_result solve_resilient(xpu::queue& q, const batch_matrix<T>& a,
 
         log::batch_log sub_log =
             run_stage(q, stage, sub_a, sub_b, sub_x, opts.launch_retries,
-                      out.launch_retries_used);
+                      out.launch_retries_used, out.stats);
         if (opts.verify_residuals) {
             verify_converged(sub_a, sub_b, sub_x, stage.opts.criterion,
                              opts.verify_slack, sub_log);
@@ -275,8 +225,7 @@ resilient_result solve_resilient(xpu::queue& q, const batch_matrix<T>& a,
             out.log.record(i, sub_log.iterations(j),
                            sub_log.residual_norm(j), sub_log.status(j));
             if (sub_log.status(j) == log::solve_status::converged) {
-                std::copy_n(sub_x.item_values(j), x.item_size(),
-                            x.item_values(i));
+                detail::copy_items(sub_x, j, x, i);
                 ++out.recovered;
             } else {
                 still_unhealthy.push_back(i);

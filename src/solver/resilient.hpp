@@ -11,7 +11,9 @@
 // and optionally re-verifies every claimed convergence against the
 // explicit residual — which is what catches a *finite* bit flip that the
 // non-finite guards cannot see. Healthy batches pay one pass over the
-// status array and (when enabled) one explicit-residual check.
+// status array and (when enabled) one explicit-residual check. The chain
+// works on fp32-storage batches too: the sub-batch gather copies whichever
+// value array is live, and the direct stage widens its copy to native.
 #pragma once
 
 #include <vector>
@@ -83,6 +85,9 @@ struct resilient_result {
     index_type failed = 0;
     /// `xpu::device_error` launches retried across all stages.
     index_type launch_retries_used = 0;
+    /// Counters summed over every completed launch of every stage that
+    /// ran, the direct stage's included.
+    xpu::counters stats;
     double wall_seconds = 0.0;
 };
 

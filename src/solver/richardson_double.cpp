@@ -3,7 +3,6 @@
 
 namespace batchlin::solver {
 
-BATCHLIN_FOR_EACH_COMBO(BATCHLIN_INSTANTIATE_RICHARDSON, double, double)
 BATCHLIN_FOR_EACH_COMBO(BATCHLIN_INSTANTIATE_RICHARDSON_BOUND, double, double)
 
 }  // namespace batchlin::solver

@@ -106,19 +106,4 @@ void run_richardson_bound(xpu::queue& q, const MatBatch& a,
         range.begin, "batch_richardson");
 }
 
-template <typename T, typename MatBatch, typename Precond,
-          typename S>
-void run_richardson(xpu::queue& q, const MatBatch& a,
-                    const Precond& precond, const mat::batch_dense<T>& b,
-                    mat::batch_dense<T>& x, const stop::criterion& crit,
-                    const slm_plan& plan, const kernel_config& config,
-                    T relaxation, log::batch_log& logger,
-                    xpu::batch_range range)
-{
-    const bound_plan slots(plan);  // resolved once, host side (§3.5)
-    spill_buffer<T> spill(q, plan, range.size());
-    run_richardson_bound<T, MatBatch, Precond, S>(q, a, precond, b, x, crit, slots, config,
-                         spill.view(), relaxation, logger, range);
-}
-
 }  // namespace batchlin::solver

@@ -19,31 +19,21 @@ namespace batchlin::solver {
 // Every kernel carries a fourth template axis S — the *storage* type of
 // the matrix and preconditioner payloads (mat::storage_precision). It is
 // not deducible from the argument list (the matrix batch owns both typed
-// arrays), so callers that want compressed storage pass it explicitly:
-// run_cg<T, MatBatch, Precond, float>(...). S defaults to T.
+// arrays), so callers pass it explicitly:
+// run_cg_bound<T, MatBatch, Precond, float>(...). S defaults to T.
 //
-// The `run_X` entry points below resolve the workspace plan, acquire the
-// spill backing from the queue, and launch. Their `run_X_bound` siblings
-// take the already-bound resources (`bound_plan` + `spill_view`) instead:
-// their kernel closures capture every operand by value (raw pointers into
-// caller-owned storage, small structs copied), never by reference to stack
-// locals — which makes the submission recordable into an `xpu::graph` and
-// replayable long after the recording call returned. The caller owns the
-// lifetime of a, precond, b, x, crit, slots, spill backing, and logger for
-// as long as a recorded graph may replay. Eager callers (the `run_X`
-// wrappers) satisfy that trivially.
+// Every launch, eager or recorded, reaches these kernels through the one
+// dispatch ladder in ladder.hpp. They take already-bound resources
+// (`bound_plan` + `spill_view`), and their kernel closures capture every
+// operand by value (raw pointers into caller-owned storage, small structs
+// copied), never by reference to stack locals — which makes the
+// submission recordable into an `xpu::graph` and replayable long after
+// the recording call returned. The caller owns the lifetime of a,
+// precond, b, x, crit, slots, spill backing, and logger for as long as the
+// launch may run or replay.
 
 /// Preconditioned conjugate gradients (Algorithm 1 of the paper) for the
 /// batch entries in `range`; one fused kernel launch.
-template <typename T, typename MatBatch, typename Precond,
-          typename S = T>
-void run_cg(xpu::queue& q, const MatBatch& a, const Precond& precond,
-            const mat::batch_dense<T>& b, mat::batch_dense<T>& x,
-            const stop::criterion& crit, const slm_plan& plan,
-            const kernel_config& config, log::batch_log& logger,
-            xpu::batch_range range);
-
-/// Recordable CG: bound resources, value-captured kernel closure.
 template <typename T, typename MatBatch, typename Precond,
           typename S = T>
 void run_cg_bound(xpu::queue& q, const MatBatch& a, const Precond& precond,
@@ -53,15 +43,6 @@ void run_cg_bound(xpu::queue& q, const MatBatch& a, const Precond& precond,
                   log::batch_log& logger, xpu::batch_range range);
 
 /// Preconditioned BiCGSTAB — the solver used for the non-SPD PeleLM inputs.
-template <typename T, typename MatBatch, typename Precond,
-          typename S = T>
-void run_bicgstab(xpu::queue& q, const MatBatch& a, const Precond& precond,
-                  const mat::batch_dense<T>& b, mat::batch_dense<T>& x,
-                  const stop::criterion& crit, const slm_plan& plan,
-                  const kernel_config& config, log::batch_log& logger,
-                  xpu::batch_range range);
-
-/// Recordable BiCGSTAB: bound resources, value-captured kernel closure.
 template <typename T, typename MatBatch, typename Precond,
           typename S = T>
 void run_bicgstab_bound(xpu::queue& q, const MatBatch& a,
@@ -75,16 +56,6 @@ void run_bicgstab_bound(xpu::queue& q, const MatBatch& a,
 /// (library extension; the baseline/smoother of the solver hierarchy).
 template <typename T, typename MatBatch, typename Precond,
           typename S = T>
-void run_richardson(xpu::queue& q, const MatBatch& a,
-                    const Precond& precond, const mat::batch_dense<T>& b,
-                    mat::batch_dense<T>& x, const stop::criterion& crit,
-                    const slm_plan& plan, const kernel_config& config,
-                    T relaxation, log::batch_log& logger,
-                    xpu::batch_range range);
-
-/// Recordable Richardson: bound resources, value-captured kernel closure.
-template <typename T, typename MatBatch, typename Precond,
-          typename S = T>
 void run_richardson_bound(xpu::queue& q, const MatBatch& a,
                           const Precond& precond,
                           const mat::batch_dense<T>& b,
@@ -95,15 +66,6 @@ void run_richardson_bound(xpu::queue& q, const MatBatch& a,
                           xpu::batch_range range);
 
 /// Restarted GMRES(m) with left preconditioning; `restart` == m.
-template <typename T, typename MatBatch, typename Precond,
-          typename S = T>
-void run_gmres(xpu::queue& q, const MatBatch& a, const Precond& precond,
-               const mat::batch_dense<T>& b, mat::batch_dense<T>& x,
-               const stop::criterion& crit, const slm_plan& plan,
-               const kernel_config& config, index_type restart,
-               log::batch_log& logger, xpu::batch_range range);
-
-/// Recordable GMRES(m): bound resources, value-captured kernel closure.
 template <typename T, typename MatBatch, typename Precond,
           typename S = T>
 void run_gmres_bound(xpu::queue& q, const MatBatch& a,

@@ -23,6 +23,7 @@
 #include <cstring>
 #include <exception>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -303,6 +304,19 @@ private:
             slm_arena& arena = arena_pool_[tid];
             arena.begin_launch();
             counters& local = thread_stats_[tid];
+            // Each thread runs its own copy of the kernel functor, the way
+            // a device receives the functor by value. Shared, the closure
+            // sits on the launching thread's stack, which that thread keeps
+            // writing while it runs groups itself, and every other thread's
+            // per-iteration reads of the captured operands (criterion,
+            // launch config) then contend for whichever cache line the
+            // stack layout happens to share. Type-erased bodies (graph
+            // replay) live on the heap and are not copied: that would
+            // allocate per launch.
+            std::conditional_t<
+                std::is_trivially_copyable_v<std::decay_t<KernelBody>>,
+                std::decay_t<KernelBody>, KernelBody&>
+                thread_body = body;
 #ifdef BATCHLIN_XPU_CHECK
             check::group_checker* chk =
                 attach_checker(tid, arena, kernel_label);
@@ -326,7 +340,7 @@ private:
                         ctx.set_checker(chk);
                     }
 #endif
-                    body(ctx);
+                    thread_body(ctx);
 #ifdef BATCHLIN_XPU_CHECK
                     if (chk != nullptr) {
                         chk->end_group();

@@ -259,6 +259,9 @@ TEST(Refine, StallDemotesToNativeStorageFallback)
     EXPECT_TRUE(rr.fell_back);
     EXPECT_EQ(rr.log.num_converged(), 6);
     EXPECT_LE(worst_true_residual(a, b, x), 1e-9);
+    // The counters cover the fallback's launches too.
+    EXPECT_EQ(static_cast<std::uint64_t>(rr.stats.kernel_launches),
+              q.launches_submitted());
 }
 
 TEST(Refine, DisabledFallbackReportsHonestNonConvergence)

@@ -544,6 +544,52 @@ TEST(Resilient, BreakdownSystemRecoversDownTheChain)
     EXPECT_NEAR(x.item_values(0)[1], -1.0, 1e-8);
 }
 
+TEST(Resilient, Fp32StorageBatchRecoversDownTheChain)
+{
+    // The breakdown fixture above at fp32 storage (its values are exact in
+    // fp32): the chain gathers the live fp32 values, and the direct stage
+    // widens its copy before LU.
+    solver::batch_matrix<double> a =
+        dense_pattern_csr(2, {{1, 0, 0, -1}, {4, 1, 1, 3}});
+    solver::set_storage(a, mat::storage_precision::fp32);
+    mat::batch_dense<double> b(2, 2, 1);
+    b.item_values(0)[0] = 1.0;
+    b.item_values(0)[1] = 1.0;
+    b.item_values(1)[0] = 1.0;
+    b.item_values(1)[1] = 2.0;
+    mat::batch_dense<double> x(2, 2, 1);
+    solver::solve_options primary;
+    primary.solver = solver::solver_type::cg;
+    primary.criterion = stop::relative(1e-10, 50);
+
+    xpu::queue q(xpu::make_sycl_policy());
+    const solver::resilient_result result = solver::solve_resilient(
+        q, a, b, x, solver::default_chain(primary));
+    EXPECT_EQ(result.first_try, 1);
+    EXPECT_EQ(result.recovered, 1);
+    EXPECT_EQ(result.failed, 0);
+    EXPECT_EQ(result.stats.kernel_launches,
+              static_cast<std::int64_t>(q.launches_submitted()));
+    EXPECT_NEAR(x.item_values(0)[0], 1.0, 1e-8);
+    EXPECT_NEAR(x.item_values(0)[1], -1.0, 1e-8);
+
+    // Straight from the primary to the direct stage: LU runs on a widened
+    // copy, and both of its launches are counted.
+    solver::resilient_options to_lu;
+    to_lu.chain = {{primary, false}, {primary, true}};
+    mat::batch_dense<double> x_lu(2, 2, 1);
+    xpu::queue q_lu(xpu::make_sycl_policy());
+    const solver::resilient_result lu =
+        solver::solve_resilient(q_lu, a, b, x_lu, to_lu);
+    EXPECT_EQ(lu.recovered, 1);
+    EXPECT_EQ(lu.failed, 0);
+    EXPECT_EQ(lu.history[0].back().stage, 1);
+    EXPECT_EQ(lu.stats.kernel_launches,
+              static_cast<std::int64_t>(q_lu.launches_submitted()));
+    EXPECT_EQ(x_lu.item_values(0)[0], 1.0);
+    EXPECT_EQ(x_lu.item_values(0)[1], -1.0);
+}
+
 TEST(Resilient, SingularSystemEndsWithSingularStatus)
 {
     // Rank-1 A with inconsistent b: no stage can converge; the terminal

@@ -189,6 +189,125 @@ TEST(Assemble, MixedPatternPartsAreRejected)
                  bl::error);
 }
 
+/// Byte-wise equality: NaN payloads and signed zeros must match too.
+template <typename V>
+bool same_bits(const std::vector<V>& lhs, const std::vector<V>& rhs)
+{
+    return lhs.size() == rhs.size() &&
+           std::memcmp(lhs.data(), rhs.data(), lhs.size() * sizeof(V)) == 0;
+}
+
+TEST(Record, ReplayBitIdenticalToEagerForEveryTable3Combo)
+{
+    // Every legal format x preconditioner cell of BATCHLIN_FOR_EACH_COMBO,
+    // times the four iterative solvers, times native / fp32 storage (fp32
+    // requested by the options on native parts, and fp32 parts): a
+    // recorded two-part batch, replayed, then rebound to new values and
+    // replayed again, must match eager solves of each part bit for bit.
+    using solver::matrix_format;
+    using ptype = bl::precond::type;
+    const std::vector<std::pair<matrix_format, ptype>> cells{
+        {matrix_format::csr, ptype::none},
+        {matrix_format::csr, ptype::jacobi},
+        {matrix_format::csr, ptype::ilu},
+        {matrix_format::csr, ptype::isai},
+        {matrix_format::csr, ptype::block_jacobi},
+        {matrix_format::ell, ptype::none},
+        {matrix_format::ell, ptype::jacobi},
+        {matrix_format::dense, ptype::none},
+        {matrix_format::dense, ptype::jacobi}};
+    const std::vector<solver::solver_type> solvers{
+        solver::solver_type::cg, solver::solver_type::bicgstab,
+        solver::solver_type::gmres, solver::solver_type::richardson};
+    enum class storage { native, fp32_opts, fp32_parts };
+    constexpr index_type rows = 16;
+    const index_type part_items[2] = {2, 3};
+
+    const auto as_format = [](mat::batch_csr<double> csr,
+                              matrix_format f, bool fp32) {
+        solver::batch_matrix<double> a = csr;
+        if (f == matrix_format::ell) {
+            a = mat::to_ell(csr);
+        } else if (f == matrix_format::dense) {
+            a = mat::to_dense(csr);
+        }
+        if (fp32) {
+            solver::set_storage(a, mat::storage_precision::fp32);
+        }
+        return a;
+    };
+
+    for (const auto& [format, pc] : cells) {
+        for (const solver::solver_type s : solvers) {
+            for (const storage st : {storage::native, storage::fp32_opts,
+                                     storage::fp32_parts}) {
+                const std::string where =
+                    solver::to_string(format) + "/" +
+                    bl::precond::to_string(pc) + "/" +
+                    solver::to_string(s) + "/" +
+                    std::to_string(static_cast<int>(st));
+                solver::solve_options opts;
+                opts.solver = s;
+                opts.preconditioner = pc;
+                opts.criterion = stop::relative(1e-10, 40);
+                opts.gmres_restart = 6;
+                opts.storage = st == storage::native
+                                   ? mat::storage_precision::native
+                                   : mat::storage_precision::fp32;
+
+                bl::xpu::queue rq(bl::xpu::make_sycl_policy());
+                std::unique_ptr<solver::recorded_solve<double>> rec;
+                for (std::uint64_t round = 0; round < 2; ++round) {
+                    std::vector<solver::batch_matrix<double>> as;
+                    std::vector<mat::batch_dense<double>> bs, xs;
+                    std::vector<solver::assembly_part<double>> parts;
+                    for (int p = 0; p < 2; ++p) {
+                        const std::uint64_t seed = 40 + 10 * round + p;
+                        as.push_back(as_format(
+                            work::stencil_3pt<double>(part_items[p], rows,
+                                                      seed),
+                            format, st == storage::fp32_parts));
+                        bs.push_back(work::random_rhs<double>(
+                            part_items[p], rows, seed + 5));
+                        xs.emplace_back(part_items[p], rows, 1);
+                    }
+                    for (int p = 0; p < 2; ++p) {
+                        parts.push_back({&as[p], &bs[p], &xs[p]});
+                    }
+                    if (round == 0) {
+                        rec = solver::recorded_solve<double>::record(
+                            rq, parts, opts);
+                    } else {
+                        ASSERT_TRUE(rec->compatible(parts, opts)) << where;
+                        rec->rebind(parts);
+                    }
+                    rec->replay(rq);
+                    rec->scatter(parts);
+
+                    index_type offset = 0;
+                    for (int p = 0; p < 2; ++p) {
+                        mat::batch_dense<double> x(part_items[p], rows, 1);
+                        bl::xpu::queue q(bl::xpu::make_sycl_policy());
+                        const solver::solve_result eager =
+                            solver::solve(q, as[p], bs[p], x, opts);
+                        const bl::log::batch_log replayed = solver::split_log(
+                            rec->log(), offset, part_items[p]);
+                        EXPECT_TRUE(same_bits(xs[p].values(), x.values()))
+                            << where << " round " << round << " part " << p;
+                        EXPECT_EQ(replayed.all_iterations(),
+                                  eager.log.all_iterations())
+                            << where << " round " << round << " part " << p;
+                        EXPECT_TRUE(same_bits(replayed.all_residual_norms(),
+                                              eager.log.all_residual_norms()))
+                            << where << " round " << round << " part " << p;
+                        offset += part_items[p];
+                    }
+                }
+            }
+        }
+    }
+}
+
 // The tentpole correctness property: routing requests through the service
 // produces bit-identical solutions and identical convergence records to
 // solo solves, for every worker count, batching window, and spill-zeroing
