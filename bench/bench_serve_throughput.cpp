@@ -10,10 +10,11 @@
 // every request is its own launch), `coalesced` (dynamic batching with a
 // real window), `graph_replay` (batching plus cached graph recordings:
 // each fused launch is a rebind + replay at the device's graph-replay
-// cost instead of a full eager submission), and `persistent` (resident
-// worker loops fed by a lock-free ring, replaying graphs at zero
-// submission cost). Headline numbers are the coalesced/batch1 speedup and
-// the graph modes' speedup over coalesced at the highest offered load.
+// cost instead of a full eager submission), and `graph_replay_0us` (the
+// same launch mode with no window on a device whose solver kernel stays
+// resident: `emulated_replay_us = 0`). Headline numbers are the
+// coalesced/batch1 speedup and the graph cells' speedup over coalesced at
+// the highest offered load.
 //
 // Both modes run on an emulated device: the queue charges every launch the
 // fixed submission cost of the modeled PVC stack (device_spec
@@ -60,6 +61,9 @@ struct mode_spec {
     index_type max_batch;
     std::chrono::microseconds max_wait;
     xpu::launch_mode launch{xpu::launch_mode::direct};
+    /// Charge nothing per graph replay (a resident solver kernel) instead
+    /// of the device's `graph_replay_us`.
+    bool zero_replay = false;
 };
 
 // batch1 disables coalescing entirely: a service that launches one kernel
@@ -67,16 +71,16 @@ struct mode_spec {
 // coalesced keeps max_batch below the top offered load so that, at high
 // load, a full batch is already queued when the leader scans and the
 // launch happens without waiting out the window — the standard sizing
-// rule for closed-loop dynamic batching. persistent runs with no window:
-// it launches whatever has accumulated, so under load the ring itself is
-// the window (entries pile up while the previous batch solves).
+// rule for closed-loop dynamic batching. graph_replay_0us runs with no
+// window: it launches whatever has accumulated, so under load the ring
+// itself is the window (entries pile up while the previous batch solves).
 constexpr mode_spec kModes[] = {
     {"batch1", 1, std::chrono::microseconds{0}},
     {"coalesced", 32, std::chrono::microseconds{300}},
     {"graph_replay", 32, std::chrono::microseconds{300},
      xpu::launch_mode::graph_replay},
-    {"persistent", 32, std::chrono::microseconds{0},
-     xpu::launch_mode::persistent},
+    {"graph_replay_0us", 32, std::chrono::microseconds{0},
+     xpu::launch_mode::graph_replay, true},
 };
 
 struct cell_result {
@@ -88,11 +92,13 @@ struct cell_result {
     unsigned long long recorded = 0;
     unsigned long long replays = 0;
     unsigned long long rebind_only = 0;
+    /// Emulated cost of one graph replay the cell ran with.
+    double replay_us = 0.0;
 };
 
-/// One cell of the shard-count sweep: the persistent-mode service spread
+/// One cell of the shard-count sweep: the graph_replay service spread
 /// over N explicit PVC-1S shards (each charging the modeled 8 us launch
-/// cost), under the same closed-loop traffic.
+/// and 1 us replay costs), under the same closed-loop traffic.
 struct shard_cell_result {
     double wall_sps = 0.0;
     /// Aggregate modeled throughput: completed systems over the busiest
@@ -209,7 +215,8 @@ cell_result run_cell(const mode_spec& mode, int clients, double min_time,
     // emulation off, graph emulation is off too.
     if (launch_latency_us > 0.0) {
         const perf::device_spec pvc = perf::pvc_1s();
-        policy.emulated_replay_us = pvc.graph_replay_us;
+        policy.emulated_replay_us =
+            mode.zero_replay ? 0.0 : pvc.graph_replay_us;
         policy.emulated_record_us = pvc.graph_finalize_us;
     }
     policy.launch_mode = mode.launch;
@@ -229,10 +236,11 @@ cell_result run_cell(const mode_spec& mode, int clients, double min_time,
     out.recorded = s.launches_recorded;
     out.replays = s.replays;
     out.rebind_only = s.rebind_only;
+    out.replay_us = policy.emulated_replay_us;
     return out;
 }
 
-/// One shard-sweep cell: persistent mode over `shards` explicit PVC-1S
+/// One shard-sweep cell: graph_replay mode over `shards` explicit PVC-1S
 /// devices, one worker per shard so the worker count scales with the
 /// fleet exactly as the paper's one-rank-per-device setup does.
 shard_cell_result run_shard_cell(int shards, int clients, double min_time)
@@ -244,7 +252,7 @@ shard_cell_result run_shard_cell(int shards, int clients, double min_time)
     cfg.max_queue_systems = 4096;
     cfg.shard_devices.assign(static_cast<std::size_t>(shards), "pvc1s");
     xpu::exec_policy policy = xpu::make_sycl_policy();
-    policy.launch_mode = xpu::launch_mode::persistent;
+    policy.launch_mode = xpu::launch_mode::graph_replay;
     serve::solve_service service(policy, cfg);
 
     long measured = 0;
@@ -419,7 +427,7 @@ std::vector<double> solve_mix_on_shards(int shards)
     cfg.max_batch = 16;
     cfg.shard_devices.assign(static_cast<std::size_t>(shards), "pvc1s");
     xpu::exec_policy policy = xpu::make_sycl_policy();
-    policy.launch_mode = xpu::launch_mode::persistent;
+    policy.launch_mode = xpu::launch_mode::graph_replay;
     serve::solve_service service(policy, cfg);
 
     const solver::solve_options opts = bench_opts();
@@ -476,12 +484,12 @@ int main(int argc, char** argv)
     std::printf("Serve throughput: closed-loop clients, 1 system of "
                 "%d rows per request,\nCG + scalar Jacobi rtol 1e-6, "
                 "2 workers, emulated launch cost %.1f us;\n"
-                "batch1 vs coalesced vs graph_replay vs persistent "
+                "batch1 vs coalesced vs graph_replay vs graph_replay_0us "
                 "(32 / 300 us)\n\n",
                 kRows, launch_latency_us);
-    std::printf("%10s | %8s | %12s | %10s | %9s | %9s\n", "mode", "clients",
+    std::printf("%16s | %8s | %12s | %10s | %9s | %9s\n", "mode", "clients",
                 "solves/sec", "mean batch", "p50 ms", "p99 ms");
-    rule(72);
+    rule(78);
 
     cell_result results[std::size(kModes)][std::size(kClients)];
     for (std::size_t m = 0; m < std::size(kModes); ++m) {
@@ -489,18 +497,18 @@ int main(int argc, char** argv)
             results[m][c] =
                 run_cell(kModes[m], kClients[c], min_time, launch_latency_us);
             const cell_result& r = results[m][c];
-            std::printf("%10s | %8d | %12.1f | %10.1f | %9.3f | %9.3f\n",
+            std::printf("%16s | %8d | %12.1f | %10.1f | %9.3f | %9.3f\n",
                         kModes[m].name, kClients[c], r.solves_per_sec,
                         r.mean_batch, r.p50_ms, r.p99_ms);
         }
     }
 
-    // Shard-count sweep: the same persistent-mode stack spread over 1, 2,
-    // and 4 explicit PVC-1S shards (§4.2's one-stack-to-many scaling shape
+    // Shard-count sweep: the graph_replay stack spread over 1, 2, and 4
+    // explicit PVC-1S shards (§4.2's one-stack-to-many scaling shape
     // through the serving path).
     constexpr int kShardCounts[] = {1, 2, 4};
     constexpr int kShardClients[] = {16, 64};
-    std::printf("\nShard sweep: persistent mode, 1 worker/shard, explicit "
+    std::printf("\nShard sweep: graph_replay mode, 1 worker/shard, explicit "
                 "PVC-1S devices\n");
     std::printf("%8s | %8s | %13s | %15s | %9s | %7s\n", "shards", "clients",
                 "wall sps", "modeled agg sps", "p99 ms", "steals");
@@ -608,14 +616,15 @@ int main(int argc, char** argv)
     };
     const double speedup = ratio_at_top(1, 0);
     const double graph_speedup = ratio_at_top(2, 1);
-    const double persistent_speedup = ratio_at_top(3, 1);
-    rule(72);
+    const double resident_speedup = ratio_at_top(3, 1);
+    rule(78);
     std::printf("coalesced vs batch1 at %d clients: %.2fx solves/sec\n",
                 kClients[top], speedup);
     std::printf("graph_replay vs coalesced at %d clients: %.2fx solves/sec\n",
                 kClients[top], graph_speedup);
-    std::printf("persistent vs coalesced at %d clients: %.2fx solves/sec\n",
-                kClients[top], persistent_speedup);
+    std::printf("graph_replay_0us vs coalesced at %d clients: %.2fx "
+                "solves/sec\n",
+                kClients[top], resident_speedup);
 
     if (json_path != nullptr) {
         std::FILE* f = std::fopen(json_path, "w");
@@ -638,7 +647,8 @@ int main(int argc, char** argv)
                     f,
                     "    {\"mode\": \"%s\", \"launch_mode\": \"%s\", "
                     "\"max_batch\": %d, "
-                    "\"max_wait_us\": %ld, \"clients\": %d, "
+                    "\"max_wait_us\": %ld, \"emulated_replay_us\": %.1f, "
+                    "\"clients\": %d, "
                     "\"solves_per_sec\": %.1f, \"mean_batch_size\": %.2f, "
                     "\"p50_latency_ms\": %.3f, \"p99_latency_ms\": %.3f, "
                     "\"requests\": %ld, \"launches_recorded\": %llu, "
@@ -647,9 +657,9 @@ int main(int argc, char** argv)
                     xpu::to_string(kModes[m].launch).c_str(),
                     kModes[m].max_batch,
                     static_cast<long>(kModes[m].max_wait.count()),
-                    kClients[c], r.solves_per_sec, r.mean_batch, r.p50_ms,
-                    r.p99_ms, r.requests, r.recorded, r.replays,
-                    r.rebind_only,
+                    r.replay_us, kClients[c], r.solves_per_sec,
+                    r.mean_batch, r.p50_ms, r.p99_ms, r.requests,
+                    r.recorded, r.replays, r.rebind_only,
                     m + 1 == std::size(kModes) && c + 1 == std::size(kClients)
                         ? ""
                         : ",");
@@ -731,9 +741,9 @@ int main(int argc, char** argv)
                      "\": %.3f,\n",
                      kClients[top], graph_speedup);
         std::fprintf(f,
-                     "  \"speedup_persistent_vs_coalesced_at_%d_clients"
-                     "\": %.3f\n}\n",
-                     kClients[top], persistent_speedup);
+                     "  \"speedup_graph_replay_0us_vs_coalesced_at_%d_"
+                     "clients\": %.3f\n}\n",
+                     kClients[top], resident_speedup);
         std::fclose(f);
         std::printf("wrote %s\n", json_path);
     }

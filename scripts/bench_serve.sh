@@ -2,12 +2,15 @@
 # Runs the serve-throughput benchmark and writes BENCH_serve_throughput.json
 # at the repo root: closed-loop clients sweeping offered load against four
 # service configs — batch1 (no coalescing), coalesced (dynamic batching,
-# direct launches), graph_replay (coalesced + recorded command graphs), and
-# persistent (workers consuming the lock-free ring, no per-batch wakeups).
-# Headline numbers: speedup_coalesced_vs_batch1 and
-# speedup_persistent_vs_coalesced at the highest load. A shard-count sweep
-# (1/2/4 explicit PVC-1S shards, persistent mode) follows, reporting wall
-# and modeled-aggregate solves/sec, the 1->2 scaling factor, p99, and the
+# direct launches), graph_replay (coalesced + recorded command graphs at
+# PVC-1S's 1 us replay cost), and graph_replay_0us (the same mode with no
+# batching window and zero replay cost: a device whose solver kernel stays
+# resident). Each cell records its emulated_replay_us. Headline numbers:
+# speedup_coalesced_vs_batch1, speedup_graph_replay_vs_coalesced and
+# speedup_graph_replay_0us_vs_coalesced at the highest load. A shard-count
+# sweep (1/2/4 explicit PVC-1S shards, graph_replay mode charging the
+# shards' modeled launch and replay costs) follows, reporting wall and
+# modeled-aggregate solves/sec, the 1->2 scaling factor, p99, and the
 # bit-identity probe across shard counts.
 #
 # Last comes the overload sweep: an open-loop generator calibrates the

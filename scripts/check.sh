@@ -5,7 +5,9 @@
 #     assertions alive so the debug-only workspace-binder name checks run,
 #  3. a Debug + ThreadSanitizer build (BATCHLIN_SANITIZE=thread) running
 #     the serve:: tests, which exercise the service's submit/worker/reply
-#     handoffs from many host threads at once, and
+#     handoffs from many host threads at once, in the default launch mode
+#     and again under BATCHLIN_LAUNCH_MODE=graph_replay so the per-worker
+#     recording caches run under TSan too, and
 #  4. a BATCHLIN_XPU_CHECK build running the kernel portability sanitizer:
 #     the fixture kernels must each trigger their diagnostic, and every
 #     shipped solver kernel must pass the full checker (shadow state,
@@ -34,10 +36,9 @@
 #  8. the serve, shard, and resilience suites re-run with
 #     BATCHLIN_SHARDS=2, spreading every test service over two device
 #     shards (cost-model routing, work stealing, per-shard breakers) with
-#     the graph-cache submit path at both resident (persistent) and
-#     replay (graph_replay) cost: results must be bit-identical to the
-#     unsharded runs and the fault schedules must stay contained to the
-#     shard they strike, and
+#     the graph-cache submit path (graph_replay): results must be
+#     bit-identical to the unsharded runs and the fault schedules must
+#     stay contained to the shard they strike, and
 #  9. a BATCHLIN_CONC_CHECK build running the conc:: concurrency model
 #     checker over the lock-free serve/shard protocols: the ring,
 #     reply-slot, doorbell, and lane-counter invariants are explored
@@ -88,14 +89,14 @@ cmake --build build-tsan -j "$JOBS" --target test_serve test_shard
 OMP_NUM_THREADS=1 ctest --test-dir build-tsan \
   -R '^(Serve|Assemble|Shard[A-Za-z]*)\.' \
   -j "$JOBS" --output-on-failure | tail -3
-# Every launch mode shares the lock-free ring + futex doorbell +
+# Both launch modes share the lock-free ring + futex doorbell +
 # waiter-bit reply slots the conc:: model checker (config 9) explores; the
-# modes differ only in how a worker submits a fused batch. Re-run the
-# serve and shard suites with every default-config service forced onto
-# the graph-cache submit path at resident cost, so TSan also watches the
-# per-worker graph caches and the record/rebind/replay handoff under
+# modes differ only in whether a worker's solver call gets its recording
+# cache. Re-run the serve and shard suites with every default-config
+# service forced onto the graph_replay mode, so TSan also watches the
+# per-worker recording caches and the record/rebind/replay handoff under
 # concurrent clients.
-OMP_NUM_THREADS=1 BATCHLIN_LAUNCH_MODE=persistent ctest \
+OMP_NUM_THREADS=1 BATCHLIN_LAUNCH_MODE=graph_replay ctest \
   --test-dir build-tsan -R '^(Serve|Assemble|Shard[A-Za-z]*)\.' \
   -j "$JOBS" --output-on-failure | tail -3
 
@@ -141,13 +142,9 @@ echo "== config 8/10: serve + resilience across two device shards"
 # Same Release build, shard count forced by environment override onto
 # every default-config service: routing, stealing, and the per-shard
 # breakers must be invisible to the serve bit-identity and fault-recovery
-# suites on the graph-cache submit path, at resident (persistent) and at
-# replay (graph_replay) cost; the eager path runs sharded in the tests
-# that pin their own shard layout. (Those tests ignore the override by
-# design and still run.)
-BATCHLIN_SHARDS=2 BATCHLIN_LAUNCH_MODE=persistent ctest --test-dir build \
-  -R '^(Serve|Assemble|Shard[A-Za-z]*|ServeResilience|Resilient|FaultPlan)\.' \
-  -j "$JOBS" --output-on-failure | tail -3
+# suites on the graph-cache submit path (graph_replay); the eager path
+# runs sharded in the tests that pin their own shard layout. (Those tests
+# ignore the override by design and still run.)
 BATCHLIN_SHARDS=2 BATCHLIN_LAUNCH_MODE=graph_replay ctest --test-dir build \
   -R '^(Serve|Assemble|Shard[A-Za-z]*|ServeResilience|Resilient|FaultPlan)\.' \
   -j "$JOBS" --output-on-failure | tail -3

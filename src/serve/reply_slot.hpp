@@ -4,8 +4,8 @@
 // This replaces `std::promise` so the worker controls *when* and
 // *whether* waiters are woken: resolution stores the reply and publishes
 // `state` (release); the futex wake is issued only for slots a waiter
-// actually registered on, and in persistent mode it is further deferred
-// until the whole batch is resolved. A client whose window of requests
+// actually registered on, and it is further deferred until the whole
+// batch is resolved. A client whose window of requests
 // was fused into one launch then wakes exactly once and finds every
 // ticket already ready, instead of being woken mid-batch and re-blocking
 // on each subsequent ticket — on a host that time-shares clients and

@@ -1,17 +1,15 @@
-// Lock-free bounded MPMC ring buffer — the admission queue of the
-// persistent-worker launch mode.
+// Lock-free bounded MPMC ring buffer — the admission queue of every shard.
 //
-// In `launch_mode::persistent` the solver loop stays resident: workers
-// consume coalesced batches continuously instead of being woken through a
-// mutex + condition variable per request. The admission side must then be
-// lock-free, or the per-submit mutex/notify cost the mode exists to
-// eliminate simply moves into the producer. This is the classic bounded
-// MPMC queue of Dmitry Vyukov: one sequence counter per cell, a single
-// CAS per operation on the producer/consumer cursor, and acquire/release
-// ordering on the cell sequence so the payload handoff happens-before the
-// consumer's read (TSan-clean; scripts/check.sh config 3 runs the serve
-// suite under TSan with the persistent mode enabled, and config 9 runs
-// the same code under the conc:: model checker).
+// Workers consume coalesced batches continuously instead of being woken
+// through a mutex + condition variable per request. The admission side
+// must then be lock-free, or the per-submit mutex/notify cost the
+// dispatch loop exists to avoid simply moves into the producer. This is
+// the classic bounded MPMC queue of Dmitry Vyukov: one sequence counter
+// per cell, a single CAS per operation on the producer/consumer cursor,
+// and acquire/release ordering on the cell sequence so the payload
+// handoff happens-before the consumer's read (TSan-clean; scripts/check.sh config 3 runs the serve
+// suite under TSan in both launch modes, and config 9 runs the same code
+// under the conc:: model checker).
 //
 // Semantics:
 //  - `try_push` / `try_pop` never block and never spuriously fail under

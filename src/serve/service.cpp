@@ -7,7 +7,6 @@
 #include <string>
 #include <thread>
 
-#include "solver/refined.hpp"
 #include "workload/stencil.hpp"
 #include "xpu/fault.hpp"
 
@@ -110,11 +109,6 @@ solve_service::solve_service(xpu::exec_policy policy, service_config config)
         }
     }
     launch_mode_ = policy.launch_mode;
-    if (launch_mode_ != xpu::launch_mode::direct) {
-        BATCHLIN_ENSURE_MSG(config_.graph_cache_entries > 0,
-                            "graph launch modes need at least one cache "
-                            "slot per worker");
-    }
     batch_histogram_.assign(static_cast<std::size_t>(config_.max_batch) + 1,
                             0);
 
@@ -175,7 +169,10 @@ solve_service::solve_service(xpu::exec_policy policy, service_config config)
             // profiling state even if an operator enables profiling for a
             // while.
             worker_queues_.back().set_launch_history_capacity(1024);
-            graph_caches_.emplace_back();
+            if (launch_mode_ != xpu::launch_mode::direct) {
+                graph_caches_.emplace_back(config_.graph_cache_entries,
+                                           config_.graph_cache_entries);
+            }
         }
     }
 
@@ -248,23 +245,24 @@ service_stats solve_service::stats() const
     service_stats s;
     s.submitted_requests = submitted_requests_;
     s.submitted_systems = submitted_systems_;
-    s.completed_requests = completed_requests_;
-    s.completed_systems = completed_systems_;
+    s.completed_requests = totals_.ok_requests;
+    s.completed_systems = totals_.ok_systems;
     s.rejected_requests = rejected_requests_;
     s.expired_requests =
         expired_requests_.load(std::memory_order_relaxed);
-    s.failed_requests = failed_requests_.load(std::memory_order_relaxed);
+    s.failed_requests =
+        totals_.failed + failed_requests_.load(std::memory_order_relaxed);
     s.batches_launched = batches_launched_;
-    s.launch_faults = launch_faults_;
-    s.launch_retries = launch_retries_;
-    s.degraded_launches = degraded_launches_;
-    s.recovered_requests = recovered_requests_;
-    s.launches_recorded = launches_recorded_;
-    s.replays = replays_;
-    s.rebind_only = rebind_only_;
-    s.refined_batches = refined_batches_;
-    s.refine_sweeps = refine_sweeps_;
-    s.refine_fallbacks = refine_fallbacks_;
+    s.launch_faults = totals_.faults;
+    s.launch_retries = totals_.retries;
+    s.degraded_launches = totals_.degraded;
+    s.recovered_requests = totals_.recovered;
+    s.launches_recorded = totals_.recorded;
+    s.replays = totals_.replayed;
+    s.rebind_only = totals_.rebound;
+    s.refined_batches = totals_.refined;
+    s.refine_sweeps = totals_.refine_sweeps;
+    s.refine_fallbacks = totals_.refine_fallbacks;
     s.watchdog_evictions =
         watchdog_evictions_.load(std::memory_order_relaxed);
     s.migrations = migrations_.load(std::memory_order_relaxed);
@@ -334,7 +332,7 @@ service_stats solve_service::stats() const
     s.p99_latency_seconds = latency_.quantile(0.99);
     s.solves_per_sec =
         s.uptime_seconds > 0.0
-            ? static_cast<double>(completed_systems_) / s.uptime_seconds
+            ? static_cast<double>(totals_.ok_systems) / s.uptime_seconds
             : 0.0;
     s.mean_batch_size =
         batches_launched_ > 0
@@ -744,7 +742,8 @@ void solve_service::dispatch_loop(index_type shard_id, int local_id)
             static_cast<std::size_t>(config_.workers) +
         static_cast<std::size_t>(local_id);
     xpu::queue& q = worker_queues_[widx];
-    detail::graph_cache& cache = graph_caches_[widx];
+    detail::worker_caches* caches =
+        graph_caches_.empty() ? nullptr : &graph_caches_[widx];
     shard_lane& own = lanes_[static_cast<std::size_t>(shard_id)];
     // Idle keeps sleeping while this shard's ring is empty and no other
     // ring is worth stealing from. The seq_cst loads pair with enqueue's
@@ -864,10 +863,10 @@ void solve_service::dispatch_loop(index_type shard_id, int local_id)
             const std::size_t popped = group.size();
             try {
                 if (group.front()->body.index() == 0) {
-                    execute_typed<double>(own, q, cache, std::move(group),
+                    execute_typed<double>(own, q, caches, std::move(group),
                                           brownout);
                 } else {
-                    execute_typed<float>(own, q, cache, std::move(group),
+                    execute_typed<float>(own, q, caches, std::move(group),
                                          brownout);
                 }
             } catch (...) {
@@ -911,7 +910,7 @@ struct launch_age_scope {
 
 template <typename T>
 void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
-                                  detail::graph_cache& cache,
+                                  detail::worker_caches* caches,
                                   std::vector<detail::pending_ptr> batch,
                                   int brownout)
 {
@@ -938,22 +937,49 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
     // shrugs off the resulting thundering herd, and each client wakes
     // exactly once per fused window.
     std::vector<conc::atomic<std::uint32_t>*> wake_list;
-    std::uint64_t ok_requests = 0;
-    std::uint64_t ok_systems = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t faults = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t recovered = 0;
-    std::uint64_t recorded = 0;
-    std::uint64_t replayed = 0;
-    std::uint64_t rebound = 0;
-    std::uint64_t refined_launches = 0;
-    std::uint64_t refine_sweeps_total = 0;
-    std::uint64_t refine_fallback_count = 0;
-    bool degraded = false;
-    index_type total = 0;
+    detail::batch_tally tally;
     std::vector<index_type> launch_sizes;
     std::vector<double> latencies;
+
+    // Resolves one entry and hands its request's operands back: ok with
+    // its slice of `solved`'s convergence records (starting at `offset`)
+    // when `solved` is set, else failed with `error`. Tallies only what
+    // it resolved (see try_reply).
+    const auto reply = [&](detail::pending_entry& entry,
+                           const solver::solve_result* solved,
+                           index_type offset, index_type fused,
+                           index_type attempts, const std::string& error) {
+        auto& typed = std::get<detail::typed_pending<T>>(entry.body);
+        solve_reply<T> r;
+        r.attempts = attempts;
+        if (solved != nullptr) {
+            r.log = std::move(typed.request.log);
+            solver::split_log_into(solved->log, offset, entry.items, r.log);
+            r.fused_systems = fused;
+            r.queue_seconds = seconds_between(entry.enqueued, launch_time);
+            r.solve_seconds = solved->wall_seconds;
+        } else {
+            r.status = request_status::failed;
+            r.error = error;
+        }
+        r.a = std::move(typed.request.a);
+        r.b = std::move(typed.request.b);
+        r.x = std::move(typed.request.x);
+        const auto done = std::chrono::steady_clock::now();
+        if (!try_reply(typed, std::move(r), wake_list)) {
+            return;
+        }
+        if (solved == nullptr) {
+            ++tally.failed;
+            return;
+        }
+        latencies.push_back(seconds_between(entry.enqueued, done));
+        ++tally.ok_requests;
+        tally.ok_systems += static_cast<std::uint64_t>(entry.items);
+        if (attempts > 1) {
+            ++tally.recovered;
+        }
+    };
 
     // Last-resort failure sweep: resolves every still-pending ticket with
     // `failed`. Runs when an exception escapes the solve/scatter path, so
@@ -961,23 +987,20 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
     // never double-sets an already-resolved one.
     auto fail_remaining = [&](const std::string& what) {
         for (detail::pending_ptr& entry : live) {
-            auto& typed = std::get<detail::typed_pending<T>>(entry->body);
-            solve_reply<T> reply;
-            reply.status = request_status::failed;
-            reply.error = what;
-            reply.a = std::move(typed.request.a);
-            reply.b = std::move(typed.request.b);
-            reply.x = std::move(typed.request.x);
-            if (try_reply(typed, std::move(reply), wake_list)) {
-                ++failed;
-            }
+            reply(*entry, nullptr, 0, 0, 1, what);
         }
     };
 
+    solver::recording_cache<T>* cache =
+        caches != nullptr ? &std::get<solver::recording_cache<T>>(*caches)
+                          : nullptr;
+    const solver::recording_counts graph_before =
+        cache != nullptr ? cache->totals() : solver::recording_counts{};
     if (!live.empty()) {
         try {
             std::vector<solver::assembly_part<T>> parts;
             parts.reserve(live.size());
+            index_type total = 0;
             for (detail::pending_ptr& entry : live) {
                 auto& typed =
                     std::get<detail::typed_pending<T>>(entry->body);
@@ -1003,136 +1026,38 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
                 opts.gmres_restart = 10;
             }
 
-            // Graph launch modes solve through a cached recording:
-            // rebind + replay when this worker already recorded the
-            // (pattern, options, size) shape, record-then-replay on a
-            // miss. trsv falls back to the eager path (recording rejects
-            // it). One replay is exactly one launch-counter submission,
-            // so fault keying and attempt counts match the eager path.
-            // Refined batches (refine_sweeps > 0) run the mixed-precision
-            // iterative-refinement driver instead of the plain fused
-            // solve. They bypass the graph cache: the outer loop issues a
-            // convergence-dependent number of inner launches, so there is
-            // no single recordable command graph to replay.
-            const bool refine =
-                opts.refine_sweeps > 0 &&
-                opts.solver != solver::solver_type::trsv;
-            const bool graph_path =
-                launch_mode_ != xpu::launch_mode::direct &&
-                opts.solver != solver::solver_type::trsv && !refine;
-            const xpu::submit_cost graph_cost =
-                launch_mode_ == xpu::launch_mode::persistent
-                    ? xpu::submit_cost::resident
-                    : xpu::submit_cost::replay;
-            const std::uint64_t batch_key = live.front()->key;
-            auto solve_with_graph =
-                [&](const std::vector<solver::assembly_part<T>>& p,
-                    index_type p_items) -> solver::solve_result {
-                auto& slots = cache.template slots<T>();
-                detail::graph_cache::slot<T>* hit = nullptr;
-                for (auto& s : slots) {
-                    if (s.key == batch_key && s.items == p_items &&
-                        s.rec && s.rec->compatible(p, opts)) {
-                        hit = &s;
-                        break;
-                    }
-                }
-                if (hit) {
-                    hit->rec->rebind(p);
-                    ++rebound;
-                } else {
-                    // Record first, then pick the victim slot: a throwing
-                    // record leaves the cache unchanged. Invalidated
-                    // recordings are the preferred victims.
-                    auto rec =
-                        solver::recorded_solve<T>::record(q, p, opts);
-                    ++recorded;
-                    detail::graph_cache::slot<T>* victim = nullptr;
-                    for (auto& s : slots) {
-                        if (!s.rec || !s.rec->valid()) {
-                            victim = &s;
-                            break;
-                        }
-                    }
-                    if (!victim &&
-                        slots.size() < config_.graph_cache_entries) {
-                        slots.emplace_back();
-                        victim = &slots.back();
-                    }
-                    if (!victim) {
-                        victim = &*std::min_element(
-                            slots.begin(), slots.end(),
-                            [](const auto& lhs, const auto& rhs) {
-                                return lhs.last_use < rhs.last_use;
-                            });
-                    }
-                    victim->key = batch_key;
-                    victim->items = p_items;
-                    victim->rec = std::move(rec);
-                    hit = victim;
-                }
-                hit->last_use = ++cache.tick;
-                ++replayed;
-                double wall = 0.0;
-                try {
-                    wall = hit->rec->replay(q, graph_cost);
-                } catch (const xpu::device_error&) {
-                    // Never replay a poisoned graph: drop the recording
-                    // so the retry re-records from scratch.
-                    hit->rec->invalidate();
-                    throw;
-                }
-                hit->rec->scatter(p);
-                solver::solve_result result;
-                result.log = hit->rec->log();
-                result.plan = hit->rec->plan();
-                result.config = hit->rec->config();
-                result.wall_seconds = wall;
-                return result;
-            };
-
-            // Solves `p`, retrying device faults with capped exponential
-            // backoff. Injected faults are keyed by the worker queue's
-            // launch counter, so every retry is a fresh launch. Other
-            // exceptions propagate to the failure sweep below.
+            // Solves `p` in one solver call (which refines, replays a
+            // recording or launches eagerly), retrying device faults with
+            // capped exponential backoff. Injected faults are keyed by
+            // the worker queue's launch counter, so every retry is a
+            // fresh launch. Other exceptions propagate to the failure
+            // sweep below.
             std::string last_fault;
             auto attempt_with_retries =
                 [&](const std::vector<solver::assembly_part<T>>& p,
-                    index_type p_items, index_type& attempts)
+                    index_type& attempts)
                 -> std::optional<solver::solve_result> {
                 auto backoff = config_.retry_backoff;
                 for (index_type retry = 0;; ++retry) {
                     ++attempts;
                     try {
-                        if (refine) {
-                            solver::refine_options ropts;
-                            ropts.max_sweeps = opts.refine_sweeps;
-                            solver::refined_result rr =
-                                solver::solve_refined_coalesced<T>(
-                                    q, p, opts, ropts);
-                            ++refined_launches;
-                            refine_sweeps_total +=
-                                static_cast<std::uint64_t>(rr.sweeps);
-                            if (rr.fell_back) {
-                                ++refine_fallback_count;
-                            }
-                            solver::solve_result result;
-                            result.log = std::move(rr.log);
-                            result.stats = rr.stats;
-                            result.wall_seconds = rr.wall_seconds;
-                            return result;
+                        solver::solve_result result =
+                            solver::solve_coalesced<T>(q, p, opts, cache);
+                        if (result.refined) {
+                            ++tally.refined;
+                            tally.refine_sweeps += static_cast<std::uint64_t>(
+                                result.refined->sweeps);
+                            tally.refine_fallbacks +=
+                                result.refined->fell_back ? 1 : 0;
                         }
-                        return graph_path
-                                   ? solve_with_graph(p, p_items)
-                                   : solver::solve_coalesced<T>(q, p,
-                                                                opts);
+                        return result;
                     } catch (const xpu::device_error& ex) {
-                        ++faults;
+                        ++tally.faults;
                         last_fault = ex.what();
                         if (retry >= config_.launch_retries) {
                             return std::nullopt;
                         }
-                        ++retries;
+                        ++tally.retries;
                         if (backoff.count() > 0) {
                             std::this_thread::sleep_for(backoff);
                             backoff = std::min(
@@ -1144,40 +1069,18 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
 
             index_type fused_attempts = 0;
             std::optional<solver::solve_result> combined =
-                attempt_with_retries(parts, total, fused_attempts);
+                attempt_with_retries(parts, fused_attempts);
             if (combined) {
                 if (config_.failover) {
                     lane.consecutive_exhausted.store(
                         0, std::memory_order_relaxed);
                 }
-                const auto done = std::chrono::steady_clock::now();
                 launch_sizes.push_back(total);
                 index_type offset = 0;
                 for (detail::pending_ptr& entry : live) {
-                    auto& typed =
-                        std::get<detail::typed_pending<T>>(entry->body);
-                    solve_reply<T> reply;
-                    reply.status = request_status::ok;
-                    reply.a = std::move(typed.request.a);
-                    reply.b = std::move(typed.request.b);
-                    reply.x = std::move(typed.request.x);
-                    reply.log = std::move(typed.request.log);
-                    solver::split_log_into(combined->log, offset,
-                                           entry->items, reply.log);
-                    reply.fused_systems = total;
-                    reply.attempts = fused_attempts;
-                    reply.queue_seconds =
-                        seconds_between(entry->enqueued, launch_time);
-                    reply.solve_seconds = combined->wall_seconds;
+                    reply(*entry, &*combined, offset, total, fused_attempts,
+                          {});
                     offset += entry->items;
-                    latencies.push_back(
-                        seconds_between(entry->enqueued, done));
-                    try_reply(typed, std::move(reply), wake_list);
-                    ++ok_requests;
-                    ok_systems += static_cast<std::uint64_t>(entry->items);
-                    if (fused_attempts > 1) {
-                        ++recovered;
-                    }
                 }
             } else if (config_.failover &&
                        alive_lanes_excluding(lane.id) > 0 &&
@@ -1207,48 +1110,25 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
                 // The fused launch keeps faulting: degrade to per-request
                 // solo solves so only the requests that genuinely cannot
                 // complete fail — the rest of the batch still resolves ok.
-                degraded = true;
+                tally.degraded = 1;
                 for (detail::pending_ptr& entry : live) {
                     auto& typed =
                         std::get<detail::typed_pending<T>>(entry->body);
-                    std::vector<solver::assembly_part<T>> solo;
-                    solo.push_back({&typed.request.a, &typed.request.b,
-                                    &typed.request.x});
+                    const std::vector<solver::assembly_part<T>> solo{
+                        {&typed.request.a, &typed.request.b,
+                         &typed.request.x}};
                     index_type attempts = fused_attempts;
-                    std::optional<solver::solve_result> result =
-                        attempt_with_retries(solo, entry->items, attempts);
-                    const auto done = std::chrono::steady_clock::now();
-                    solve_reply<T> reply;
-                    reply.attempts = attempts;
+                    const std::optional<solver::solve_result> result =
+                        attempt_with_retries(solo, attempts);
                     if (result) {
-                        reply.status = request_status::ok;
-                        reply.log = result->log;
-                        reply.fused_systems = entry->items;
-                        reply.queue_seconds =
-                            seconds_between(entry->enqueued, launch_time);
-                        reply.solve_seconds = result->wall_seconds;
                         launch_sizes.push_back(entry->items);
-                        latencies.push_back(
-                            seconds_between(entry->enqueued, done));
+                        reply(*entry, &*result, 0, entry->items, attempts,
+                              {});
                     } else {
-                        reply.status = request_status::failed;
-                        reply.error =
-                            "device fault persisted through " +
-                            std::to_string(attempts) +
-                            " solve attempts: " + last_fault;
-                    }
-                    reply.a = std::move(typed.request.a);
-                    reply.b = std::move(typed.request.b);
-                    reply.x = std::move(typed.request.x);
-                    const bool ok = reply.status == request_status::ok;
-                    try_reply(typed, std::move(reply), wake_list);
-                    if (ok) {
-                        ++ok_requests;
-                        ok_systems +=
-                            static_cast<std::uint64_t>(entry->items);
-                        ++recovered;
-                    } else {
-                        ++failed;
+                        reply(*entry, nullptr, 0, 0, attempts,
+                              "device fault persisted through " +
+                                  std::to_string(attempts) +
+                                  " solve attempts: " + last_fault);
                     }
                 }
             }
@@ -1257,6 +1137,12 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
         } catch (...) {
             fail_remaining("unknown error in batch execution");
         }
+    }
+    if (cache != nullptr) {
+        const solver::recording_counts& now = cache->totals();
+        tally.recorded = now.recorded - graph_before.recorded;
+        tally.rebound = now.rebound - graph_before.rebound;
+        tally.replayed = now.replayed - graph_before.replayed;
     }
 
     // Retire the batch's routed cost from the lane backlog (atomic, so
@@ -1279,21 +1165,7 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
         expired_requests_.fetch_add(
             static_cast<std::uint64_t>(expired.size()),
             std::memory_order_relaxed);
-        completed_requests_ += ok_requests;
-        completed_systems_ += ok_systems;
-        failed_requests_.fetch_add(failed, std::memory_order_relaxed);
-        launch_faults_ += faults;
-        launch_retries_ += retries;
-        recovered_requests_ += recovered;
-        launches_recorded_ += recorded;
-        replays_ += replayed;
-        rebind_only_ += rebound;
-        refined_batches_ += refined_launches;
-        refine_sweeps_ += refine_sweeps_total;
-        refine_fallbacks_ += refine_fallback_count;
-        if (degraded) {
-            ++degraded_launches_;
-        }
+        totals_ += tally;
         // Brownout telemetry (all writers hold mu_ here, so plain
         // load/store is race-free; the fields stay atomic for the
         // lock-free readers in stats()).
@@ -1307,8 +1179,8 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
                                     std::memory_order_relaxed);
             }
         }
-        lane.completed_systems += ok_systems;
-        lane.launch_faults += faults;
+        lane.completed_systems += tally.ok_systems;
+        lane.launch_faults += tally.faults;
         for (const index_type size : launch_sizes) {
             ++batches_launched_;
             batched_systems_sum_ += static_cast<std::uint64_t>(size);
@@ -1330,7 +1202,7 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
             // Per-shard breaker bookkeeping: one observation per
             // execution, faulted if any attempt faulted. A tripped shard
             // cools down alone; its neighbors keep coalescing.
-            lane.brk.observe(faults > 0, config_.breaker_fault_ratio,
+            lane.brk.observe(tally.faults > 0, config_.breaker_fault_ratio,
                              config_.breaker_window,
                              config_.breaker_cooldown);
         }

@@ -30,10 +30,10 @@
 // gracefully (queued work is still solved; batching windows are cut
 // short).
 //
-// One dispatch loop serves every launch mode. The mode only decides how
-// a fused batch is submitted: eagerly (`direct`), or through the
-// worker's graph cache at replay cost (`graph_replay`) or resident cost
-// (`persistent`).
+// One dispatch loop serves every launch mode, and every fused batch is one
+// `solver::solve_coalesced` call. The mode only decides whether that call
+// gets the worker's recording cache (`graph_replay`) or not (`direct`);
+// which batches refine, record or launch eagerly is the solver's rule.
 //
 // Head-of-line note: a batching window is held only while everything
 // its worker has popped is the leader's companion; the first request of
@@ -54,7 +54,6 @@
 #pragma once
 
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -62,6 +61,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <variant>
 #include <vector>
 
@@ -206,9 +206,9 @@ struct service_config {
     /// launch mode. Zero disables (always wait out `max_wait`).
     std::chrono::microseconds idle_flush{25};
     /// Cached graph recordings per worker and precision in the
-    /// `graph_replay` / `persistent` launch modes (LRU-evicted). Each
-    /// distinct (sparsity pattern, options, fused size) shape occupies
-    /// one slot.
+    /// `graph_replay` launch mode (LRU-evicted, see
+    /// `solver::recording_cache`). Each distinct (sparsity pattern,
+    /// options, fused size) shape occupies one slot.
     std::size_t graph_cache_entries = 8;
     /// Admission bound, counted in systems (a batched request counts its
     /// batch size).
@@ -287,79 +287,9 @@ struct service_config {
 
 namespace detail {
 
-/// Word-at-a-time FNV-1a variant: one xor-multiply per 64-bit value plus
-/// a final avalanche, not one per byte — `submit` hashes the full sparsity
-/// pattern on every request, so this sits on the serving hot path.
-inline std::uint64_t hash_mix(std::uint64_t h, std::uint64_t v)
-{
-    h ^= v;
-    h *= 1099511628211ull;
-    h ^= h >> 32;
-    return h;
-}
-
-inline std::uint64_t hash_span(std::uint64_t h,
-                               const std::vector<index_type>& values)
-{
-    for (const index_type v : values) {
-        h ^= static_cast<std::uint64_t>(v);
-        h *= 1099511628211ull;
-    }
-    h ^= h >> 32;
-    return h;
-}
-
-/// Grouping key of the dynamic batcher: precision, format, dimensions,
-/// sparsity pattern, and the full option set. Two requests may share a
-/// fused launch only if their keys match; the batcher additionally
-/// verifies exact pattern/options equality before coalescing, so a hash
-/// collision degrades batching, never correctness.
-template <typename T>
-std::uint64_t coalesce_key(const solver::batch_matrix<T>& a,
-                           const solver::solve_options& opts)
-{
-    std::uint64_t h = 14695981039346656037ull;
-    h = hash_mix(h, sizeof(T));
-    h = hash_mix(h, static_cast<std::uint64_t>(a.index()));
-    std::visit(
-        [&](const auto& m) {
-            using MatBatch = std::decay_t<decltype(m)>;
-            h = hash_mix(h, static_cast<std::uint64_t>(m.rows()));
-            h = hash_mix(h, static_cast<std::uint64_t>(m.cols()));
-            // Matrices of different storage modes must never share a
-            // fused launch: the gather copies one value array kind.
-            h = hash_mix(h, static_cast<std::uint64_t>(m.storage_mode()));
-            if constexpr (std::is_same_v<MatBatch, mat::batch_csr<T>>) {
-                h = hash_span(h, m.row_ptrs());
-                h = hash_span(h, m.col_idxs());
-            } else if constexpr (std::is_same_v<MatBatch,
-                                                mat::batch_ell<T>>) {
-                h = hash_mix(h, static_cast<std::uint64_t>(m.ell_width()));
-                h = hash_span(h, m.col_idxs());
-            }
-        },
-        a);
-    h = hash_mix(h, static_cast<std::uint64_t>(opts.solver));
-    h = hash_mix(h, static_cast<std::uint64_t>(opts.preconditioner));
-    h = hash_mix(h, static_cast<std::uint64_t>(opts.criterion.type));
-    h = hash_mix(h, std::bit_cast<std::uint64_t>(opts.criterion.tolerance));
-    h = hash_mix(h,
-                 static_cast<std::uint64_t>(opts.criterion.max_iterations));
-    h = hash_mix(h, static_cast<std::uint64_t>(opts.gmres_restart));
-    h = hash_mix(h, static_cast<std::uint64_t>(opts.block_jacobi_size));
-    h = hash_mix(h,
-                 std::bit_cast<std::uint64_t>(opts.richardson_relaxation));
-    h = hash_mix(h, static_cast<std::uint64_t>(opts.slm));
-    h = hash_mix(h, static_cast<std::uint64_t>(opts.sub_group_size));
-    h = hash_mix(h, opts.reduction
-                        ? static_cast<std::uint64_t>(*opts.reduction) + 1
-                        : 0);
-    h = hash_mix(h, static_cast<std::uint64_t>(opts.trsv_triangle));
-    h = hash_mix(h, static_cast<std::uint64_t>(opts.zero_spill));
-    h = hash_mix(h, static_cast<std::uint64_t>(opts.storage));
-    h = hash_mix(h, static_cast<std::uint64_t>(opts.refine_sweeps));
-    return h;
-}
+/// Grouping key of the dynamic batcher (the solver's, which its recording
+/// cache keys by too); entries_compatible() backs it exactly.
+using solver::coalesce_key;
 
 /// Stored nonzeros per batch item — the byte-volume input of the shard
 /// router's cost model.
@@ -421,34 +351,45 @@ struct pending_entry {
 /// cache-resident.
 using pending_ptr = std::unique_ptr<pending_entry>;
 
-/// Per-worker cache of graph recordings (`graph_replay` / `persistent`
-/// launch modes). Keyed by the coalescing hash plus the fused batch size;
-/// the exact `recorded_solve::compatible` check backs the hash, so a
-/// collision re-records instead of corrupting. Owned by exactly one
-/// worker thread — no locking.
-struct graph_cache {
-    template <typename T>
-    struct slot {
-        std::uint64_t key = 0;
-        index_type items = 0;
-        std::uint64_t last_use = 0;
-        std::unique_ptr<solver::recorded_solve<T>> rec;
-    };
+/// One worker's recording caches, one per precision (`graph_replay`
+/// only). Owned by exactly one worker thread — no locking.
+using worker_caches = std::tuple<solver::recording_cache<double>,
+                                 solver::recording_cache<float>>;
 
-    template <typename T>
-    std::vector<slot<T>>& slots()
+/// Outcome counters of executed batches: each batch tallies its own, and
+/// the worker adds them into the service totals under one lock.
+struct batch_tally {
+    std::uint64_t ok_requests = 0;
+    std::uint64_t ok_systems = 0;
+    std::uint64_t failed = 0;
+    std::uint64_t faults = 0;
+    std::uint64_t retries = 0;
+    std::uint64_t recovered = 0;
+    std::uint64_t degraded = 0;
+    std::uint64_t recorded = 0;
+    std::uint64_t rebound = 0;
+    std::uint64_t replayed = 0;
+    std::uint64_t refined = 0;
+    std::uint64_t refine_sweeps = 0;
+    std::uint64_t refine_fallbacks = 0;
+
+    batch_tally& operator+=(const batch_tally& o)
     {
-        if constexpr (std::is_same_v<T, double>) {
-            return d;
-        } else {
-            return f;
-        }
+        ok_requests += o.ok_requests;
+        ok_systems += o.ok_systems;
+        failed += o.failed;
+        faults += o.faults;
+        retries += o.retries;
+        recovered += o.recovered;
+        degraded += o.degraded;
+        recorded += o.recorded;
+        rebound += o.rebound;
+        replayed += o.replayed;
+        refined += o.refined;
+        refine_sweeps += o.refine_sweeps;
+        refine_fallbacks += o.refine_fallbacks;
+        return *this;
     }
-
-    std::vector<slot<double>> d;
-    std::vector<slot<float>> f;
-    /// LRU clock.
-    std::uint64_t tick = 0;
 };
 
 }  // namespace detail
@@ -534,8 +475,8 @@ public:
         // compressed here, once, on the submitter's thread — the workers
         // then gather homogeneous fp32 value arrays with no per-batch
         // conversion. Refined requests (refine_sweeps > 0) stay NATIVE:
-        // solve_refined computes its FP64 residuals against the native
-        // bits and derives the compressed operator itself.
+        // the refinement driver computes its FP64 residuals against the
+        // native bits and derives the compressed operator itself.
         if (mat::effective_storage<T>(request.opts.storage) ==
                 mat::storage_precision::fp32 &&
             request.opts.refine_sweeps == 0 &&
@@ -786,9 +727,12 @@ private:
     /// threshold.
     int steal_victim(index_type thief_shard) const;
 
+    /// Solves one group of compatible entries as one fused batch through
+    /// `caches` (null in `direct` mode) and resolves every entry: retries
+    /// with backoff, then failover eviction or degraded solo solves.
     template <typename T>
     void execute_typed(shard_lane& lane, xpu::queue& q,
-                       detail::graph_cache& cache,
+                       detail::worker_caches* caches,
                        std::vector<detail::pending_ptr> batch,
                        int brownout);
 
@@ -819,31 +763,20 @@ private:
     conc::atomic<std::uint64_t> submitted_requests_{0};
     conc::atomic<std::uint64_t> submitted_systems_{0};
     conc::atomic<std::uint64_t> rejected_requests_{0};
-    std::uint64_t completed_requests_ = 0;
-    std::uint64_t completed_systems_ = 0;
     /// Atomic: the lock-free admission paths (negative deadline, blocked
     /// submit timing out, failover migration) expire requests without
     /// holding mu_.
     conc::atomic<std::uint64_t> expired_requests_{0};
     /// Atomic for the same reason: failover migration fails entries with
-    /// no surviving target from whatever thread drained them.
+    /// no surviving target from whatever thread drained them. Failures
+    /// inside a batch are in `totals_`.
     conc::atomic<std::uint64_t> failed_requests_{0};
+    /// Every executed batch's outcome counters (guarded by mu_).
+    detail::batch_tally totals_;
     std::uint64_t batches_launched_ = 0;
     std::uint64_t batched_systems_sum_ = 0;
     std::vector<std::uint64_t> batch_histogram_;
     latency_window latency_;
-
-    // Graph-launch counters (guarded by mu_; updated in the workers'
-    // post-batch bookkeeping).
-    std::uint64_t launches_recorded_ = 0;
-    std::uint64_t replays_ = 0;
-    std::uint64_t rebind_only_ = 0;
-
-    // Mixed-precision refinement counters (guarded by mu_; updated in the
-    // workers' post-batch bookkeeping).
-    std::uint64_t refined_batches_ = 0;
-    std::uint64_t refine_sweeps_ = 0;
-    std::uint64_t refine_fallbacks_ = 0;
 
     /// Lock-free budget/progress counters (the rings themselves live in
     /// the lanes). `ring_systems_` is the admission budget in use;
@@ -868,14 +801,6 @@ private:
     /// doorbell next door is written on every park.
     alignas(64) doorbell space_bell_;
 
-    // Resilience counters (guarded by mu_). Circuit-breaker state is per
-    // lane (`shard::breaker`) — a faulting shard trips and cools down
-    // alone.
-    std::uint64_t launch_faults_ = 0;
-    std::uint64_t launch_retries_ = 0;
-    std::uint64_t degraded_launches_ = 0;
-    std::uint64_t recovered_requests_ = 0;
-
     /// Failover / degradation counters (PR 10; atomic — bumped from
     /// worker loops, the watchdog, and lock-free admission). Eviction
     /// and probe totals live on the lane guards; these are the
@@ -892,9 +817,10 @@ private:
     /// local` (deque: xpu::queue is not movable in debug builds).
     /// Constructed before, and outliving, the worker threads.
     std::deque<xpu::queue> worker_queues_;
-    /// One graph cache per worker, owned exclusively by that worker's
-    /// thread (deque for address stability, like the queues).
-    std::deque<detail::graph_cache> graph_caches_;
+    /// One recording cache pair per worker in `graph_replay` mode (empty
+    /// in `direct` mode), indexed like the queues and owned exclusively by
+    /// that worker's thread (deque for address stability).
+    std::deque<detail::worker_caches> graph_caches_;
     std::vector<std::thread> workers_;
     /// Hang watchdog (joinable only when failover is on, the interval is
     /// nonzero, and there are at least two lanes to fail over between).

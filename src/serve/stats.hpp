@@ -97,12 +97,14 @@ struct service_stats {
     /// Whether coalescing is currently suspended by the breaker.
     bool breaker_active = false;
 
-    /// Graph-launch counters (zero in `launch_mode::direct`). A recording
-    /// happens on the first batch of a (pattern, options, size) shape and
-    /// again after a fault invalidates the cached graph; every subsequent
-    /// compatible batch only swaps values (`rebind_only`) and replays.
-    /// `replays / batches_launched` close to 1 means the launch path is
-    /// amortized to rebind cost — the effectiveness metric of the mode.
+    /// Graph-launch counters (zero in `launch_mode::direct`, and never
+    /// bumped by refined or trsv batches, which the solver does not
+    /// record). A recording happens on the first batch of a (pattern,
+    /// options, size) shape and again after a fault invalidates the cached
+    /// graph; every subsequent compatible batch only swaps values
+    /// (`rebind_only`) and replays. `replays / batches_launched` close to
+    /// 1 means the launch path is amortized to rebind cost — the
+    /// effectiveness metric of the mode.
     std::uint64_t launches_recorded = 0;
     /// Graph submissions (each one fused launch replayed from a graph).
     std::uint64_t replays = 0;
@@ -110,8 +112,8 @@ struct service_stats {
     std::uint64_t rebind_only = 0;
 
     /// Mixed-precision refinement counters (zero unless requests carry
-    /// `refine_sweeps > 0`). A refined batch runs the iterative-
-    /// refinement driver (`solver::solve_refined`) instead of the plain
+    /// `refine_sweeps > 0`). `solver::solve_coalesced` runs a refined
+    /// batch through the iterative-refinement driver instead of the plain
     /// fused solve: fp32-storage inner solves plus FP64 correction
     /// sweeps.
     std::uint64_t refined_batches = 0;

@@ -1,8 +1,11 @@
 #include "solver/assemble.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <variant>
 
+#include "solver/record.hpp"
+#include "solver/refined.hpp"
 #include "util/error.hpp"
 
 namespace batchlin::solver {
@@ -30,6 +33,27 @@ bool same_pattern(const mat::batch_dense<T>& lhs,
                   const mat::batch_dense<T>& rhs)
 {
     return lhs.rows() == rhs.rows() && lhs.cols() == rhs.cols();
+}
+
+/// Word-at-a-time FNV-1a variant: one xor-multiply per 64-bit value plus
+/// a final avalanche, not one per byte — a batcher hashes the full
+/// sparsity pattern of every request, so this sits on the serving hot path.
+std::uint64_t hash_mix(std::uint64_t h, std::uint64_t v)
+{
+    h ^= v;
+    h *= 1099511628211ull;
+    h ^= h >> 32;
+    return h;
+}
+
+std::uint64_t hash_span(std::uint64_t h, const std::vector<index_type>& values)
+{
+    for (const index_type v : values) {
+        h ^= static_cast<std::uint64_t>(v);
+        h *= 1099511628211ull;
+    }
+    h ^= h >> 32;
+    return h;
 }
 
 }  // namespace
@@ -111,13 +135,82 @@ void split_log_into(const log::batch_log& combined, index_type offset,
 }
 
 template <typename T>
+std::uint64_t coalesce_key(const batch_matrix<T>& a,
+                           const solve_options& opts)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    h = hash_mix(h, sizeof(T));
+    h = hash_mix(h, static_cast<std::uint64_t>(a.index()));
+    std::visit(
+        [&](const auto& m) {
+            using MatBatch = std::decay_t<decltype(m)>;
+            h = hash_mix(h, static_cast<std::uint64_t>(m.rows()));
+            h = hash_mix(h, static_cast<std::uint64_t>(m.cols()));
+            // Matrices of different storage modes must never share a
+            // fused launch: the gather copies one value array kind.
+            h = hash_mix(h, static_cast<std::uint64_t>(m.storage_mode()));
+            if constexpr (std::is_same_v<MatBatch, mat::batch_csr<T>>) {
+                h = hash_span(h, m.row_ptrs());
+                h = hash_span(h, m.col_idxs());
+            } else if constexpr (std::is_same_v<MatBatch,
+                                                mat::batch_ell<T>>) {
+                h = hash_mix(h, static_cast<std::uint64_t>(m.ell_width()));
+                h = hash_span(h, m.col_idxs());
+            }
+        },
+        a);
+    h = hash_mix(h, static_cast<std::uint64_t>(opts.solver));
+    h = hash_mix(h, static_cast<std::uint64_t>(opts.preconditioner));
+    h = hash_mix(h, static_cast<std::uint64_t>(opts.criterion.type));
+    h = hash_mix(h, std::bit_cast<std::uint64_t>(opts.criterion.tolerance));
+    h = hash_mix(h,
+                 static_cast<std::uint64_t>(opts.criterion.max_iterations));
+    h = hash_mix(h, static_cast<std::uint64_t>(opts.gmres_restart));
+    h = hash_mix(h, static_cast<std::uint64_t>(opts.block_jacobi_size));
+    h = hash_mix(h,
+                 std::bit_cast<std::uint64_t>(opts.richardson_relaxation));
+    h = hash_mix(h, static_cast<std::uint64_t>(opts.slm));
+    h = hash_mix(h, static_cast<std::uint64_t>(opts.sub_group_size));
+    h = hash_mix(h, opts.reduction
+                        ? static_cast<std::uint64_t>(*opts.reduction) + 1
+                        : 0);
+    h = hash_mix(h, static_cast<std::uint64_t>(opts.trsv_triangle));
+    h = hash_mix(h, static_cast<std::uint64_t>(opts.zero_spill));
+    h = hash_mix(h, static_cast<std::uint64_t>(opts.storage));
+    h = hash_mix(h, static_cast<std::uint64_t>(opts.refine_sweeps));
+    return h;
+}
+
+template <typename T>
 solve_result solve_coalesced(xpu::queue& q,
                              const std::vector<assembly_part<T>>& parts,
-                             const solve_options& opts)
+                             const solve_options& opts,
+                             recording_cache<T>* cache)
 {
     BATCHLIN_ENSURE_MSG(!opts.record_history,
                         "per-iteration history is not supported for "
                         "coalesced solves");
+    // Refinement and recording serve the iterative solvers; trsv, a direct
+    // triangular solve, always launches eagerly.
+    const bool iterative = opts.solver != solver_type::trsv;
+    if (opts.refine_sweeps > 0 && iterative) {
+        refine_options ropts;
+        ropts.max_sweeps = opts.refine_sweeps;
+        refined_result rr = detail::solve_gathered(
+            parts, [&](const batch_matrix<T>& a, const mat::batch_dense<T>& b,
+                       mat::batch_dense<T>& x) {
+                return solve_refined(q, a, b, x, opts, ropts);
+            });
+        solve_result out;
+        out.log = std::move(rr.log);
+        out.stats = rr.stats;
+        out.wall_seconds = rr.wall_seconds;
+        out.refined = refine_outcome{rr.sweeps, rr.fell_back};
+        return out;
+    }
+    if (cache != nullptr && iterative) {
+        return cache->solve(q, parts, opts);
+    }
     return detail::solve_gathered(
         parts, [&](const batch_matrix<T>& a, const mat::batch_dense<T>& b,
                    mat::batch_dense<T>& x) { return solve(q, a, b, x, opts); });
@@ -130,7 +223,9 @@ solve_result solve_coalesced(xpu::queue& q,
                                   const batch_matrix<T>&);                  \
     template solve_result solve_coalesced<T>(                               \
         xpu::queue&, const std::vector<assembly_part<T>>&,                  \
-        const solve_options&);                                              \
+        const solve_options&, recording_cache<T>*);                         \
+    template std::uint64_t coalesce_key<T>(const batch_matrix<T>&,          \
+                                           const solve_options&);           \
     template index_type detail::validate_assembly<T>(                       \
         const std::vector<assembly_part<T>>&)
 

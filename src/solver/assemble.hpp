@@ -14,6 +14,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -47,15 +48,39 @@ bool same_shape(const batch_matrix<T>& lhs, const batch_matrix<T>& rhs);
 template <typename T>
 bool can_coalesce(const batch_matrix<T>& lhs, const batch_matrix<T>& rhs);
 
+template <typename T>
+class recording_cache;
+
 /// Solves all parts as one fused batch on `q` and scatters each part's
 /// solution back into its `x`. Part `i`'s systems occupy batch entries
 /// [offset_i, offset_i + items_i) of the combined result, with offsets in
-/// part order; use `split_log` to slice the combined log per part. The
-/// single-part case forwards to `solve` directly (no gather/scatter).
+/// part order; use `split_log` to slice the combined log per part. How the
+/// batch reaches the device is decided here, and only here:
+///   - `opts.refine_sweeps > 0` (any solver but trsv): the gathered batch
+///     runs the mixed-precision refinement driver (`solve_refined`, at most
+///     `refine_sweeps` correction sweeps); `refined` reports what it did.
+///     Its launch count depends on convergence, so it is never recorded.
+///   - otherwise, given a `cache` and a solver other than trsv (which
+///     cannot be recorded): rebind-and-replay of a cached recording, or
+///     record-then-replay on a miss (see `recording_cache`).
+///   - everything else: one eager fused launch. A single part is solved in
+///     place, with no gather or scatter.
+/// Every path is bit-identical to solo solves of the parts and fills
+/// `stats`.
 template <typename T>
 solve_result solve_coalesced(xpu::queue& q,
                              const std::vector<assembly_part<T>>& parts,
-                             const solve_options& opts);
+                             const solve_options& opts,
+                             recording_cache<T>* cache = nullptr);
+
+/// Grouping key of a coalescing batcher: precision, format, dimensions,
+/// storage mode, sparsity pattern, and the full option set. Batches that
+/// may share a fused launch hash equally; an exact `can_coalesce` plus
+/// options comparison must back the hash, so a collision degrades
+/// batching, never correctness.
+template <typename T>
+std::uint64_t coalesce_key(const batch_matrix<T>& a,
+                           const solve_options& opts);
 
 /// Extracts the per-system convergence records of one part from the
 /// combined log: entries [offset, offset + items) re-indexed from zero.

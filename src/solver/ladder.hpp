@@ -1,8 +1,8 @@
 // The one kernel-dispatch ladder under every solver driver (paper §3.3,
 // Fig. 3).
 //
-// Eager `solve_range` and graph-recording `recorded_solve::record` both
-// funnel format × preconditioner × solver × storage through these two
+// Eager `solve_range` and the graph recording of record.cpp both funnel
+// format × preconditioner × solver × storage through these two
 // functions into one `run_X_bound` kernel instance; they differ only in
 // who owns the bound plan, the spill backing and the preconditioner, and
 // in whether the queue executes or records the launch.

@@ -105,7 +105,7 @@ struct solve_options {
     /// the attainable true residual floors near fp32 epsilon — use
     /// solve_refined (or refine_sweeps in serve) to recover full accuracy.
     mat::storage_precision storage = mat::default_storage_precision();
-    /// Maximum iterative-refinement sweeps for serve-routed requests
+    /// Maximum iterative-refinement sweeps of a `solve_coalesced` call
     /// (solver::solve_refined); 0 solves directly with no refinement.
     /// Part of the options on purpose: the coalescing hash and equality
     /// must separate refined from unrefined traffic.
@@ -117,16 +117,28 @@ struct solve_options {
                            const solve_options&) = default;
 };
 
+/// What the iterative-refinement driver did for one refined solve.
+struct refine_outcome {
+    /// Correction sweeps after the initial inner solve.
+    index_type sweeps = 0;
+    /// Whether the stall fallback re-solved on native storage.
+    bool fell_back = false;
+};
+
 /// Outcome of one batched solve: per-system convergence data, the counters
 /// of the fused kernel launch, and the resolved execution configuration.
 struct solve_result {
     log::batch_log log;
+    /// Counters of every launch the solve made (a refined solve sums its
+    /// inner launches).
     xpu::counters stats;
     slm_plan plan;
     kernel_config config;
     /// Host wall-clock of the simulated launch (not a device time estimate;
     /// see perfmodel for device projections).
     double wall_seconds = 0.0;
+    /// Set when `solve_coalesced` ran the refinement driver.
+    std::optional<refine_outcome> refined;
 };
 
 }  // namespace batchlin::solver

@@ -5,127 +5,159 @@
 #include "solver/ladder.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
+#include "xpu/fault.hpp"
+#include "xpu/graph.hpp"
 
 namespace batchlin::solver {
 
+/// Records the coalesced solve of `parts` into a finalized graph on `q`.
+/// Nothing executes until the first replay. The recorded closure points
+/// into the owned operands, spill and log, so the object lives behind a
+/// unique_ptr and none of them moves or reallocates after construction.
 template <typename T>
-recorded_solve<T>::recorded_solve(detail::assembly<T> ops,
-                                  const solve_options& opts, slm_plan plan,
-                                  kernel_config config)
-    : ops_(std::move(ops)),
-      opts_(opts),
-      plan_(std::move(plan)),
-      slots_(plan_),
-      config_(config),
-      total_items_(ops_.b.num_batch_items()),
-      spill_(static_cast<std::size_t>(plan_.global_elems_per_group) *
-             static_cast<std::size_t>(total_items_)),
-      log_(total_items_)
-{}
+class recorded_solve {
+public:
+    recorded_solve(xpu::queue& q, const std::vector<assembly_part<T>>& parts,
+                   index_type total_items, const solve_options& options)
+        : ops(detail::gather(parts, total_items)),
+          request_storage(storage_of(ops.a)),
+          // The same launch resolution as the eager solve_range, so a
+          // replay is bit-identical to the eager solve of the same batch.
+          setup(detail::resolve_launch(q.policy(), ops.a, options)),
+          slots(setup.plan),
+          spill(static_cast<std::size_t>(setup.plan.global_elems_per_group) *
+                static_cast<std::size_t>(total_items)),
+          log(total_items),
+          opts(options)
+    {
+        options.criterion.validate();
+        // An fp32 request on native parts compresses the owned gathered
+        // copy in place — it is owned, so no per-replay conversion cost
+        // exists.
+        if (setup.compressed) {
+            set_storage(ops.a, mat::storage_precision::fp32);
+        }
+        // A throwing launch leaves the recorder to detach from `q`.
+        xpu::command_graph recorder;
+        recorder.begin_recording(q);
+        precond = detail::launch_bound(
+            q, ops.a, ops.b, ops.x, opts, slots, setup.config,
+            spill_view<T>{spill.data(), setup.plan.global_elems_per_group},
+            log, {0, total_items});
+        recorder.end_recording();
+        exec = recorder.finalize();
+    }
+
+    // The recorded closure holds addresses of the members.
+    recorded_solve(const recorded_solve&) = delete;
+    recorded_solve& operator=(const recorded_solve&) = delete;
+
+    /// Whether a batch of `items` systems led by `leader` may rebind this
+    /// recording under `options`. The parts of a batch are mutually
+    /// coalescible (`validate_assembly`), so the leader covers the batch.
+    /// Storage compares against the request-side mode: `ops.a` itself may
+    /// be compressed beyond what the requests carry.
+    bool fits(const batch_matrix<T>& leader, index_type items,
+              const solve_options& options) const
+    {
+        return exec.valid() && options == opts &&
+               items == log.num_systems() &&
+               storage_of(leader) == request_storage &&
+               same_shape(ops.a, leader);
+    }
+
+    detail::assembly<T> ops;
+    mat::storage_precision request_storage;
+    detail::launch_setup setup;
+    bound_plan slots;
+    std::vector<T> spill;
+    log::batch_log log;
+    solve_options opts;
+    /// Type-erased owned preconditioner (points into ops.a for the
+    /// pattern-dependent ones).
+    std::shared_ptr<void> precond;
+    xpu::graph_exec exec;
+};
 
 template <typename T>
-std::unique_ptr<recorded_solve<T>> recorded_solve<T>::record(
+recording_cache<T>::recording_cache(std::size_t capacity)
+    : capacity_(capacity)
+{
+    BATCHLIN_ENSURE_MSG(capacity > 0,
+                        "a recording cache needs at least one slot");
+}
+
+template <typename T>
+recording_cache<T>::~recording_cache() = default;
+
+template <typename T>
+solve_result recording_cache<T>::solve(
     xpu::queue& q, const std::vector<assembly_part<T>>& parts,
     const solve_options& opts)
 {
-    opts.criterion.validate();
-    BATCHLIN_ENSURE_MSG(!opts.record_history,
-                        "per-iteration history is not supported for "
-                        "recorded solves");
-    BATCHLIN_ENSURE_MSG(opts.solver != solver_type::trsv,
-                        "BatchTrsv cannot be graph-recorded; use the "
-                        "direct launch path");
-    const index_type total_items = detail::validate_assembly(parts);
-
-    // The same launch resolution as the eager solve_range, so a replay is
-    // bit-identical to the eager solve of the same batch. An fp32 request
-    // on native parts compresses the owned gathered copy in place — it is
-    // owned, so no per-replay conversion cost exists.
-    detail::assembly<T> ops = detail::gather(parts, total_items);
-    const mat::storage_precision request_storage = storage_of(ops.a);
-    detail::launch_setup setup = detail::resolve_launch(q.policy(), ops.a,
-                                                        opts);
-    if (setup.compressed) {
-        set_storage(ops.a, mat::storage_precision::fp32);
-    }
-    std::unique_ptr<recorded_solve> rs(new recorded_solve(
-        std::move(ops), opts, std::move(setup.plan), setup.config));
-    rs->request_storage_ = request_storage;
-
-    xpu::command_graph recorder;
-    recorder.begin_recording(q);
-    try {
-        rs->precond_ = detail::launch_bound(
-            q, rs->ops_.a, rs->ops_.b, rs->ops_.x, opts, rs->slots_,
-            rs->config_,
-            spill_view<T>{rs->spill_.data(), rs->plan_.global_elems_per_group},
-            rs->log_, {0, total_items});
-        recorder.end_recording();
-    } catch (...) {
-        if (recorder.recording()) {
-            recorder.end_recording();
+    const index_type items = detail::validate_assembly(parts);
+    const batch_matrix<T>& leader = *parts.front().a;
+    const std::uint64_t key = coalesce_key(leader, opts);
+    slot* hit = nullptr;
+    for (slot& s : slots_) {
+        if (s.key == key && s.rec->fits(leader, items, opts)) {
+            hit = &s;
+            break;
         }
+    }
+    if (hit != nullptr) {
+        // Native requests under a compressed recording narrow on copy.
+        detail::gather_into(parts, hit->rec->ops);
+        ++totals_.rebound;
+    } else {
+        // Record first, then pick the victim slot: a throwing record
+        // leaves the cache unchanged. Invalidated recordings are the
+        // preferred victims.
+        auto rec = std::make_unique<recorded_solve<T>>(q, parts, items, opts);
+        ++totals_.recorded;
+        const auto invalid = std::find_if(
+            slots_.begin(), slots_.end(),
+            [](const slot& s) { return !s.rec->exec.valid(); });
+        if (invalid != slots_.end()) {
+            hit = &*invalid;
+        } else if (slots_.size() < capacity_) {
+            hit = &slots_.emplace_back();
+        } else {
+            hit = &*std::min_element(slots_.begin(), slots_.end(),
+                                     [](const slot& lhs, const slot& rhs) {
+                                         return lhs.last_use < rhs.last_use;
+                                     });
+        }
+        hit->key = key;
+        hit->rec = std::move(rec);
+    }
+    hit->last_use = ++tick_;
+    recorded_solve<T>& rec = *hit->rec;
+    if (rec.setup.plan.zero_spill) {
+        // Match the eager path's per-launch zero fill bit-for-bit.
+        std::fill(rec.spill.begin(), rec.spill.end(), T{});
+    }
+    ++totals_.replayed;
+    solve_result result;
+    wall_timer timer;
+    try {
+        rec.exec.replay(q);
+    } catch (const xpu::device_error&) {
+        // Never replay a poisoned graph: drop the recording so the retry
+        // re-records from scratch.
+        rec.exec.invalidate();
         throw;
     }
-    rs->exec_ = recorder.finalize();
-    return rs;
+    result.wall_seconds = timer.seconds();
+    detail::scatter(rec.ops.x, parts);
+    result.log = rec.log;
+    result.stats = q.last_launch_stats();
+    result.plan = rec.setup.plan;
+    result.config = rec.setup.config;
+    return result;
 }
 
-template <typename T>
-bool recorded_solve<T>::compatible(
-    const std::vector<assembly_part<T>>& parts,
-    const solve_options& opts) const
-{
-    if (!exec_.valid() || !(opts == opts_) || parts.empty()) {
-        return false;
-    }
-    index_type items = 0;
-    for (const assembly_part<T>& part : parts) {
-        if (part.a == nullptr || part.b == nullptr || part.x == nullptr) {
-            return false;
-        }
-        items += part.items();
-    }
-    if (items != total_items_) {
-        return false;
-    }
-    // The caller's batcher guarantees the parts are mutually coalescible;
-    // checking the leader against the recorded pattern covers the batch.
-    // Storage compares against the *request-side* mode — ops_.a itself may
-    // be compressed beyond what the requests carry (opts-driven).
-    return storage_of(*parts.front().a) == request_storage_ &&
-           same_shape(ops_.a, *parts.front().a);
-}
-
-template <typename T>
-void recorded_solve<T>::rebind(const std::vector<assembly_part<T>>& parts)
-{
-    // Native requests under a compressed recording narrow on copy (the
-    // opts-driven compression the record path applied).
-    detail::gather_into(parts, ops_);
-    ++rebinds_;
-}
-
-template <typename T>
-double recorded_solve<T>::replay(xpu::queue& q, xpu::submit_cost cost)
-{
-    if (plan_.zero_spill && !spill_.empty()) {
-        // Match the eager path's per-launch zero fill bit-for-bit.
-        std::fill(spill_.begin(), spill_.end(), T{});
-    }
-    wall_timer timer;
-    exec_.replay(q, cost);
-    return timer.seconds();
-}
-
-template <typename T>
-void recorded_solve<T>::scatter(
-    const std::vector<assembly_part<T>>& parts) const
-{
-    detail::scatter(ops_.x, parts);
-}
-
-template class recorded_solve<float>;
-template class recorded_solve<double>;
+template class recording_cache<float>;
+template class recording_cache<double>;
 
 }  // namespace batchlin::solver

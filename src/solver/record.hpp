@@ -1,36 +1,36 @@
 // Graph-recorded coalesced solves: record once, rebind + replay per batch.
 //
-// `solve_coalesced` pays per batch for (a) the eager kernel submission
-// (`emulated_launch_us`), (b) re-planning the workspace and re-binding the
-// plan, and (c) re-constructing the preconditioner dispatch. For a serve::
-// worker the stream of batches is highly repetitive — same pattern, same
-// options, frequently even the same total batch size (the coalescing hash
-// already groups requests exactly this way) — so `recorded_solve` hoists
-// all three out of the loop:
+// An eager `solve_coalesced` pays per batch for (a) the eager kernel
+// submission (`emulated_launch_us`), (b) re-planning the workspace and
+// re-binding the plan, and (c) re-constructing the preconditioner
+// dispatch. For a serve:: worker the stream of batches is highly
+// repetitive — same pattern, same options, frequently even the same total
+// batch size (the coalescing hash already groups requests exactly this
+// way) — so a `recording_cache` hoists all three out of the loop. Given
+// one, `solve_coalesced` runs each batch as:
 //
-//   record()  — gathers the parts into owned, address-stable operands,
-//               resolves plan + launch config once, and records the
-//               bound solver kernel — through the same dispatch ladder an
-//               eager solve launches through (ladder.hpp) — into a
-//               finalized `xpu::graph_exec` whose closure captures raw
-//               pointers into the owned storage; the preconditioner is
-//               constructed once, at record time.
-//   rebind()  — swaps in the next batch's data by value copy (matrix
-//               values, right-hand sides, initial guesses). No
-//               re-recording: the sparsity pattern is shared, and every
-//               preconditioner reads the matrix VALUES in-kernel via
-//               `generate()` (host construction is pattern-only), so a
-//               value swap is bit-exact.
-//   replay()  — submits the finalized graph at `emulated_replay_us`
-//               (or zero in persistent mode) instead of the full eager
-//               launch cost.
-//   scatter() — copies the solutions back into the parts' x storage.
+//   record   — on a miss: gathers the parts into owned, address-stable
+//              operands, resolves plan + launch config once, and records
+//              the bound solver kernel — through the same dispatch ladder
+//              an eager solve launches through (ladder.hpp) — into a
+//              finalized `xpu::graph_exec` (charging `emulated_record_us`
+//              once) whose closure captures raw pointers into the owned
+//              storage; the preconditioner is constructed once, here.
+//   rebind   — on a hit: swaps in the batch's data by value copy (matrix
+//              values, right-hand sides, initial guesses). No
+//              re-recording: the sparsity pattern is shared, and every
+//              preconditioner reads the matrix VALUES in-kernel via
+//              `generate()` (host construction is pattern-only), so a
+//              value swap is bit-exact.
+//   replay   — submits the finalized graph at `emulated_replay_us`
+//              instead of the full eager launch cost.
+//   scatter  — copies the solutions back into the parts' x storage.
 //
 // Fault integration: replays advance the queue's launch counter through
 // the normal launch path, so `fault_plan` events fire on replays exactly
-// as on eager launches. After a faulted replay the caller must
-// `invalidate()` (or drop) the recording and re-record — never replay a
-// poisoned graph (tests/test_serve.cpp covers this).
+// as on eager launches. A faulted replay invalidates its recording, so the
+// caller's retry re-records — a poisoned graph is never replayed
+// (tests/test_serve.cpp covers this).
 #pragma once
 
 #include <cstdint>
@@ -39,86 +39,59 @@
 
 #include "solver/assemble.hpp"
 #include "solver/options.hpp"
-#include "xpu/graph.hpp"
 #include "xpu/queue.hpp"
 
 namespace batchlin::solver {
 
+/// One recorded coalesced solve (record.cpp).
 template <typename T>
-class recorded_solve {
+class recorded_solve;
+
+/// What a `recording_cache` did over its life. A faulted replay counts:
+/// the submission happened, like a failed eager launch.
+struct recording_counts {
+    std::uint64_t recorded = 0;
+    std::uint64_t rebound = 0;
+    std::uint64_t replayed = 0;
+};
+
+/// One worker's recordings, reached through `solve_coalesced`: a batch
+/// whose shape (coalescing key, then an exact check of options, total
+/// item count, storage mode and sparsity pattern, so a hash collision
+/// re-records instead of corrupting) matches a slot is rebound and
+/// replayed; a miss records into a free slot, an invalidated one, or the
+/// least recently used one. Owned by one thread — no locking.
+template <typename T>
+class recording_cache {
 public:
-    /// Records the coalesced solve of `parts` under `opts` into a
-    /// finalized graph on `q` (charging `emulated_record_us` once).
-    /// The recording owns copies of every operand, so the parts may be
-    /// destroyed afterwards. Rejects `trsv` and `record_history`; throws
-    /// the same validation/unsupported errors as `solve_coalesced`.
-    /// Nothing executes until the first `replay`.
-    static std::unique_ptr<recorded_solve> record(
-        xpu::queue& q, const std::vector<assembly_part<T>>& parts,
-        const solve_options& opts);
+    /// Keeps at most `capacity` (> 0) recordings.
+    explicit recording_cache(std::size_t capacity);
+    ~recording_cache();
 
-    /// True when `parts` solved under `opts` may reuse this recording via
-    /// rebind(): equal options, equal total batch size, the leader's
-    /// pattern matches the recorded pattern, and the graph is still
-    /// valid. (The parts must be mutually coalescible — the caller's
-    /// batcher invariant; only the leader is checked here.)
-    bool compatible(const std::vector<assembly_part<T>>& parts,
-                    const solve_options& opts) const;
-
-    /// Copies the parts' matrix values, right-hand sides, and initial
-    /// guesses into the recording's owned operands. The parts must
-    /// satisfy `compatible()`.
-    void rebind(const std::vector<assembly_part<T>>& parts);
-
-    /// Replays the finalized graph on `q` at `cost`; returns the host
-    /// wall-clock seconds of the replay. Faults scheduled on the launch
-    /// counter fire here; on a thrown device fault, invalidate() and
-    /// re-record before retrying.
-    double replay(xpu::queue& q,
-                  xpu::submit_cost cost = xpu::submit_cost::replay);
-
-    /// Scatters the combined solution back into the parts' x storage
-    /// (same part order as record()/rebind()).
-    void scatter(const std::vector<assembly_part<T>>& parts) const;
-
-    /// Convergence records of the most recent replay (combined batch
-    /// indexing; slice per part with `split_log`).
-    const log::batch_log& log() const { return log_; }
-
-    const slm_plan& plan() const { return plan_; }
-    const kernel_config& config() const { return config_; }
-    index_type total_items() const { return total_items_; }
-
-    std::uint64_t replays() const { return exec_.replays(); }
-    std::uint64_t rebinds() const { return rebinds_; }
-    bool valid() const { return exec_.valid(); }
-    void invalidate() { exec_.invalidate(); }
+    const recording_counts& totals() const { return totals_; }
 
 private:
-    recorded_solve(detail::assembly<T> ops, const solve_options& opts,
-                   slm_plan plan, kernel_config config);
+    template <typename U>
+    friend solve_result solve_coalesced(xpu::queue&,
+                                        const std::vector<assembly_part<U>>&,
+                                        const solve_options&,
+                                        recording_cache<U>*);
 
-    // Owned, address-stable operands the recorded closure points into.
-    // The object lives behind a unique_ptr and these members never move
-    // or reallocate after construction.
-    detail::assembly<T> ops_;
-    solve_options opts_;
-    /// Storage mode of the *request* matrices at record time. ops_.a
-    /// itself may be compressed beyond this (opts-driven), so
-    /// compatibility compares incoming parts against the request-side
-    /// mode.
-    mat::storage_precision request_storage_ = mat::storage_precision::native;
-    slm_plan plan_;
-    bound_plan slots_;
-    kernel_config config_;
-    index_type total_items_ = 0;
-    std::vector<T> spill_;
-    log::batch_log log_;
-    /// Type-erased owned preconditioner (points into ops_.a for the
-    /// pattern-dependent ones; ops_.a is address-stable, see above).
-    std::shared_ptr<void> precond_;
-    xpu::graph_exec exec_;
-    std::uint64_t rebinds_ = 0;
+    struct slot {
+        std::uint64_t key = 0;
+        std::uint64_t last_use = 0;
+        std::unique_ptr<recorded_solve<T>> rec;
+    };
+
+    solve_result solve(xpu::queue& q,
+                       const std::vector<assembly_part<T>>& parts,
+                       const solve_options& opts);
+
+    std::size_t capacity_;
+    std::vector<slot> slots_;
+    /// LRU clock.
+    std::uint64_t tick_ = 0;
+    recording_counts totals_;
 };
 
 }  // namespace batchlin::solver

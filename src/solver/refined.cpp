@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "solver/assemble.hpp"
 #include "solver/residual.hpp"
 #include "solver/resilient.hpp"
 #include "util/error.hpp"
@@ -180,18 +181,6 @@ refined_result solve_refined(xpu::queue& q, const batch_matrix<T>& a,
     return solve_refined(q, a, compressed, b, x, opts, ropts);
 }
 
-template <typename T>
-refined_result solve_refined_coalesced(
-    xpu::queue& q, const std::vector<assembly_part<T>>& parts,
-    const solve_options& opts, const refine_options& ropts)
-{
-    return detail::solve_gathered(
-        parts, [&](const batch_matrix<T>& a, const mat::batch_dense<T>& b,
-                   mat::batch_dense<T>& x) {
-            return solve_refined(q, a, b, x, opts, ropts);
-        });
-}
-
 #define BATCHLIN_INSTANTIATE_REFINED(T)                                     \
     template refined_result solve_refined<T>(                               \
         xpu::queue&, const batch_matrix<T>&, const batch_matrix<T>&,        \
@@ -200,10 +189,7 @@ refined_result solve_refined_coalesced(
     template refined_result solve_refined<T>(                               \
         xpu::queue&, const batch_matrix<T>&, const mat::batch_dense<T>&,    \
         mat::batch_dense<T>&, const solve_options&,                         \
-        const refine_options&);                                             \
-    template refined_result solve_refined_coalesced<T>(                     \
-        xpu::queue&, const std::vector<assembly_part<T>>&,                  \
-        const solve_options&, const refine_options&)
+        const refine_options&)
 
 BATCHLIN_INSTANTIATE_REFINED(float);
 BATCHLIN_INSTANTIATE_REFINED(double);

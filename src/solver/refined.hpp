@@ -22,7 +22,6 @@
 
 #include <vector>
 
-#include "solver/assemble.hpp"
 #include "solver/dispatch.hpp"
 
 namespace batchlin::solver {
@@ -91,13 +90,5 @@ refined_result solve_refined(xpu::queue& q, const batch_matrix<T>& a,
                              mat::batch_dense<T>& x,
                              const solve_options& opts,
                              const refine_options& ropts = {});
-
-/// Coalesced variant (the serve:: integration): gathers the parts into
-/// one combined batch, refines it, scatters the solutions back. Same
-/// part-order contract as `solve_coalesced`.
-template <typename T>
-refined_result solve_refined_coalesced(
-    xpu::queue& q, const std::vector<assembly_part<T>>& parts,
-    const solve_options& opts, const refine_options& ropts = {});
 
 }  // namespace batchlin::solver

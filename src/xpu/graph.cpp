@@ -46,37 +46,21 @@ graph_exec command_graph::finalize()
         std::move(nodes_));
     nodes_.clear();
     queue_ = nullptr;
-    ++records_;
     return graph_exec(std::move(nodes));
 }
 
-void graph_exec::replay(queue& q, submit_cost cost)
+void graph_exec::replay(queue& q)
 {
     BATCHLIN_ENSURE_MSG(nodes_ != nullptr,
                         "replay of a default-constructed graph_exec");
     BATCHLIN_ENSURE_MSG(!invalidated_,
                         "replay of an invalidated graph_exec; re-record "
                         "instead of replaying a poisoned graph");
-    // A throwing replay still counts: the submission happened, exactly
-    // like a failed eager launch advancing the launch counter.
-    ++replays_;
-    double first_us = 0.0;
-    switch (cost) {
-    case submit_cost::eager:
-        first_us = q.policy().emulated_launch_us;
-        break;
-    case submit_cost::replay:
-        first_us = q.policy().emulated_replay_us;
-        break;
-    case submit_cost::resident:
-        first_us = 0.0;
-        break;
-    }
     // One submission is charged per replay regardless of node count —
     // that is the whole point of a finalized graph.
     bool first = true;
     for (const graph_node& node : *nodes_) {
-        q.run_recorded(node, first ? first_us : 0.0);
+        q.run_recorded(node, first ? q.policy().emulated_replay_us : 0.0);
         first = false;
     }
 }

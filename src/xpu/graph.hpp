@@ -22,7 +22,6 @@
 // invalidated executable throws.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -48,17 +47,6 @@ struct graph_node {
     std::function<void(group&)> body;
 };
 
-/// What a graph submission costs on the host, per replay.
-enum class submit_cost {
-    /// Full eager-launch cost (`emulated_launch_us`) — for comparisons.
-    eager,
-    /// Finalized-graph replay cost (`emulated_replay_us`). The default.
-    replay,
-    /// Zero host cost: the consuming kernel is already resident on the
-    /// device (persistent-worker mode) and no submission happens at all.
-    resident,
-};
-
 /// A finalized, replayable executable. Cheap to move; replay is not
 /// thread-safe (replay on one queue at a time, like the queue itself).
 class graph_exec {
@@ -67,19 +55,11 @@ public:
 
     /// Executes every recorded node on `q` in record order. Each node goes
     /// through the queue's launch path — the launch counter advances and
-    /// fault events keyed to it fire — but is charged `cost` instead of
-    /// the eager launch overhead. Throws whatever the kernels throw;
-    /// throws `state_error` when the executable has been invalidated.
-    void replay(queue& q, submit_cost cost = submit_cost::replay);
-
-    /// Number of completed `replay` calls (a throwing replay counts: the
-    /// submission happened, like a failed launch advancing the counter).
-    std::uint64_t replays() const { return replays_; }
-
-    index_type num_nodes() const
-    {
-        return nodes_ ? static_cast<index_type>(nodes_->size()) : 0;
-    }
+    /// fault events keyed to it fire — but one replay is charged
+    /// `emulated_replay_us` instead of the eager launch overhead. Throws
+    /// whatever the kernels throw; throws `state_error` when the
+    /// executable has been invalidated.
+    void replay(queue& q);
 
     /// True until `invalidate()` — an empty executable is not valid.
     bool valid() const { return nodes_ != nullptr && !invalidated_; }
@@ -96,7 +76,6 @@ private:
     {}
 
     std::shared_ptr<const std::vector<graph_node>> nodes_;
-    std::uint64_t replays_ = 0;
     bool invalidated_ = false;
 };
 
@@ -128,21 +107,12 @@ public:
     /// recorder is attached).
     void add(graph_node node) { nodes_.push_back(std::move(node)); }
 
-    bool recording() const { return active_; }
-    index_type num_nodes() const
-    {
-        return static_cast<index_type>(nodes_.size());
-    }
-    /// Number of completed `finalize()` calls on this recorder.
-    std::uint64_t records() const { return records_; }
-
 private:
     /// Attached queue: set by begin_recording, kept through end_recording
     /// so finalize() can charge the record cost, cleared by finalize().
     queue* queue_ = nullptr;
     bool active_ = false;
     std::vector<graph_node> nodes_;
-    std::uint64_t records_ = 0;
 };
 
 }  // namespace batchlin::xpu

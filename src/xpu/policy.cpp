@@ -77,7 +77,6 @@ std::string to_string(launch_mode mode)
     switch (mode) {
     case launch_mode::direct: return "direct";
     case launch_mode::graph_replay: return "graph_replay";
-    case launch_mode::persistent: return "persistent";
     }
     return "unknown";
 }
@@ -90,12 +89,9 @@ launch_mode parse_launch_mode(const std::string& name)
     if (name == "graph_replay") {
         return launch_mode::graph_replay;
     }
-    if (name == "persistent") {
-        return launch_mode::persistent;
-    }
     BATCHLIN_ENSURE_MSG(false,
-                        "unknown launch mode (expected direct, "
-                        "graph_replay, or persistent)");
+                        "unknown launch mode (expected direct or "
+                        "graph_replay)");
     return launch_mode::direct;
 }
 

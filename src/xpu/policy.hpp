@@ -61,15 +61,10 @@ enum class launch_mode {
     /// Record the bound solver launch into an `xpu::command_graph` once,
     /// then replay the finalized graph per batch (SYCL
     /// `khr::command_graph`), paying `emulated_replay_us` instead of the
-    /// full `emulated_launch_us` per submission.
+    /// full `emulated_launch_us` per submission. A device whose solver
+    /// kernel stays resident (no host submission at all) is this mode
+    /// with `emulated_replay_us = 0`.
     graph_replay,
-    /// Persistent-kernel serving: fused batches go through the recorded
-    /// graph like `graph_replay`, but each submission is charged
-    /// `submit_cost::resident` — the solver kernel is modeled as already
-    /// resident on the device, so a steady-state submission costs no host
-    /// launch at all. The serve layer's scheduling is the same in every
-    /// mode; only this submit cost differs.
-    persistent,
 };
 
 /// Reduction strategy inside a work-group (paper §3.2 and §3.6).
@@ -119,9 +114,9 @@ struct exec_policy {
     /// (charged once per `command_graph::finalize`, not per replay).
     double emulated_record_us = 0.0;
     /// How solver launches reach the device queue (see `launch_mode`).
-    /// `direct` is always available; `graph_replay` and `persistent` are
-    /// honored by layers that know how to record a solve (serve::, the
-    /// coalesced solve path) and fall back to `direct` elsewhere.
+    /// `direct` is always available; `graph_replay` is honored by layers
+    /// that know how to record a solve (serve::, through the coalesced
+    /// solve path) and falls back to `direct` elsewhere.
     batchlin::xpu::launch_mode launch_mode = batchlin::xpu::launch_mode::direct;
     /// Sanitizer level kernels launched through this policy run at. Any
     /// value other than `none` requires a BATCHLIN_XPU_CHECK=ON build;
@@ -156,7 +151,7 @@ std::string to_string(check_level level);
 std::string to_string(lane_order order);
 std::string to_string(launch_mode mode);
 
-/// Parses "direct" / "graph_replay" / "persistent" (as printed by
+/// Parses "direct" / "graph_replay" (as printed by
 /// `to_string(launch_mode)`); throws on anything else. Used by the
 /// BATCHLIN_LAUNCH_MODE environment override and the CLI flag.
 launch_mode parse_launch_mode(const std::string& name);

@@ -482,7 +482,7 @@ TEST(ConcSlot, ResolverAlwaysWakesARegisteredWaiter)
 
 TEST(ConcSlot, DeferredWakeSweepResolvesEveryWaiter)
 {
-    // Persistent mode defers wakes to a per-batch sweep: both slots are
+    // A worker defers wakes to a per-batch sweep: both slots are
     // resolved first, then every collected word is woken. No waiter may be
     // lost in between.
     const conc::report rep = conc::explore(exhaustive(1), [] {

@@ -59,8 +59,7 @@ bl::xpu::exec_policy mode_policy(bl::xpu::launch_mode mode)
 /// Every launch mode, for the tests that pin down behavior the single
 /// dispatch loop must show in all of them.
 const std::vector<bl::xpu::launch_mode> kAllModes{
-    bl::xpu::launch_mode::direct, bl::xpu::launch_mode::graph_replay,
-    bl::xpu::launch_mode::persistent};
+    bl::xpu::launch_mode::direct, bl::xpu::launch_mode::graph_replay};
 
 template <typename T>
 serve::solve_request<T> make_request(mat::batch_csr<T> a,
@@ -202,8 +201,10 @@ TEST(Record, ReplayBitIdenticalToEagerForEveryTable3Combo)
     // Every legal format x preconditioner cell of BATCHLIN_FOR_EACH_COMBO,
     // times the four iterative solvers, times native / fp32 storage (fp32
     // requested by the options on native parts, and fp32 parts): a
-    // recorded two-part batch, replayed, then rebound to new values and
-    // replayed again, must match eager solves of each part bit for bit.
+    // two-part batch solved through a recording cache — recorded and
+    // replayed, then rebound to new values and replayed again — must match
+    // eager solves of each part bit for bit, and report the same launch
+    // counters as the eager fused solve of the same batch.
     using solver::matrix_format;
     using ptype = bl::precond::type;
     const std::vector<std::pair<matrix_format, ptype>> cells{
@@ -256,11 +257,11 @@ TEST(Record, ReplayBitIdenticalToEagerForEveryTable3Combo)
                                    : mat::storage_precision::fp32;
 
                 bl::xpu::queue rq(bl::xpu::make_sycl_policy());
-                std::unique_ptr<solver::recorded_solve<double>> rec;
+                solver::recording_cache<double> cache(1);
                 for (std::uint64_t round = 0; round < 2; ++round) {
                     std::vector<solver::batch_matrix<double>> as;
-                    std::vector<mat::batch_dense<double>> bs, xs;
-                    std::vector<solver::assembly_part<double>> parts;
+                    std::vector<mat::batch_dense<double>> bs, xs, xe;
+                    std::vector<solver::assembly_part<double>> parts, eparts;
                     for (int p = 0; p < 2; ++p) {
                         const std::uint64_t seed = 40 + 10 * round + p;
                         as.push_back(as_format(
@@ -270,19 +271,37 @@ TEST(Record, ReplayBitIdenticalToEagerForEveryTable3Combo)
                         bs.push_back(work::random_rhs<double>(
                             part_items[p], rows, seed + 5));
                         xs.emplace_back(part_items[p], rows, 1);
+                        xe.emplace_back(part_items[p], rows, 1);
                     }
                     for (int p = 0; p < 2; ++p) {
                         parts.push_back({&as[p], &bs[p], &xs[p]});
+                        eparts.push_back({&as[p], &bs[p], &xe[p]});
                     }
-                    if (round == 0) {
-                        rec = solver::recorded_solve<double>::record(
-                            rq, parts, opts);
-                    } else {
-                        ASSERT_TRUE(rec->compatible(parts, opts)) << where;
-                        rec->rebind(parts);
-                    }
-                    rec->replay(rq);
-                    rec->scatter(parts);
+                    const solver::solve_result got =
+                        solver::solve_coalesced(rq, parts, opts, &cache);
+                    const solver::recording_counts& counts = cache.totals();
+                    EXPECT_EQ(counts.recorded, 1u) << where;
+                    EXPECT_EQ(counts.rebound, round) << where;
+                    EXPECT_EQ(counts.replayed, round + 1) << where;
+
+                    bl::xpu::queue eq(bl::xpu::make_sycl_policy());
+                    const bl::xpu::counters want =
+                        solver::solve_coalesced(eq, eparts, opts).stats;
+                    EXPECT_EQ(got.stats.flops, want.flops) << where;
+                    EXPECT_EQ(got.stats.global_read_bytes,
+                              want.global_read_bytes)
+                        << where;
+                    EXPECT_EQ(got.stats.global_write_bytes,
+                              want.global_write_bytes)
+                        << where;
+                    EXPECT_EQ(got.stats.slm_bytes, want.slm_bytes) << where;
+                    EXPECT_EQ(got.stats.constant_read_bytes,
+                              want.constant_read_bytes)
+                        << where;
+                    EXPECT_EQ(got.stats.kernel_launches, 1) << where;
+                    EXPECT_EQ(got.stats.kernel_launches,
+                              want.kernel_launches)
+                        << where;
 
                     index_type offset = 0;
                     for (int p = 0; p < 2; ++p) {
@@ -291,7 +310,7 @@ TEST(Record, ReplayBitIdenticalToEagerForEveryTable3Combo)
                         const solver::solve_result eager =
                             solver::solve(q, as[p], bs[p], x, opts);
                         const bl::log::batch_log replayed = solver::split_log(
-                            rec->log(), offset, part_items[p]);
+                            got.log, offset, part_items[p]);
                         EXPECT_TRUE(same_bits(xs[p].values(), x.values()))
                             << where << " round " << round << " part " << p;
                         EXPECT_EQ(replayed.all_iterations(),
@@ -941,10 +960,11 @@ TEST(ServeResilience, FaultStormTripsTheBreakerAndSuspendsCoalescing)
 }
 
 // ---------------------------------------------------------------------
-// Launch modes: graph_replay and persistent must be bit-identical to the
-// direct path, recordings must be reused via rebind() across batches, a
-// faulted replay must re-record (never replay a poisoned graph), and the
-// persistent ring must behave as a bounded lock-free MPMC queue.
+// Launch modes: graph_replay must be bit-identical to the direct path,
+// recordings must be reused via rebind() across batches, refined and trsv
+// batches must bypass the recordings, a faulted replay must re-record
+// (never replay a poisoned graph), and the dispatch ring must behave as a
+// bounded lock-free MPMC queue.
 // ---------------------------------------------------------------------
 
 namespace {
@@ -975,9 +995,7 @@ TEST(Serve, LaunchModesBitIdenticalToDirectAcrossSolvers)
 {
     const std::vector<solver::solve_options> all_opts{
         cg_opts(), bicgstab_opts(), gmres_opts(), richardson_opts()};
-    const std::vector<bl::xpu::launch_mode> modes{
-        bl::xpu::launch_mode::direct, bl::xpu::launch_mode::graph_replay,
-        bl::xpu::launch_mode::persistent};
+    const std::vector<bl::xpu::launch_mode>& modes = kAllModes;
 
     for (std::size_t oi = 0; oi < all_opts.size(); ++oi) {
         const solver::solve_options& opts = all_opts[oi];
@@ -1060,13 +1078,77 @@ TEST(Serve, GraphReplayReusesRecordingAcrossRebinds)
     EXPECT_EQ(s.batches_launched, 6u);
 }
 
-TEST(Serve, PersistentModeServesThroughTheRing)
+TEST(Serve, RefinedAndTrsvRequestsBypassTheRecordingsBitIdentically)
+{
+    // Refinement has a convergence-dependent launch count and trsv cannot
+    // be recorded, so in every launch mode both run outside the recording
+    // cache, bit-identical to their solo solves.
+    solver::solve_options ropts = cg_opts();
+    ropts.criterion = stop::relative(1e-11, 200);
+    ropts.storage = mat::storage_precision::fp32;
+    ropts.refine_sweeps = 3;
+    const mat::batch_csr<double> refined_a =
+        work::stencil_3pt<double>(3, 24, 161);
+
+    // Lower-triangular pattern: diagonal plus subdiagonal.
+    mat::batch_csr<double> trsv_a(2, 3, 3, {0, 1, 3, 5}, {0, 0, 1, 1, 2});
+    const double v0[] = {2, 1, 3, -1, 4};
+    const double v1[] = {1, 2, 2, 3, 5};
+    std::copy(std::begin(v0), std::end(v0), trsv_a.item_values(0));
+    std::copy(std::begin(v1), std::end(v1), trsv_a.item_values(1));
+    solver::solve_options topts;
+    topts.solver = solver::solver_type::trsv;
+
+    mat::batch_dense<double> want_refined(3, 24, 1);
+    {
+        bl::xpu::queue q(bl::xpu::make_sycl_policy());
+        solver::refine_options sweeps;
+        sweeps.max_sweeps = ropts.refine_sweeps;
+        const auto rr = solver::solve_refined(
+            q, solver::batch_matrix<double>(refined_a),
+            work::random_rhs<double>(3, 24, 162), want_refined, ropts,
+            sweeps);
+        ASSERT_EQ(rr.log.num_converged(), 3);
+    }
+    mat::batch_dense<double> want_trsv(2, 3, 1);
+    {
+        bl::xpu::queue q(bl::xpu::make_sycl_policy());
+        solver::solve(q, solver::batch_matrix<double>(trsv_a),
+                      work::random_rhs<double>(2, 3, 163), want_trsv, topts);
+    }
+
+    for (const bl::xpu::launch_mode mode : kAllModes) {
+        SCOPED_TRACE(bl::xpu::to_string(mode));
+        serve::service_config cfg;
+        cfg.workers = 1;
+        cfg.max_wait = microseconds(0);
+        serve::solve_service service(mode_policy(mode), cfg);
+        auto refined = service.submit(make_request(refined_a, ropts, 162));
+        auto trsv = service.submit(make_request(trsv_a, topts, 163));
+        const serve::solve_reply<double> r1 = refined.get();
+        const serve::solve_reply<double> r2 = trsv.get();
+        ASSERT_EQ(r1.status, serve::request_status::ok) << r1.error;
+        ASSERT_EQ(r2.status, serve::request_status::ok) << r2.error;
+        EXPECT_TRUE(same_bits(r1.x.values(), want_refined.values()));
+        EXPECT_TRUE(same_bits(r2.x.values(), want_trsv.values()));
+
+        service.drain();
+        const serve::service_stats s = service.stats();
+        EXPECT_EQ(s.batches_launched, 2u);
+        EXPECT_EQ(s.launches_recorded, 0u);
+        EXPECT_EQ(s.replays, 0u);
+        EXPECT_EQ(s.rebind_only, 0u);
+        EXPECT_EQ(s.refined_batches, 1u);
+    }
+}
+
+TEST(Serve, GraphReplayWorkersShareTheRingAndReplayEveryBatch)
 {
     serve::service_config cfg;
     cfg.workers = 2;
     cfg.max_batch = 8;
     serve::solve_service service(
-        mode_policy(bl::xpu::launch_mode::persistent), cfg);
+        mode_policy(bl::xpu::launch_mode::graph_replay), cfg);
 
     std::vector<serve::solve_service::ticket<double>> tickets;
     for (int i = 0; i < 24; ++i) {
@@ -1092,7 +1174,7 @@ TEST(Serve, PersistentModeServesThroughTheRing)
     EXPECT_EQ(s.queue_depth_requests, 0u);
     EXPECT_EQ(s.queue_depth_systems, 0u);
     EXPECT_GT(s.launches_recorded, 0u);
-    // Every fused launch of the resident loop is a graph submission.
+    // Every fused launch is a graph submission.
     EXPECT_EQ(s.replays, s.batches_launched);
     service.stop();
     // Late submits are rejected, exactly like the locked admission path.

@@ -595,17 +595,17 @@ TEST(ShardServe, PerShardStatsAreConsistentAfterDrain)
     EXPECT_EQ(s.queue_depth_systems, 0u);
 }
 
-TEST(ShardServe, PersistentModeShardsServeAndStayConsistent)
+TEST(ShardServe, GraphReplayShardsServeAndStayConsistent)
 {
     xpu::exec_policy policy = xpu::make_sycl_policy();
-    policy.launch_mode = xpu::launch_mode::persistent;
+    policy.launch_mode = xpu::launch_mode::graph_replay;
     serve::service_config cfg;
     cfg.shards = 2;
     cfg.workers = 1;
     cfg.max_batch = 16;
     cfg.max_queue_systems = 8192;
     serve::solve_service service(policy, cfg);
-    ASSERT_EQ(service.launch_mode(), xpu::launch_mode::persistent);
+    ASSERT_EQ(service.launch_mode(), xpu::launch_mode::graph_replay);
 
     std::vector<serve::solve_ticket<double>> tickets;
     for (int i = 0; i < 128; ++i) {
@@ -627,5 +627,7 @@ TEST(ShardServe, PersistentModeShardsServeAndStayConsistent)
     EXPECT_EQ(s.queue_depth_systems, 0u);
     EXPECT_EQ(s.shards[0].backlog_ns, 0);
     EXPECT_EQ(s.shards[1].backlog_ns, 0);
+    // Every fused launch on either shard is a graph submission.
+    EXPECT_EQ(s.replays, s.batches_launched);
     service.stop();
 }

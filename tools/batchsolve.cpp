@@ -91,7 +91,7 @@ struct cli_options {
         "  --json          machine-readable output\n"
         "  --serve         route the batch through serve::solve_service\n"
         "                  as one request per system (CSR only)\n"
-        "  --launch-mode M     direct|graph_replay|persistent [direct]\n"
+        "  --launch-mode M     direct|graph_replay [direct]\n"
         "  --serve-workers N   worker threads                [2]\n"
         "  --serve-batch N     max systems per fused launch  [64]\n"
         "  --serve-wait-us N   batching window in usec       [200]\n"
