@@ -6,13 +6,38 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "workload/stencil.hpp"
 #include "xpu/fault.hpp"
 
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
+
 namespace batchlin::serve {
 
 namespace {
+
+/// First call of every thread the service owns (dispatch workers, the
+/// watchdog). Linux lets a timed sleep fire up to the thread's timer
+/// slack late, 50 us by default; at 1 ns the window hold, the retry
+/// backoff, the probe cooldown and the watchdog scan end within a few us
+/// of their deadlines. `name` (at most 15 characters kept) makes the
+/// service's threads findable in /proc/<pid>/task and in debuggers.
+/// Threads the caller owns keep their own slack: the service never
+/// changes it for a blocked submitter's `space_bell_` park, the 50 us
+/// `drain()` poll, `stop()`'s joins, or a client's `get()`. A no-op off
+/// Linux, like the futex shims.
+void service_thread_init(const std::string& name)
+{
+#if defined(__linux__)
+    prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+    prctl(PR_SET_NAME, name.c_str(), 0UL, 0UL, 0UL);
+#else
+    (void)name;
+#endif
+}
 
 double seconds_between(std::chrono::steady_clock::time_point from,
                        std::chrono::steady_clock::time_point to)
@@ -263,6 +288,10 @@ service_stats solve_service::stats() const
     s.refined_batches = totals_.refined;
     s.refine_sweeps = totals_.refine_sweeps;
     s.refine_fallbacks = totals_.refine_fallbacks;
+    s.window_holds = totals_.window_holds;
+    s.window_held_us = static_cast<double>(totals_.window_held_ns) * 1e-3;
+    s.window_overslept_us =
+        static_cast<double>(totals_.window_overslept_ns) * 1e-3;
     s.watchdog_evictions =
         watchdog_evictions_.load(std::memory_order_relaxed);
     s.migrations = migrations_.load(std::memory_order_relaxed);
@@ -574,6 +603,7 @@ bool solve_service::maybe_probe(shard_lane& lane, xpu::queue& q)
 
 void solve_service::watchdog_loop()
 {
+    service_thread_init("serve-watchdog");
     const std::int64_t timeout_ns =
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             config_.hang_timeout)
@@ -679,7 +709,8 @@ void solve_service::pop_into(shard_lane& lane,
 
 void solve_service::hold_window(shard_lane& own,
                                 std::vector<detail::pending_ptr>& chunk,
-                                index_type& total, int brownout)
+                                index_type& total, int brownout,
+                                detail::batch_tally& window)
 {
     using clock = std::chrono::steady_clock;
     const detail::pending_entry& leader = *chunk.front();
@@ -700,6 +731,19 @@ void solve_service::hold_window(shard_lane& own,
         (brownout >= 1 ? config_.max_wait / 4 : config_.max_wait);
     // The ring is empty from here on (the last pop came up short).
     auto quiet_since = clock::now();
+    // Set by the first park: only a window that waited counts as a hold,
+    // and only a wake from a park as oversleep.
+    std::optional<clock::time_point> opened;
+    const auto ns = [](clock::duration d) {
+        return static_cast<std::uint64_t>(
+            std::chrono::nanoseconds(d).count());
+    };
+    const auto closed = [&] {
+        if (opened) {
+            ++window.window_holds;
+            window.window_held_ns += ns(clock::now() - *opened);
+        }
+    };
     while (total < config_.max_batch && !gate_.closed()) {
         // Adaptive flush: once the ring has stayed empty for idle_flush,
         // no companion is coming — with closed-loop clients none can
@@ -711,7 +755,16 @@ void solve_service::hold_window(shard_lane& own,
         }
         const auto now = clock::now();
         if (now >= close_at) {
+            // Closed on its deadline: how late the wake came (timer
+            // slack plus scheduling delay) is what the window overran.
+            if (opened) {
+                window.window_overslept_ns += ns(now - close_at);
+            }
+            closed();
             return;
+        }
+        if (!opened) {
+            opened = now;
         }
         bell_.park_for(
             [&] {
@@ -729,14 +782,18 @@ void solve_service::hold_window(shard_lane& own,
             const bool ours = companion(*entry);
             chunk.push_back(std::move(entry));
             if (!ours) {
+                closed();
                 return;
             }
         }
     }
+    closed();
 }
 
 void solve_service::dispatch_loop(index_type shard_id, int local_id)
 {
+    service_thread_init("serve-s" + std::to_string(shard_id) + "w" +
+                        std::to_string(local_id));
     const std::size_t widx =
         static_cast<std::size_t>(shard_id) *
             static_cast<std::size_t>(config_.workers) +
@@ -829,9 +886,10 @@ void solve_service::dispatch_loop(index_type shard_id, int local_id)
         // Stolen work is backlog by definition, and an entry already past
         // its deadline (checkpoint 2, dequeue) has nothing to wait for:
         // neither opens a window.
+        detail::batch_tally window;
         if (!stolen && !solo &&
             chunk.front()->deadline > std::chrono::steady_clock::now()) {
-            hold_window(own, chunk, total, brownout);
+            hold_window(own, chunk, total, brownout, window);
         }
 
         // Group the chunk into compatible fused launches. FIFO arrivals
@@ -862,12 +920,14 @@ void solve_service::dispatch_loop(index_type shard_id, int local_id)
             }
             const std::size_t popped = group.size();
             try {
+                // The first group carries the window's counts into the
+                // service totals.
                 if (group.front()->body.index() == 0) {
                     execute_typed<double>(own, q, caches, std::move(group),
-                                          brownout);
+                                          brownout, std::exchange(window, {}));
                 } else {
                     execute_typed<float>(own, q, caches, std::move(group),
-                                         brownout);
+                                         brownout, std::exchange(window, {}));
                 }
             } catch (...) {
                 // execute_typed() fails tickets individually; anything that
@@ -912,7 +972,7 @@ template <typename T>
 void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
                                   detail::worker_caches* caches,
                                   std::vector<detail::pending_ptr> batch,
-                                  int brownout)
+                                  int brownout, detail::batch_tally tally)
 {
     const auto launch_time = std::chrono::steady_clock::now();
     launch_age_scope age(lane.launch_started_ns, steady_now_ns());
@@ -937,7 +997,6 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
     // shrugs off the resulting thundering herd, and each client wakes
     // exactly once per fused window.
     std::vector<conc::atomic<std::uint32_t>*> wake_list;
-    detail::batch_tally tally;
     std::vector<index_type> launch_sizes;
     std::vector<double> latencies;
 

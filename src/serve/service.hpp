@@ -157,7 +157,9 @@ enum class overflow_policy {
     /// Complete the ticket immediately with `request_status::rejected`.
     reject,
     /// Block the submitting thread until space frees up (or the service
-    /// stops accepting, which rejects).
+    /// stops accepting, which rejects). A request deadline that passes
+    /// meanwhile is noticed at the submitting thread's own timer slack;
+    /// the service does not change a caller's slack.
     block,
 };
 
@@ -195,7 +197,10 @@ struct service_config {
     /// window closes early once `max_batch` compatible systems are
     /// gathered, or as soon as the worker pops a request of another key.
     /// Stolen work and a shard with a tripped breaker launch without a
-    /// window. Zero launches whatever has accumulated immediately.
+    /// window. Zero launches whatever has accumulated immediately. Held
+    /// on a worker thread, which runs at 1 ns timer slack, so the window
+    /// closes within a few us of this deadline, not Linux's default 50 us
+    /// late (`service_stats::window_overslept_us` measures it).
     std::chrono::microseconds max_wait{200};
     /// Adaptive window flush: once the shard's ring has stayed empty for
     /// this long — every other client is waiting on an in-flight reply,
@@ -203,7 +208,8 @@ struct service_config {
     /// launches instead of holding the full `max_wait` window open. This
     /// removes the low-load pathology where a lone request burns the
     /// whole window for companions that cannot exist. Applies in every
-    /// launch mode. Zero disables (always wait out `max_wait`).
+    /// launch mode. Zero disables (always wait out `max_wait`). Honoured
+    /// to within a few us, like `max_wait`.
     std::chrono::microseconds idle_flush{25};
     /// Cached graph recordings per worker and precision in the
     /// `graph_replay` launch mode (LRU-evicted, see
@@ -227,7 +233,8 @@ struct service_config {
     /// a retry is a fresh launch and typically clears a transient fault.
     index_type launch_retries = 2;
     /// Backoff before the first retry; doubles per retry up to
-    /// `max_retry_backoff` (capped exponential backoff).
+    /// `max_retry_backoff` (capped exponential backoff). Slept on the
+    /// worker thread, so honoured to within a few us.
     std::chrono::microseconds retry_backoff{50};
     std::chrono::microseconds max_retry_backoff{1000};
     /// Circuit breaker: when at least `breaker_window` fused launches
@@ -253,14 +260,19 @@ struct service_config {
     /// with a device error before a worker declares the shard lost.
     std::uint32_t evict_after_exhausted = 1;
     /// Watchdog scan period; zero disables the watchdog thread (worker-
-    /// side eviction still runs).
+    /// side eviction still runs). The watchdog runs at 1 ns timer slack,
+    /// so scans start within a few us of this period.
     std::chrono::microseconds watchdog_interval{500};
     /// In-flight launch age past which the watchdog declares the lane
     /// wedged and evicts it (the hung batch itself is handled by its
     /// worker when the launch finally returns or throws).
     std::chrono::microseconds hang_timeout{20'000};
     /// Cooldown between an eviction (or a failed probe) and the next
-    /// half-open probe on that lane.
+    /// half-open probe on that lane. Slept on the evicted lane's worker,
+    /// so honoured to within a few us. (Waits on the caller's own threads
+    /// run at the caller's timer slack: a submit blocked by
+    /// `overflow_policy::block` until its deadline, the `drain()` poll,
+    /// and a ticket's `get()`.)
     std::chrono::microseconds probe_interval{1'000};
     /// How many times one entry may be migrated off dying lanes before
     /// it fails with a structured error; 0 = one round over the fleet
@@ -372,6 +384,12 @@ struct batch_tally {
     std::uint64_t refined = 0;
     std::uint64_t refine_sweeps = 0;
     std::uint64_t refine_fallbacks = 0;
+    /// Batching windows held (see `solve_service::hold_window`), the
+    /// time they stayed open, and how far past their deadline the ones
+    /// that closed on it woke.
+    std::uint64_t window_holds = 0;
+    std::uint64_t window_held_ns = 0;
+    std::uint64_t window_overslept_ns = 0;
 
     batch_tally& operator+=(const batch_tally& o)
     {
@@ -388,6 +406,9 @@ struct batch_tally {
         refined += o.refined;
         refine_sweeps += o.refine_sweeps;
         refine_fallbacks += o.refine_fallbacks;
+        window_holds += o.window_holds;
+        window_held_ns += o.window_held_ns;
+        window_overslept_ns += o.window_overslept_ns;
         return *this;
     }
 };
@@ -720,8 +741,10 @@ private:
     /// The batching window of `chunk.front()` (the leader): keeps popping
     /// `own`'s ring until the window closes (see `service_config::
     /// max_wait` / `idle_flush`), parking on the doorbell in between.
+    /// Counts the hold into `window`'s window fields.
     void hold_window(shard_lane& own, std::vector<detail::pending_ptr>& chunk,
-                     index_type& total, int brownout);
+                     index_type& total, int brownout,
+                     detail::batch_tally& window);
 
     /// Deepest ring worth stealing from; -1 when no victim clears the
     /// threshold.
@@ -730,11 +753,13 @@ private:
     /// Solves one group of compatible entries as one fused batch through
     /// `caches` (null in `direct` mode) and resolves every entry: retries
     /// with backoff, then failover eviction or degraded solo solves.
+    /// The batch's outcomes are added to `tally` (the window's counts
+    /// for a chunk's first group, else empty) and it to the totals.
     template <typename T>
     void execute_typed(shard_lane& lane, xpu::queue& q,
                        detail::worker_caches* caches,
                        std::vector<detail::pending_ptr> batch,
-                       int brownout);
+                       int brownout, detail::batch_tally tally);
 
     service_config config_;
     /// Snapshot of the policy's launch mode (possibly overridden by the

@@ -124,6 +124,17 @@ struct service_stats {
     /// resilient solve.
     std::uint64_t refine_fallbacks = 0;
 
+    /// Batching windows held open for companions (a window counts once
+    /// its worker parks for one; a chunk that is already full or whose
+    /// deadline already passed is not held), the total time they stayed
+    /// open, and the total time the ones that closed on their deadline
+    /// (`max_wait` or `idle_flush`) woke past it. Service
+    /// threads run at 1 ns timer slack, so the oversleep is a few us per
+    /// hold, where Linux's default 50 us slack would be most of one.
+    std::uint64_t window_holds = 0;
+    double window_held_us = 0.0;
+    double window_overslept_us = 0.0;
+
     /// Failover counters (PR 10; all zero unless `config.failover`).
     /// Lane evictions (sum over shards) and the subset declared by the
     /// watchdog's launch-age signal rather than a worker's retry

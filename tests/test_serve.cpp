@@ -7,17 +7,26 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <future>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "batchlin/batchlin.hpp"
 #include "serve/ring.hpp"
+
+#if defined(__linux__)
+#include <dirent.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
 
 namespace bl = batchlin;
 namespace mat = batchlin::mat;
@@ -1222,6 +1231,128 @@ TEST(Serve, ZeroIdleFlushHoldsTheFullWindow)
         const auto elapsed = std::chrono::steady_clock::now() - t0;
         EXPECT_GE(elapsed, milliseconds(250));
     }
+}
+
+TEST(Serve, IdleFlushHoldIsCountedWithItsOversleep)
+{
+    for (const bl::xpu::launch_mode mode : kAllModes) {
+        SCOPED_TRACE(bl::xpu::to_string(mode));
+        serve::service_config cfg;
+        cfg.workers = 1;
+        cfg.max_wait = milliseconds(2000);
+        cfg.idle_flush = microseconds(50);
+        serve::solve_service service(mode_policy(mode), cfg);
+
+        auto ticket = service.submit(make_request(
+            work::stencil_3pt<double>(1, 16, 163), cg_opts(), 1002));
+        ASSERT_EQ(ticket.get().status, serve::request_status::ok);
+        // Replies resolve before the batch's counters commit.
+        service.drain();
+        const serve::service_stats s = service.stats();
+        EXPECT_EQ(s.window_holds, 1u);
+        EXPECT_GT(s.window_held_us, 0.0);
+        // The lone leader's window closes on idle_flush, so its wake
+        // past that deadline is part of the time it was held.
+        EXPECT_GE(s.window_overslept_us, 0.0);
+        EXPECT_LE(s.window_overslept_us, s.window_held_us);
+        EXPECT_NE(s.to_json().find("\"window_holds\": 1,"),
+                  std::string::npos);
+    }
+}
+
+namespace {
+
+/// First line of a /proc text file; empty when it is absent or
+/// unreadable.
+std::string proc_line(const std::string& path)
+{
+    std::ifstream in(path);
+    std::string line;
+    std::getline(in, line);
+    return line;
+}
+
+}  // namespace
+
+TEST(Serve, ServiceThreadsOwnFineTimerSlack)
+{
+#if defined(__linux__)
+    const long self = static_cast<long>(syscall(SYS_gettid));
+    const std::string own_before =
+        proc_line("/proc/" + std::to_string(self) + "/timerslack_ns");
+    if (own_before.empty()) {
+        GTEST_SKIP() << "no readable /proc/<tid>/timerslack_ns";
+    }
+    serve::service_config cfg;
+    cfg.shards = 2;
+    cfg.workers = 2;
+    cfg.failover = true;
+    serve::solve_service service(bl::xpu::make_sycl_policy(), cfg);
+    std::set<std::string> expected{"serve-watchdog"};
+    for (std::size_t shard = 0; shard < service.stats().shards.size();
+         ++shard) {
+        for (int w = 0; w < cfg.workers; ++w) {
+            expected.insert("serve-s" + std::to_string(shard) + "w" +
+                            std::to_string(w));
+        }
+    }
+    ASSERT_EQ(expected.size(), 5u);  // one per worker plus the watchdog
+
+    // comm name -> timer slack of each thread carrying it. Names, not
+    // thread counts, identify the service's threads: OpenMP team threads
+    // a worker starts inherit its name and slack, and may outlive an
+    // earlier service of this process for a moment. A thread sets its
+    // slack before its name, so a named thread already has its slack; the
+    // threads name themselves as they start, hence the wait.
+    std::map<std::string, std::vector<long long>> found;
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    const auto all_named = [&] {
+        for (const std::string& name : expected) {
+            if (found.count(name) == 0) {
+                return false;
+            }
+        }
+        return true;
+    };
+    for (;;) {
+        found.clear();
+        DIR* dir = opendir("/proc/self/task");
+        ASSERT_NE(dir, nullptr);
+        while (const dirent* d = readdir(dir)) {
+            if (d->d_name[0] == '.') {
+                continue;
+            }
+            const std::string tid = d->d_name;
+            const std::string comm = proc_line("/proc/" + tid + "/comm");
+            if (comm.rfind("serve-", 0) != 0) {
+                continue;
+            }
+            const std::string slack =
+                proc_line("/proc/" + tid + "/timerslack_ns");
+            found[comm].push_back(slack.empty() ? -1 : std::stoll(slack));
+        }
+        closedir(dir);
+        if (all_named() || std::chrono::steady_clock::now() >= give_up) {
+            break;
+        }
+        std::this_thread::sleep_for(milliseconds(1));
+    }
+
+    for (const std::string& name : expected) {
+        SCOPED_TRACE(name);
+        ASSERT_EQ(found.count(name), 1u);
+        for (const long long slack : found[name]) {
+            EXPECT_GE(slack, 0);
+            EXPECT_LE(slack, 1000);
+        }
+    }
+    // The library must not touch the caller's thread.
+    EXPECT_EQ(proc_line("/proc/" + std::to_string(self) + "/timerslack_ns"),
+              own_before);
+#else
+    GTEST_SKIP() << "timer slack is a Linux notion";
+#endif
 }
 
 TEST(Serve, RingIsBoundedFifoAndHandsBackOwnership)
