@@ -1,7 +1,5 @@
 #include "matrix/storage.hpp"
 
-#include <cstdlib>
-
 #include "util/error.hpp"
 
 namespace batchlin::mat {
@@ -22,18 +20,6 @@ storage_precision parse_storage_precision(const std::string& name)
     BATCHLIN_ENSURE_MSG(
         false, "unknown storage precision (expected native or fp32)");
     return storage_precision::native;
-}
-
-storage_precision default_storage_precision()
-{
-    static const storage_precision mode = [] {
-        const char* env = std::getenv("BATCHLIN_STORAGE");
-        if (env == nullptr || *env == '\0') {
-            return storage_precision::native;
-        }
-        return parse_storage_precision(env);
-    }();
-    return mode;
 }
 
 }  // namespace batchlin::mat

@@ -43,10 +43,4 @@ constexpr storage_precision effective_storage(storage_precision mode)
     return mode;
 }
 
-/// Process-wide default, read once from BATCHLIN_STORAGE ("native"|"fp32",
-/// unset means native). The env override exists so scripts/check.sh can
-/// re-run whole suites under compressed storage without touching each
-/// call site (same pattern as BATCHLIN_LAUNCH_MODE).
-storage_precision default_storage_precision();
-
 }  // namespace batchlin::mat

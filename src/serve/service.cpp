@@ -1,7 +1,6 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <exception>
 #include <optional>
 #include <string>
@@ -120,44 +119,10 @@ solve_service::solve_service(xpu::exec_policy policy, service_config config)
                         "batching window cannot be negative");
     BATCHLIN_ENSURE_MSG(config_.idle_flush.count() >= 0,
                         "idle flush window cannot be negative");
-    // Operator escape hatch: flip the launch mode without rebuilding the
-    // caller (scripts/check.sh runs whole suites per mode this way). The
-    // override replaces the *default* only — a policy that explicitly
-    // selects a non-direct mode keeps it, so mode-specific tests stay
-    // meaningful under a mode-sweeping harness.
-    if (policy.launch_mode == xpu::launch_mode::direct) {
-        // Read-only env lookup; nothing in batchlin calls setenv.
-        // NOLINTNEXTLINE(concurrency-mt-unsafe)
-        const char* env = std::getenv("BATCHLIN_LAUNCH_MODE");
-        if (env != nullptr && *env != '\0') {
-            policy.launch_mode = xpu::parse_launch_mode(env);
-        }
-    }
     launch_mode_ = policy.launch_mode;
     batch_histogram_.assign(static_cast<std::size_t>(config_.max_batch) + 1,
                             0);
 
-    // Shard override (same escape-hatch contract as the launch mode): a
-    // config still at the single-shard default picks up BATCHLIN_SHARDS /
-    // BATCHLIN_SHARD_DEVICES; a config that explicitly selects sharding
-    // keeps its setting. An explicit device list wins over a bare count.
-    if (config_.shards == 1 && config_.shard_devices.empty()) {
-        if (auto devices = shard::shard_devices_from_env()) {
-            config_.shard_devices = std::move(*devices);
-        } else if (auto count = shard::shards_from_env()) {
-            config_.shards = *count;
-        }
-    }
-    // Failover override (same escape-hatch contract): a config still at
-    // the default picks up BATCHLIN_FAILOVER=1; an explicit setting wins.
-    if (!config_.failover) {
-        // Read-only env lookup; nothing in batchlin calls setenv.
-        // NOLINTNEXTLINE(concurrency-mt-unsafe)
-        const char* env = std::getenv("BATCHLIN_FAILOVER");
-        if (env != nullptr && *env != '\0' && *env != '0') {
-            config_.failover = true;
-        }
-    }
     registry_ = config_.shard_devices.empty()
                     ? shard::registry::uniform(config_.shards, "PVC-1S",
                                                policy)

@@ -166,11 +166,7 @@ enum class overflow_policy {
 struct service_config {
     /// Worker threads *per shard*; each owns a private `xpu::queue`.
     int workers = 2;
-    /// Logical device shards. The default (1) may be overridden by the
-    /// BATCHLIN_SHARDS / BATCHLIN_SHARD_DEVICES environment variables —
-    /// the operator escape hatch scripts/check.sh config 8 uses to re-run
-    /// whole suites sharded; a config that explicitly selects sharding
-    /// keeps its setting.
+    /// Logical device shards.
     index_type shards = 1;
     /// Explicit per-shard device names ("pvc1s", "pvc2s", "a100",
     /// "h100"; see shard::parse_device_list). Empty: `shards` uniform
@@ -252,9 +248,8 @@ struct service_config {
     /// surviving shards, the hang watchdog, and half-open probing. Off by
     /// default: eviction changes *where* a persistently-faulting batch
     /// completes, and the PR 5 resilience suites pin down the
-    /// degrade-in-place counts. A config still at the default picks up
-    /// the BATCHLIN_FAILOVER environment override. Only meaningful with
-    /// at least two shards (a lone lane has nowhere to fail over to).
+    /// degrade-in-place counts. Only meaningful with at least two shards
+    /// (a lone lane has nowhere to fail over to).
     bool failover = false;
     /// Consecutive fused executions that exhausted their launch retries
     /// with a device error before a worker declares the shard lost.
@@ -577,12 +572,10 @@ public:
 
     const service_config& config() const { return config_; }
 
-    /// Launch mode the workers actually run in — the policy's mode after
-    /// the BATCHLIN_LAUNCH_MODE environment override is applied.
+    /// Launch mode the workers run in: the constructor policy's.
     xpu::launch_mode launch_mode() const { return launch_mode_; }
 
-    /// The device registry the service shards over (after the
-    /// BATCHLIN_SHARDS / BATCHLIN_SHARD_DEVICES overrides).
+    /// The device registry the service shards over.
     const shard::registry& devices() const { return registry_; }
 
 private:
@@ -762,8 +755,7 @@ private:
                        int brownout, detail::batch_tally tally);
 
     service_config config_;
-    /// Snapshot of the policy's launch mode (possibly overridden by the
-    /// BATCHLIN_LAUNCH_MODE environment variable at construction).
+    /// Snapshot of the constructor policy's launch mode.
     xpu::launch_mode launch_mode_ = xpu::launch_mode::direct;
     std::chrono::steady_clock::time_point start_;
 

@@ -1,7 +1,6 @@
 #include "shard/registry.hpp"
 
 #include <cctype>
-#include <cstdlib>
 
 #include "util/error.hpp"
 
@@ -67,34 +66,6 @@ std::vector<std::string> parse_device_list(const std::string& list)
     BATCHLIN_ENSURE_MSG(!names.empty(),
                         "empty shard device list: '" + list + "'");
     return names;
-}
-
-std::optional<index_type> shards_from_env()
-{
-    // Read-only env lookup; nothing in batchlin calls setenv.
-    // NOLINTNEXTLINE(concurrency-mt-unsafe)
-    const char* env = std::getenv("BATCHLIN_SHARDS");
-    if (env == nullptr || *env == '\0') {
-        return std::nullopt;
-    }
-    char* end = nullptr;
-    const long value = std::strtol(env, &end, 10);
-    BATCHLIN_ENSURE_MSG(end != nullptr && *end == '\0' && value > 0,
-                        std::string("BATCHLIN_SHARDS must be a positive "
-                                    "integer, got '") +
-                            env + "'");
-    return static_cast<index_type>(value);
-}
-
-std::optional<std::vector<std::string>> shard_devices_from_env()
-{
-    // Read-only env lookup; nothing in batchlin calls setenv.
-    // NOLINTNEXTLINE(concurrency-mt-unsafe)
-    const char* env = std::getenv("BATCHLIN_SHARD_DEVICES");
-    if (env == nullptr || *env == '\0') {
-        return std::nullopt;
-    }
-    return parse_device_list(env);
 }
 
 registry registry::uniform(index_type count, const std::string& device_name,

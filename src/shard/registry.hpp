@@ -23,7 +23,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,14 +57,6 @@ std::string canonical_device_name(const std::string& name);
 /// names; throws on unknown devices or an empty list.
 std::vector<std::string> parse_device_list(const std::string& list);
 
-/// BATCHLIN_SHARDS environment override: the shard count, when set to a
-/// positive integer. Throws on garbage so a typo cannot silently run
-/// unsharded.
-std::optional<index_type> shards_from_env();
-
-/// BATCHLIN_SHARD_DEVICES environment override: an explicit device list.
-std::optional<std::vector<std::string>> shard_devices_from_env();
-
 /// The device registry. Build it with one of the factories; entries are
 /// immutable afterwards.
 class registry {
@@ -74,8 +65,8 @@ public:
 
     /// `count` identical shards of the named device. The base policy is
     /// used verbatim (no launch-cost emulation): uniform registries back
-    /// the BATCHLIN_SHARDS sweep where behavior must match the unsharded
-    /// service exactly.
+    /// the differential oracle's shard axis, where behavior must match
+    /// the unsharded service exactly.
     static registry uniform(index_type count, const std::string& device_name,
                             const xpu::exec_policy& base);
 

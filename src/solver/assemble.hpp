@@ -183,6 +183,29 @@ void copy_items(const M& src, index_type from, M& dst, index_type to,
     }
 }
 
+/// Gathers the listed items of a batch into a fresh one with the same
+/// format, pattern, and storage mode.
+template <typename M>
+M gather_items(const M& src, const std::vector<index_type>& items)
+{
+    M out = empty_like(src, static_cast<index_type>(items.size()));
+    for (index_type j = 0; j < out.num_batch_items(); ++j) {
+        copy_items(src, items[static_cast<std::size_t>(j)], out, j);
+    }
+    return out;
+}
+
+template <typename T>
+batch_matrix<T> gather_items(const batch_matrix<T>& a,
+                             const std::vector<index_type>& items)
+{
+    return std::visit(
+        [&](const auto& m) -> batch_matrix<T> {
+            return gather_items(m, items);
+        },
+        a);
+}
+
 /// One coalesced batch's operands, parts laid out batch-major in order.
 template <typename T>
 struct assembly {

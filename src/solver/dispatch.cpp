@@ -291,8 +291,9 @@ solve_result solve_range(xpu::queue& q, const batch_matrix<T>& a,
         spill_buffer<T> spill(q, result.plan, range.size());
         if (setup.compressed && native) {
             // A native matrix under an fp32 request is compressed into a
-            // temporary copy — a convenience for env-driven sweeps, while
-            // hot paths (solve_refined, serve) pre-convert once and reuse.
+            // temporary copy for callers that set `opts.storage = fp32`
+            // on a native batch (batchsolve, one-off solves); hot paths
+            // (solve_refined, serve) pre-convert once and reuse.
             batch_matrix<T> tmp = a;
             set_storage(tmp, mat::storage_precision::fp32);
             detail::launch_bound(q, tmp, b, x, opts, slots, result.config,

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cmath>
+#include <limits>
 
 #include "blas/device_blas.hpp"
 #include "blas/matrix_view.hpp"
@@ -142,14 +143,22 @@ void run_gmres_bound(xpu::queue& q, const MatBatch& a,
                     const T denom = std::sqrt(h_at(j, j) * h_at(j, j) +
                                               h_at(j + 1, j) *
                                                   h_at(j + 1, j));
-                    if (denom == T{0}) {
-                        // The rotated Hessenberg column vanished: the
-                        // projected operator annihilated v_j (singular A
-                        // with an exhausted Krylov space). A unit rotation
-                        // here would zero |g_{j+1}| and fake convergence,
-                        // and the triangular solve would divide by the
-                        // zero diagonal — exit with the last restart's
-                        // iterate instead.
+                    // The rotations are orthogonal, so the column keeps
+                    // its norm: |M A v_j|^2 = sum_{i<j} h_ij^2 + denom^2.
+                    T column = denom * denom;
+                    for (index_type i = 0; i < j; ++i) {
+                        column += h_at(i, j) * h_at(i, j);
+                    }
+                    if (denom <= T{64} * std::numeric_limits<T>::epsilon() *
+                                     std::sqrt(column)) {
+                        // The rotated Hessenberg column vanished to
+                        // working precision: the projected operator
+                        // annihilated v_j (A singular, or numerically so,
+                        // on the Krylov space). A rotation by this
+                        // rounding residue would zero |g_{j+1}| and fake
+                        // convergence, and the triangular solve would
+                        // divide by the (near-)zero diagonal — exit with
+                        // the last restart's iterate instead.
                         status = log::solve_status::direction_annihilated;
                         break;
                     }

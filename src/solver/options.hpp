@@ -98,13 +98,12 @@ struct solve_options {
     /// the historical per-launch buffers. serve:: disables it on its hot
     /// path (see service_config::skip_spill_zeroing).
     bool zero_spill = true;
-    /// Storage precision of the matrix and preconditioner payloads. The
-    /// default follows BATCHLIN_STORAGE (native when unset). fp32 halves
-    /// the streamed value/factor bytes on the bandwidth-bound solve path;
-    /// compute precision is unaffected (arithmetic widens on read), but
-    /// the attainable true residual floors near fp32 epsilon — use
+    /// Storage precision of the matrix and preconditioner payloads. fp32
+    /// halves the streamed value/factor bytes on the bandwidth-bound solve
+    /// path; compute precision is unaffected (arithmetic widens on read),
+    /// but the attainable true residual floors near fp32 epsilon — use
     /// solve_refined (or refine_sweeps in serve) to recover full accuracy.
-    mat::storage_precision storage = mat::default_storage_precision();
+    mat::storage_precision storage = mat::storage_precision::native;
     /// Maximum iterative-refinement sweeps of a `solve_coalesced` call
     /// (solver::solve_refined); 0 solves directly with no refinement.
     /// Part of the options on purpose: the coalescing hash and equality

@@ -1,6 +1,7 @@
 #include "solver/refined.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "solver/assemble.hpp"
 #include "solver/residual.hpp"
@@ -56,16 +57,27 @@ refined_result solve_refined(xpu::queue& q, const batch_matrix<T>& a,
     inner.criterion.tolerance =
         std::max(opts.criterion.tolerance, ropts.inner_tolerance);
 
+    // Every system refines on its own: it sweeps until it meets its
+    // target, stalls or runs out of sweeps, and a stopped system never
+    // changes again. Its result is therefore independent of its batch
+    // companions, so a coalesced refined batch stays bit-identical to solo
+    // solves. The iterate lives in a working copy until the end, so a
+    // device fault mid-refinement leaves `x` at the caller's initial guess
+    // and a retry starts where a solo solve would.
+    mat::batch_dense<T> xw = x;
     std::vector<index_type> iterations(static_cast<std::size_t>(items), 0);
+    std::vector<bool> active(static_cast<std::size_t>(items), true);
     const auto accumulate = [&](const solve_result& res) {
         out.stats += res.stats;
         for (index_type i = 0; i < items; ++i) {
-            iterations[static_cast<std::size_t>(i)] +=
-                res.log.iterations(i);
+            if (active[static_cast<std::size_t>(i)]) {
+                iterations[static_cast<std::size_t>(i)] +=
+                    res.log.iterations(i);
+            }
         }
     };
 
-    accumulate(solve(q, compressed, b, x, inner));
+    accumulate(solve(q, compressed, b, xw, inner));
 
     const std::vector<double> bnorm = item_norms(b);
     const auto target = [&](index_type i) {
@@ -78,75 +90,81 @@ refined_result solve_refined(xpu::queue& q, const batch_matrix<T>& a,
     mat::batch_dense<T> r(items, rows, 1);
     mat::batch_dense<T> d(items, rows, 1);
     const auto true_norms = [&] {
-        residual_vectors(a, b, x, r);
+        residual_vectors(a, b, xw, r);
         return item_norms(r);
     };
     std::vector<double> rnorm = true_norms();
-    const auto all_met = [&] {
-        for (index_type i = 0; i < items; ++i) {
-            if (rnorm[static_cast<std::size_t>(i)] > target(i)) {
-                return false;
-            }
-        }
-        return true;
+    // NaN-safe: a non-finite residual counts as unmet.
+    const auto unmet = [&](index_type i) {
+        return !(rnorm[static_cast<std::size_t>(i)] <= target(i));
     };
+    for (index_type i = 0; i < items; ++i) {
+        active[static_cast<std::size_t>(i)] = unmet(i);
+    }
 
-    bool stalled = false;
-    while (!all_met() && out.sweeps < ropts.max_sweeps && !stalled) {
+    while (std::find(active.begin(), active.end(), true) != active.end() &&
+           out.sweeps < ropts.max_sweeps) {
         // Correction solve A32 d = r from a zero guess; its stop target is
         // relative to the correction RHS, which is exactly what the inner
-        // relative criterion gives when solving against r.
+        // relative criterion gives when solving against r. A stopped
+        // system's residual is zeroed, so its correction short-circuits.
+        for (index_type i = 0; i < items; ++i) {
+            if (!active[static_cast<std::size_t>(i)]) {
+                std::fill_n(r.item_values(i), rows, T{});
+            }
+        }
         d.fill(T{});
         accumulate(solve(q, compressed, r, d, inner));
-        {
-            auto& xv = x.values();
-            const auto& dv = d.values();
-            for (std::size_t s = 0; s < xv.size(); ++s) {
-                xv[s] += dv[s];
-            }
-        }
-        // Progress check on the worst still-unconverged system: classic IR
-        // contracts the error by ~cond(A)·eps32 per sweep, so a sweep that
-        // fails the threshold signals an operator the compressed storage
-        // cannot resolve — keep sweeping would burn launches for nothing.
-        double worst_before = 0.0;
         for (index_type i = 0; i < items; ++i) {
-            if (rnorm[static_cast<std::size_t>(i)] > target(i)) {
-                worst_before = std::max(
-                    worst_before, rnorm[static_cast<std::size_t>(i)]);
+            if (active[static_cast<std::size_t>(i)]) {
+                std::transform(xw.item_values(i), xw.item_values(i) + rows,
+                               d.item_values(i), xw.item_values(i),
+                               std::plus<>());
             }
         }
+        const std::vector<double> before = rnorm;
         rnorm = true_norms();
         ++out.sweeps;
-        double worst_after = 0.0;
+        // Classic IR contracts the error by ~cond(A)·eps32 per sweep, so a
+        // sweep that fails the threshold signals an operator the
+        // compressed storage cannot resolve; sweeping on would burn
+        // launches for nothing.
         for (index_type i = 0; i < items; ++i) {
-            if (rnorm[static_cast<std::size_t>(i)] > target(i)) {
-                worst_after = std::max(worst_after,
-                                       rnorm[static_cast<std::size_t>(i)]);
-            }
-        }
-        if (worst_after > 0.0 &&
-            worst_after > ropts.stall_threshold * worst_before) {
-            stalled = true;
+            const auto s = static_cast<std::size_t>(i);
+            active[s] = active[s] && unmet(i) &&
+                        rnorm[s] <= ropts.stall_threshold * before[s];
         }
     }
 
-    if (!all_met() && ropts.fallback_to_native) {
+    std::vector<index_type> short_of_target;
+    for (index_type i = 0; i < items; ++i) {
+        if (unmet(i)) {
+            short_of_target.push_back(i);
+        }
+    }
+    if (!short_of_target.empty() && ropts.fallback_to_native) {
         // Refinement stalled (or ran out of sweeps) short of the target:
-        // demote to the native-storage fallback chain so the caller never
-        // gets worse accuracy than a plain native solve.
+        // demote exactly those systems to the native-storage fallback
+        // chain, so the caller never gets worse accuracy than a plain
+        // native solve and converged companions keep their bits.
         solve_options primary = opts;
         primary.storage = mat::storage_precision::native;
         primary.refine_sweeps = 0;
-        const resilient_result rr =
-            solve_resilient(q, a, b, x, default_chain(primary));
+        mat::batch_dense<T> sub_x = detail::gather_items(xw, short_of_target);
+        const resilient_result rr = solve_resilient(
+            q, detail::gather_items(a, short_of_target),
+            detail::gather_items(b, short_of_target), sub_x,
+            default_chain(primary));
         out.stats += rr.stats;
         out.fell_back = true;
-        for (index_type i = 0; i < items; ++i) {
-            iterations[static_cast<std::size_t>(i)] += rr.log.iterations(i);
+        for (index_type j = 0; j < sub_x.num_batch_items(); ++j) {
+            const index_type i = short_of_target[static_cast<std::size_t>(j)];
+            iterations[static_cast<std::size_t>(i)] += rr.log.iterations(j);
+            detail::copy_items(sub_x, j, xw, i);
         }
         rnorm = true_norms();
     }
+    x = std::move(xw);
 
     out.log = log::batch_log(items);
     out.true_residuals.resize(static_cast<std::size_t>(items));

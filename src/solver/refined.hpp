@@ -10,9 +10,12 @@
 //   3. correction    A32 d = r,  x += d,  repeat until the FP64 target
 //      holds (classic iterative refinement with a compressed inner
 //      operator),
-//   4. on a stalled sweep, demote to the native-storage resilience chain
-//      (`solve_resilient`) so accuracy never regresses below a plain
-//      native solve.
+//   4. demote a system that stalls or runs out of sweeps to the
+//      native-storage resilience chain (`solve_resilient`) so accuracy
+//      never regresses below a plain native solve.
+//
+// Each system sweeps, stalls and falls back on its own, so a system's
+// result does not depend on the batch it was solved in.
 //
 // The driver therefore needs the NATIVE matrix (for the residuals); the
 // compressed operator is either converted once per call or supplied
@@ -35,12 +38,12 @@ struct refine_options {
     /// tighter is unreachable on fp32 storage. Floored at the outer
     /// tolerance so a loose outer request is honored directly.
     double inner_tolerance = 1e-6;
-    /// A sweep counts as progress when it shrinks the worst unconverged
-    /// true residual by at least this factor; otherwise refinement has
-    /// stalled (the compressed operator cannot resolve the remaining
-    /// error) and the fallback engages.
+    /// A sweep counts as progress for a system when it shrinks the
+    /// system's true residual by at least this factor; otherwise that
+    /// system has stalled (the compressed operator cannot resolve the
+    /// remaining error) and the fallback engages for it.
     double stall_threshold = 0.5;
-    /// Demote stalled batches to a native-storage `solve_resilient` run.
+    /// Demote stalled systems to a native-storage `solve_resilient` run.
     /// Disabled, a stall returns with the systems' best-effort iterates
     /// and non-converged statuses.
     bool fallback_to_native = true;
@@ -58,8 +61,9 @@ struct refined_result {
     /// Counters summed over every inner launch (and the fallback, if it
     /// ran) — this is where the fp32 traffic reduction shows up.
     xpu::counters stats;
-    /// Correction sweeps performed (0 = the first inner solve already met
-    /// the outer target, or refinement was not applicable).
+    /// Correction sweeps performed, by the system that took the most (0 =
+    /// the first inner solve already met the outer target everywhere, or
+    /// refinement was not applicable).
     index_type sweeps = 0;
     /// Whether the stall fallback re-solved on native storage.
     bool fell_back = false;

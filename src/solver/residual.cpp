@@ -9,8 +9,10 @@ namespace batchlin::solver {
 namespace {
 
 // The per-format row kernel: hands `sink(row, r)` each row residual
-// r = b_i - (A x)_i of one item, accumulated in FP64 in the pattern's
-// order.
+// r = b_i - (A x)_i of one item, with (A x)_i accumulated in FP64 in the
+// pattern's order before b_i is subtracted: folding b_i into the running
+// sum would let a huge iterate absorb it (a diverged null-space component
+// cancels exactly in A x, and r would read 0 instead of b_i).
 template <typename T, typename Sink>
 void item_residuals(const mat::batch_csr<T>& a, index_type item,
                     const mat::batch_dense<T>& b,
@@ -21,13 +23,13 @@ void item_residuals(const mat::batch_csr<T>& a, index_type item,
     const T* vals = compressed ? nullptr : a.item_values(item);
     const float* vals32 = compressed ? a.item_values_fp32(item) : nullptr;
     for (index_type i = 0; i < a.rows(); ++i) {
-        double r = static_cast<double>(b.at(item, i, 0));
+        double ax = 0.0;
         for (index_type k = a.row_ptrs()[i]; k < a.row_ptrs()[i + 1]; ++k) {
             const double v = compressed ? static_cast<double>(vals32[k])
                                         : static_cast<double>(vals[k]);
-            r -= v * static_cast<double>(x.at(item, a.col_idxs()[k], 0));
+            ax += v * static_cast<double>(x.at(item, a.col_idxs()[k], 0));
         }
-        sink(i, r);
+        sink(i, static_cast<double>(b.at(item, i, 0)) - ax);
     }
 }
 
@@ -37,15 +39,15 @@ void item_residuals(const mat::batch_ell<T>& a, index_type item,
                     const mat::batch_dense<T>& x, Sink&& sink)
 {
     for (index_type i = 0; i < a.rows(); ++i) {
-        double r = static_cast<double>(b.at(item, i, 0));
+        double ax = 0.0;
         for (index_type k = 0; k < a.ell_width(); ++k) {
             const index_type col = a.col_at(i, k);
             if (col != mat::ell_padding) {
-                r -= static_cast<double>(a.val_at(item, i, k)) *
-                     static_cast<double>(x.at(item, col, 0));
+                ax += static_cast<double>(a.val_at(item, i, k)) *
+                      static_cast<double>(x.at(item, col, 0));
             }
         }
-        sink(i, r);
+        sink(i, static_cast<double>(b.at(item, i, 0)) - ax);
     }
 }
 
@@ -55,12 +57,12 @@ void item_residuals(const mat::batch_dense<T>& a, index_type item,
                     const mat::batch_dense<T>& x, Sink&& sink)
 {
     for (index_type i = 0; i < a.rows(); ++i) {
-        double r = static_cast<double>(b.at(item, i, 0));
+        double ax = 0.0;
         for (index_type j = 0; j < a.cols(); ++j) {
-            r -= static_cast<double>(a.at(item, i, j)) *
-                 static_cast<double>(x.at(item, j, 0));
+            ax += static_cast<double>(a.at(item, i, j)) *
+                  static_cast<double>(x.at(item, j, 0));
         }
-        sink(i, r);
+        sink(i, static_cast<double>(b.at(item, i, 0)) - ax);
     }
 }
 

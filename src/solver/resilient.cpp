@@ -19,29 +19,6 @@ double now_seconds()
         .count();
 }
 
-/// Gathers the listed items of a batch into a fresh one with the same
-/// format, pattern, and storage mode.
-template <typename M>
-M gather_items(const M& src, const std::vector<index_type>& items)
-{
-    M out = detail::empty_like(src, static_cast<index_type>(items.size()));
-    for (index_type j = 0; j < out.num_batch_items(); ++j) {
-        detail::copy_items(src, items[static_cast<std::size_t>(j)], out, j);
-    }
-    return out;
-}
-
-template <typename T>
-batch_matrix<T> gather_items(const batch_matrix<T>& a,
-                             const std::vector<index_type>& items)
-{
-    return std::visit(
-        [&](const auto& m) -> batch_matrix<T> {
-            return gather_items(m, items);
-        },
-        a);
-}
-
 /// The direct terminal stage wants CSR at native storage: dense and ELL
 /// convert losslessly, and LU has no refinement loop to recover narrowed
 /// bits, so an fp32-storage batch is widened first.
@@ -200,8 +177,8 @@ resilient_result solve_resilient(xpu::queue& q, const batch_matrix<T>& a,
          ++stage_idx) {
         const fallback_stage& stage =
             opts.chain[static_cast<std::size_t>(stage_idx)];
-        batch_matrix<T> sub_a = gather_items(a, scope);
-        mat::batch_dense<T> sub_b = gather_items(b, scope);
+        batch_matrix<T> sub_a = detail::gather_items(a, scope);
+        mat::batch_dense<T> sub_b = detail::gather_items(b, scope);
         // Zero initial guess: the unhealthy iterate may carry poisoned
         // values that would instantly re-trip the non-finite guards.
         mat::batch_dense<T> sub_x(static_cast<index_type>(scope.size()),

@@ -153,7 +153,7 @@ std::string to_string(launch_mode mode);
 
 /// Parses "direct" / "graph_replay" (as printed by
 /// `to_string(launch_mode)`); throws on anything else. Used by the
-/// BATCHLIN_LAUNCH_MODE environment override and the CLI flag.
+/// `batchsolve --launch-mode` flag.
 launch_mode parse_launch_mode(const std::string& name);
 
 }  // namespace batchlin::xpu

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
@@ -16,6 +15,7 @@
 #include <vector>
 
 #include "batchlin/batchlin.hpp"
+#include "oracle.hpp"
 #include "shard/lane.hpp"
 
 namespace bl = batchlin;
@@ -23,41 +23,15 @@ namespace mat = batchlin::mat;
 namespace serve = batchlin::serve;
 namespace shard = batchlin::shard;
 namespace solver = batchlin::solver;
-namespace stop = batchlin::stop;
 namespace work = batchlin::work;
 namespace xpu = batchlin::xpu;
 using bl::index_type;
 using std::chrono::microseconds;
 
+using oracle::cg_opts;
+using oracle::make_request;
+
 namespace {
-
-solver::solve_options cg_opts()
-{
-    solver::solve_options opts;
-    opts.solver = solver::solver_type::cg;
-    opts.preconditioner = bl::precond::type::jacobi;
-    opts.criterion = stop::relative(1e-8, 100);
-    return opts;
-}
-
-template <typename T>
-serve::solve_request<T> make_request(mat::batch_csr<T> a,
-                                     const solver::solve_options& opts,
-                                     std::uint64_t rhs_seed,
-                                     int priority = 0,
-                                     microseconds deadline = microseconds(0))
-{
-    serve::solve_request<T> req;
-    const index_type items = a.num_batch_items();
-    const index_type rows = a.rows();
-    req.b = work::random_rhs<T>(items, rows, rhs_seed);
-    req.x = mat::batch_dense<T>(items, rows, 1);
-    req.a = std::move(a);
-    req.opts = opts;
-    req.priority = priority;
-    req.deadline = deadline;
-    return req;
-}
 
 /// Which shard of a clean service with the given layout the stencil
 /// pattern (items=1, rows) routes to. The router is deterministic in
@@ -468,38 +442,6 @@ TEST(Failover, NoSurvivingLaneFailsWithStructuredError)
     EXPECT_FALSE(reply.error.empty());
     service.stop();
     EXPECT_GE(service.stats().failed_requests, 1u);
-}
-
-TEST(Failover, EnvOverrideEnablesFailoverAtDefaultConfig)
-{
-    // BATCHLIN_FAILOVER=1 flips a default-off config; an explicit
-    // setting would win (same escape-hatch contract as BATCHLIN_SHARDS).
-    ::setenv("BATCHLIN_FAILOVER", "1", 1);
-    const index_type rows = 24;
-    const index_type victim = affine_shard_for(2, rows, 40);
-    serve::service_config cfg;
-    cfg.shards = 2;
-    cfg.workers = 1;
-    cfg.launch_retries = 1;
-    cfg.retry_backoff = microseconds(0);
-    cfg.shard_faults.resize(2);
-    xpu::fault_event lost;
-    lost.kind = xpu::fault_kind::device_lost;
-    lost.launch = 0;
-    lost.revive = 0;
-    cfg.shard_faults[static_cast<std::size_t>(victim)].events.push_back(
-        lost);
-    serve::solve_service service(xpu::make_sycl_policy(), cfg);
-    ::unsetenv("BATCHLIN_FAILOVER");
-
-    auto reply = service
-                     .submit(make_request(
-                         work::stencil_3pt<double>(2, rows, 40),
-                         cg_opts(), 70))
-                     .get();
-    EXPECT_EQ(reply.status, serve::request_status::ok) << reply.error;
-    service.stop();
-    EXPECT_GE(service.stats().evictions, 1u);
 }
 
 // --- overload shedding ------------------------------------------------

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "batchlin/batchlin.hpp"
+#include "oracle.hpp"
 
 namespace bl = batchlin;
 using bl::index_type;
@@ -26,6 +27,8 @@ namespace work = batchlin::work;
 namespace xpu = batchlin::xpu;
 using std::chrono::microseconds;
 using std::chrono::milliseconds;
+
+using oracle::make_request;
 
 namespace {
 
@@ -47,33 +50,6 @@ double worst_true_residual(const solver::batch_matrix<double>& a,
         worst = std::max(worst, r);
     }
     return worst;
-}
-
-xpu::exec_policy faulted_policy(
-    const std::vector<std::uint64_t>& faulted_launches)
-{
-    xpu::exec_policy policy = xpu::make_sycl_policy();
-    for (const std::uint64_t launch : faulted_launches) {
-        policy.faults.events.push_back(
-            {xpu::fault_kind::launch_fail, launch, 0, 1,
-             xpu::fault_target::slm, xpu::poison_mode::nan});
-    }
-    return policy;
-}
-
-template <typename T>
-serve::solve_request<T> make_request(mat::batch_csr<T> a,
-                                     const solver::solve_options& opts,
-                                     std::uint64_t rhs_seed)
-{
-    serve::solve_request<T> req;
-    const index_type items = a.num_batch_items();
-    const index_type rows = a.rows();
-    req.b = work::random_rhs<T>(items, rows, rhs_seed);
-    req.x = mat::batch_dense<T>(items, rows, 1);
-    req.a = std::move(a);
-    req.opts = opts;
-    return req;
 }
 
 }  // namespace
@@ -294,49 +270,18 @@ TEST(Refine, DisabledFallbackReportsHonestNonConvergence)
 
 TEST(MixedPrecision, ServeRepliesBitIdenticalToSoloUnderFp32Storage)
 {
-    solver::solve_options opts = chem_opts(1e-8);
-    opts.storage = mat::storage_precision::fp32;
-
-    struct spec {
-        index_type items;
-        std::uint64_t seed;
+    // Only the fp32-storage requests of each mix (plain and refined):
+    // submit() compresses the plain ones in place, the refined ones stay
+    // native for their FP64 residuals.
+    const auto fp32 = [](const oracle::request_case& c) {
+        return c.kind == oracle::flavor::f64_fp32 ||
+               c.kind == oracle::flavor::f64_refined;
     };
-    const std::vector<spec> specs = {{3, 71}, {1, 72}, {2, 73}};
-
-    // Reference: solo compressed solves, one fresh queue each.
-    std::vector<mat::batch_dense<double>> want_x;
-    for (const spec& s : specs) {
-        const solver::batch_matrix<double> a =
-            work::stencil_3pt<double>(s.items, 24, s.seed);
-        const auto b = work::random_rhs<double>(s.items, 24, s.seed + 100);
-        mat::batch_dense<double> x(s.items, 24, 1);
-        xpu::queue q(xpu::make_sycl_policy());
-        ASSERT_EQ(solver::solve(q, a, b, x, opts).log.num_converged(),
-                  s.items);
-        want_x.push_back(std::move(x));
-    }
-
-    serve::service_config cfg;
-    cfg.workers = 1;
-    cfg.max_wait = milliseconds(20);
-    serve::solve_service service(xpu::make_sycl_policy(), cfg);
-    std::vector<serve::solve_service::ticket<double>> tickets;
-    for (const spec& s : specs) {
-        tickets.push_back(service.submit(make_request(
-            work::stencil_3pt<double>(s.items, 24, s.seed), opts,
-            s.seed + 100)));
-    }
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        serve::solve_reply<double> reply = tickets[i].get();
-        ASSERT_EQ(reply.status, serve::request_status::ok) << reply.error;
-        // submit() compressed the request's matrix in place; the reply
-        // hands it back in that (recyclable) compressed form.
-        std::visit(
-            [](const auto& m) {
-                EXPECT_EQ(m.storage_mode(), mat::storage_precision::fp32);
-            },
-            reply.a);
-        EXPECT_EQ(reply.x.values(), want_x[i].values()) << "req=" << i;
+    for (const xpu::launch_mode mode : oracle::kLaunchModes) {
+        for (const std::uint64_t seed : {4, 5, 6}) {
+            oracle::check_serve_path({mode, 1, 1, milliseconds(20)}, seed,
+                                     fp32);
+        }
     }
 }
 
@@ -447,7 +392,8 @@ TEST(Refine, InjectedLaunchFaultOnRefinedBatchIsRetried)
     cfg.max_wait = milliseconds(0);
     cfg.launch_retries = 2;
     cfg.retry_backoff = microseconds(1);
-    serve::solve_service service(faulted_policy({0}), cfg);
+    serve::solve_service service(
+        oracle::mode_policy(xpu::launch_mode::direct, {0}), cfg);
 
     const mat::batch_csr<double> csr =
         work::generate_mechanism_batch<double>(

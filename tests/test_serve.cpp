@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <future>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "batchlin/batchlin.hpp"
+#include "oracle.hpp"
 #include "serve/ring.hpp"
 
 #if defined(__linux__)
@@ -38,52 +40,11 @@ using bl::index_type;
 using std::chrono::microseconds;
 using std::chrono::milliseconds;
 
+using oracle::cg_opts;
+using oracle::make_request;
+using oracle::mode_policy;
+
 namespace {
-
-solver::solve_options cg_opts()
-{
-    solver::solve_options opts;
-    opts.solver = solver::solver_type::cg;
-    opts.preconditioner = bl::precond::type::jacobi;
-    opts.criterion = stop::relative(1e-8, 100);
-    return opts;
-}
-
-solver::solve_options bicgstab_opts()
-{
-    solver::solve_options opts;
-    opts.solver = solver::solver_type::bicgstab;
-    opts.preconditioner = bl::precond::type::none;
-    opts.criterion = stop::relative(1e-7, 120);
-    return opts;
-}
-
-bl::xpu::exec_policy mode_policy(bl::xpu::launch_mode mode)
-{
-    bl::xpu::exec_policy policy = bl::xpu::make_sycl_policy();
-    policy.launch_mode = mode;
-    return policy;
-}
-
-/// Every launch mode, for the tests that pin down behavior the single
-/// dispatch loop must show in all of them.
-const std::vector<bl::xpu::launch_mode> kAllModes{
-    bl::xpu::launch_mode::direct, bl::xpu::launch_mode::graph_replay};
-
-template <typename T>
-serve::solve_request<T> make_request(mat::batch_csr<T> a,
-                                     const solver::solve_options& opts,
-                                     std::uint64_t rhs_seed)
-{
-    serve::solve_request<T> req;
-    const index_type items = a.num_batch_items();
-    const index_type rows = a.rows();
-    req.b = work::random_rhs<T>(items, rows, rhs_seed);
-    req.x = mat::batch_dense<T>(items, rows, 1);
-    req.a = std::move(a);
-    req.opts = opts;
-    return req;
-}
 
 /// Collects every ticket's status on a detached thread and waits at most
 /// `limit`: a ticket that never resolves fails the caller instead of
@@ -336,68 +297,20 @@ TEST(Record, ReplayBitIdenticalToEagerForEveryTable3Combo)
     }
 }
 
-// The tentpole correctness property: routing requests through the service
-// produces bit-identical solutions and identical convergence records to
-// solo solves, for every worker count, batching window, and spill-zeroing
-// mode. This also pins down that skipping the spill zero-fill (the serve
-// hot-path default) cannot change results.
+// Routing requests through the service produces bit-identical solutions
+// and convergence records to solo solves, for every worker count,
+// batching window, and spill-zeroing mode (skipping the spill zero-fill,
+// the serve hot-path default, cannot change results).
 TEST(Serve, RepliesBitIdenticalToSoloSolvesAcrossConfigs)
 {
-    struct spec {
-        index_type items;
-        index_type rows;
-        solver::solve_options opts;
-        std::uint64_t seed;
-    };
-    std::vector<spec> specs;
-    specs.push_back({3, 24, cg_opts(), 21});
-    specs.push_back({1, 24, cg_opts(), 22});  // coalesces with the first
-    specs.push_back({2, 32, bicgstab_opts(), 23});
-    specs.push_back({2, 24, cg_opts(), 24});
-
-    // Reference: solo solves on a fresh queue each.
-    std::vector<mat::batch_dense<double>> want_x;
-    std::vector<bl::log::batch_log> want_log;
-    for (const spec& s : specs) {
-        auto a = work::stencil_3pt<double>(s.items, s.rows, s.seed);
-        const auto b =
-            work::random_rhs<double>(s.items, s.rows, s.seed + 1000);
-        mat::batch_dense<double> x(s.items, s.rows, 1);
-        bl::xpu::queue q(bl::xpu::make_sycl_policy());
-        const solver::batch_matrix<double> variant = a;
-        want_log.push_back(solver::solve(q, variant, b, x, s.opts).log);
-        want_x.push_back(std::move(x));
-    }
-
+    std::uint64_t seed = 0;
     for (const int workers : {1, 3}) {
         for (const long wait_us : {0L, 2000L}) {
             for (const bool skip_zeroing : {true, false}) {
-                serve::service_config cfg;
-                cfg.workers = workers;
-                cfg.max_batch = 8;
-                cfg.max_wait = microseconds(wait_us);
-                cfg.skip_spill_zeroing = skip_zeroing;
-                serve::solve_service service(bl::xpu::make_sycl_policy(),
-                                             cfg);
-                std::vector<serve::solve_service::ticket<double>> tickets;
-                for (const spec& s : specs) {
-                    tickets.push_back(service.submit(make_request(
-                        work::stencil_3pt<double>(s.items, s.rows, s.seed),
-                        s.opts, s.seed + 1000)));
-                }
-                for (std::size_t i = 0; i < specs.size(); ++i) {
-                    serve::solve_reply<double> reply = tickets[i].get();
-                    ASSERT_EQ(reply.status, serve::request_status::ok)
-                        << reply.error;
-                    EXPECT_EQ(reply.x.values(), want_x[i].values())
-                        << "workers=" << workers << " wait=" << wait_us
-                        << " skip=" << skip_zeroing << " req=" << i;
-                    EXPECT_EQ(reply.log.all_iterations(),
-                              want_log[i].all_iterations());
-                    EXPECT_EQ(reply.log.all_residual_norms(),
-                              want_log[i].all_residual_norms());
-                    EXPECT_GE(reply.fused_systems, specs[i].items);
-                }
+                oracle::check_serve_path({bl::xpu::launch_mode::direct, 1,
+                                          workers, microseconds(wait_us),
+                                          skip_zeroing},
+                                         seed++);
             }
         }
     }
@@ -432,7 +345,7 @@ TEST(Serve, FloatRequestsAreServedAndKeptApartFromDouble)
 
 TEST(Serve, CompatibleRequestsCoalesceIntoOneLaunch)
 {
-    for (const bl::xpu::launch_mode mode : kAllModes) {
+    for (const bl::xpu::launch_mode mode : oracle::kLaunchModes) {
         SCOPED_TRACE(bl::xpu::to_string(mode));
         serve::service_config cfg;
         cfg.workers = 1;
@@ -606,7 +519,7 @@ TEST(Serve, OversizeRequestUnderBlockPolicyIsRejected)
     // A request larger than the whole admission bound can never fit, so
     // a blocking submit must refuse it up front instead of parking its
     // submitter until stop().
-    for (const bl::xpu::launch_mode mode : kAllModes) {
+    for (const bl::xpu::launch_mode mode : oracle::kLaunchModes) {
         SCOPED_TRACE(bl::xpu::to_string(mode));
         serve::service_config cfg;
         cfg.workers = 1;
@@ -661,7 +574,7 @@ TEST(Serve, SubmitsRacingStopAllResolve)
     // "accepting?" check and stall before its push, or sit in blocked
     // admission; either way its ticket must resolve (solved or rejected),
     // never hang behind workers that already exited.
-    for (const bl::xpu::launch_mode mode : kAllModes) {
+    for (const bl::xpu::launch_mode mode : oracle::kLaunchModes) {
         SCOPED_TRACE(bl::xpu::to_string(mode));
         for (int round = 0; round < 6; ++round) {
             SCOPED_TRACE(round);
@@ -733,6 +646,31 @@ TEST(Serve, MalformedRequestsThrowAtSubmit)
     EXPECT_THROW(service.submit(std::move(hist)), bl::error);
 }
 
+// The library reads no environment variable: a default config and
+// default options mean their documented defaults whatever is set.
+TEST(Serve, ConfigIsNotRewrittenByTheEnvironment)
+{
+    const char* const vars[][2] = {{"BATCHLIN_LAUNCH_MODE", "graph_replay"},
+                                   {"BATCHLIN_SHARDS", "3"},
+                                   {"BATCHLIN_SHARD_DEVICES", "pvc1s,pvc2s"},
+                                   {"BATCHLIN_FAILOVER", "1"},
+                                   {"BATCHLIN_STORAGE", "fp32"}};
+    for (const auto& var : vars) {
+        ::setenv(var[0], var[1], 1);
+    }
+    {
+        serve::solve_service service(bl::xpu::make_sycl_policy());
+        const solver::solve_options opts;
+        EXPECT_EQ(service.launch_mode(), bl::xpu::launch_mode::direct);
+        EXPECT_EQ(service.devices().size(), 1);
+        EXPECT_FALSE(service.config().failover);
+        EXPECT_EQ(opts.storage, mat::storage_precision::native);
+    }
+    for (const auto& var : vars) {
+        ::unsetenv(var[0]);
+    }
+}
+
 TEST(Serve, StatsTrackSubmittedAndQueueDepth)
 {
     serve::service_config cfg;
@@ -764,208 +702,205 @@ TEST(Serve, StatsTrackSubmittedAndQueueDepth)
 // breaker that suspends coalescing under a fault storm.
 // ---------------------------------------------------------------------
 
-namespace {
-
-/// A policy whose worker queue rejects the kernel launches listed in
-/// `faulted_launches` (0-based per-worker launch counter).
-bl::xpu::exec_policy faulted_policy(
-    const std::vector<std::uint64_t>& faulted_launches)
-{
-    bl::xpu::exec_policy policy = bl::xpu::make_sycl_policy();
-    for (const std::uint64_t launch : faulted_launches) {
-        policy.faults.events.push_back(
-            {bl::xpu::fault_kind::launch_fail, launch, 0, 1,
-             bl::xpu::fault_target::slm, bl::xpu::poison_mode::nan});
-    }
-    return policy;
-}
-
-}  // namespace
-
 TEST(ServeResilience, ThrowingSolveFailsTicketNotService)
 {
     // ILU + ELL passes submit's shape validation but throws
     // unsupported_combination inside the worker's solve: the ticket must
     // resolve `failed` with the message, and the worker must survive to
     // serve the next (healthy) request.
-    serve::service_config cfg;
-    cfg.workers = 1;
-    cfg.max_wait = milliseconds(0);
-    serve::solve_service service(bl::xpu::make_sycl_policy(), cfg);
+    for (const bl::xpu::launch_mode mode : oracle::kLaunchModes) {
+        SCOPED_TRACE(bl::xpu::to_string(mode));
+        serve::service_config cfg;
+        cfg.workers = 1;
+        cfg.max_wait = milliseconds(0);
+        serve::solve_service service(mode_policy(mode), cfg);
 
-    serve::solve_request<double> poisoned;
-    poisoned.a = mat::to_ell(work::stencil_3pt<double>(2, 16, 61));
-    poisoned.b = work::random_rhs<double>(2, 16, 62);
-    poisoned.x = mat::batch_dense<double>(2, 16, 1);
-    poisoned.opts = cg_opts();
-    poisoned.opts.preconditioner = bl::precond::type::ilu;
-    auto doomed = service.submit(std::move(poisoned));
+        serve::solve_request<double> poisoned;
+        poisoned.a = mat::to_ell(work::stencil_3pt<double>(2, 16, 61));
+        poisoned.b = work::random_rhs<double>(2, 16, 62);
+        poisoned.x = mat::batch_dense<double>(2, 16, 1);
+        poisoned.opts = cg_opts();
+        poisoned.opts.preconditioner = bl::precond::type::ilu;
+        auto doomed = service.submit(std::move(poisoned));
 
-    const auto failed_reply = doomed.get();
-    EXPECT_EQ(failed_reply.status, serve::request_status::failed);
-    EXPECT_NE(failed_reply.error.find("BatchIlu"), std::string::npos)
-        << failed_reply.error;
-    // The request's storage comes back even on failure.
-    EXPECT_EQ(failed_reply.b.num_batch_items(), 2);
+        const auto failed_reply = doomed.get();
+        EXPECT_EQ(failed_reply.status, serve::request_status::failed);
+        EXPECT_NE(failed_reply.error.find("BatchIlu"), std::string::npos)
+            << failed_reply.error;
+        // The request's storage comes back even on failure.
+        EXPECT_EQ(failed_reply.b.num_batch_items(), 2);
 
-    auto healthy = service.submit(make_request(
-        work::stencil_3pt<double>(2, 16, 63), cg_opts(), 64));
-    const auto ok_reply = healthy.get();
-    ASSERT_EQ(ok_reply.status, serve::request_status::ok) << ok_reply.error;
-    EXPECT_EQ(ok_reply.attempts, 1);
-    EXPECT_EQ(ok_reply.log.num_converged(), 2);
+        auto healthy = service.submit(make_request(
+            work::stencil_3pt<double>(2, 16, 63), cg_opts(), 64));
+        const auto ok_reply = healthy.get();
+        ASSERT_EQ(ok_reply.status, serve::request_status::ok) << ok_reply.error;
+        EXPECT_EQ(ok_reply.attempts, 1);
+        EXPECT_EQ(ok_reply.log.num_converged(), 2);
 
-    service.drain();
-    const serve::service_stats s = service.stats();
-    EXPECT_EQ(s.failed_requests, 1u);
-    EXPECT_EQ(s.completed_requests, 1u);
-    // A thrown std::exception is not a device fault; no retry happened.
-    EXPECT_EQ(s.launch_faults, 0u);
-    EXPECT_EQ(s.launch_retries, 0u);
+        service.drain();
+        const serve::service_stats s = service.stats();
+        EXPECT_EQ(s.failed_requests, 1u);
+        EXPECT_EQ(s.completed_requests, 1u);
+        // A thrown std::exception is not a device fault; no retry happened.
+        EXPECT_EQ(s.launch_faults, 0u);
+        EXPECT_EQ(s.launch_retries, 0u);
+    }
 }
 
 TEST(ServeResilience, TransientLaunchFaultIsRetriedToSuccess)
 {
-    serve::service_config cfg;
-    cfg.workers = 1;
-    cfg.max_wait = milliseconds(0);
-    cfg.launch_retries = 2;
-    cfg.retry_backoff = microseconds(1);
-    serve::solve_service service(faulted_policy({0}), cfg);
+    for (const bl::xpu::launch_mode mode : oracle::kLaunchModes) {
+        SCOPED_TRACE(bl::xpu::to_string(mode));
+        serve::service_config cfg;
+        cfg.workers = 1;
+        cfg.max_wait = milliseconds(0);
+        cfg.launch_retries = 2;
+        cfg.retry_backoff = microseconds(1);
+        serve::solve_service service(mode_policy(mode, {0}), cfg);
 
-    auto ticket = service.submit(make_request(
-        work::stencil_3pt<double>(3, 16, 71), cg_opts(), 72));
-    const auto reply = ticket.get();
-    ASSERT_EQ(reply.status, serve::request_status::ok) << reply.error;
-    EXPECT_EQ(reply.attempts, 2);
-    EXPECT_EQ(reply.log.num_converged(), 3);
+        auto ticket = service.submit(make_request(
+            work::stencil_3pt<double>(3, 16, 71), cg_opts(), 72));
+        const auto reply = ticket.get();
+        ASSERT_EQ(reply.status, serve::request_status::ok) << reply.error;
+        EXPECT_EQ(reply.attempts, 2);
+        EXPECT_EQ(reply.log.num_converged(), 3);
 
-    service.drain();
-    const serve::service_stats s = service.stats();
-    EXPECT_EQ(s.launch_faults, 1u);
-    EXPECT_EQ(s.launch_retries, 1u);
-    EXPECT_EQ(s.recovered_requests, 1u);
-    EXPECT_EQ(s.degraded_launches, 0u);
-    EXPECT_EQ(s.failed_requests, 0u);
-    EXPECT_EQ(s.completed_requests, 1u);
+        service.drain();
+        const serve::service_stats s = service.stats();
+        EXPECT_EQ(s.launch_faults, 1u);
+        EXPECT_EQ(s.launch_retries, 1u);
+        EXPECT_EQ(s.recovered_requests, 1u);
+        EXPECT_EQ(s.degraded_launches, 0u);
+        EXPECT_EQ(s.failed_requests, 0u);
+        EXPECT_EQ(s.completed_requests, 1u);
+    }
 }
 
 TEST(ServeResilience, ExhaustedRetriesDegradeToSoloSolves)
 {
-    serve::service_config cfg;
-    cfg.workers = 1;
-    // max_batch 2 cuts the window short the moment both requests are in.
-    cfg.max_batch = 2;
-    cfg.max_wait = milliseconds(500);
-    cfg.idle_flush = microseconds(0);  // both requests must fuse
-    cfg.launch_retries = 2;
-    cfg.retry_backoff = microseconds(1);
-    // Launches 0..2 (the fused attempt and both retries) fail; the solo
-    // re-solves land on later, clean launch ids.
-    serve::solve_service service(faulted_policy({0, 1, 2}), cfg);
+    for (const bl::xpu::launch_mode mode : oracle::kLaunchModes) {
+        SCOPED_TRACE(bl::xpu::to_string(mode));
+        serve::service_config cfg;
+        cfg.workers = 1;
+        // max_batch 2 cuts the window short the moment both requests are in.
+        cfg.max_batch = 2;
+        cfg.max_wait = milliseconds(500);
+        cfg.idle_flush = microseconds(0);  // both requests must fuse
+        cfg.launch_retries = 2;
+        cfg.retry_backoff = microseconds(1);
+        // Launches 0..2 (the fused attempt and both retries) fail; the solo
+        // re-solves land on later, clean launch ids.
+        serve::solve_service service(mode_policy(mode, {0, 1, 2}), cfg);
 
-    auto t1 = service.submit(make_request(
-        work::stencil_3pt<double>(1, 16, 73), cg_opts(), 74));
-    auto t2 = service.submit(make_request(
-        work::stencil_3pt<double>(1, 16, 73), cg_opts(), 75));
-    const auto r1 = t1.get();
-    const auto r2 = t2.get();
-    ASSERT_EQ(r1.status, serve::request_status::ok) << r1.error;
-    ASSERT_EQ(r2.status, serve::request_status::ok) << r2.error;
-    EXPECT_GT(r1.attempts, 1);
+        auto t1 = service.submit(make_request(
+            work::stencil_3pt<double>(1, 16, 73), cg_opts(), 74));
+        auto t2 = service.submit(make_request(
+            work::stencil_3pt<double>(1, 16, 73), cg_opts(), 75));
+        const auto r1 = t1.get();
+        const auto r2 = t2.get();
+        ASSERT_EQ(r1.status, serve::request_status::ok) << r1.error;
+        ASSERT_EQ(r2.status, serve::request_status::ok) << r2.error;
+        EXPECT_GT(r1.attempts, 1);
 
-    service.drain();
-    const serve::service_stats s = service.stats();
-    EXPECT_EQ(s.launch_faults, 3u);
-    EXPECT_EQ(s.degraded_launches, 1u);
-    EXPECT_GE(s.recovered_requests, 1u);
-    EXPECT_EQ(s.failed_requests, 0u);
-    EXPECT_EQ(s.completed_requests, 2u);
+        service.drain();
+        const serve::service_stats s = service.stats();
+        EXPECT_EQ(s.launch_faults, 3u);
+        EXPECT_EQ(s.degraded_launches, 1u);
+        EXPECT_GE(s.recovered_requests, 1u);
+        EXPECT_EQ(s.failed_requests, 0u);
+        EXPECT_EQ(s.completed_requests, 2u);
+    }
 }
 
 TEST(ServeResilience, PersistentFaultFailsWithStructuredError)
 {
-    serve::service_config cfg;
-    cfg.workers = 1;
-    cfg.max_wait = milliseconds(0);
-    cfg.launch_retries = 1;
-    cfg.retry_backoff = microseconds(1);
-    std::vector<std::uint64_t> storm;
-    for (std::uint64_t launch = 0; launch < 10; ++launch) {
-        storm.push_back(launch);
+    for (const bl::xpu::launch_mode mode : oracle::kLaunchModes) {
+        SCOPED_TRACE(bl::xpu::to_string(mode));
+        serve::service_config cfg;
+        cfg.workers = 1;
+        cfg.max_wait = milliseconds(0);
+        cfg.launch_retries = 1;
+        cfg.retry_backoff = microseconds(1);
+        std::vector<std::uint64_t> storm;
+        for (std::uint64_t launch = 0; launch < 10; ++launch) {
+            storm.push_back(launch);
+        }
+        serve::solve_service service(mode_policy(mode, storm), cfg);
+
+        auto ticket = service.submit(make_request(
+            work::stencil_3pt<double>(2, 16, 76), cg_opts(), 77));
+        const auto reply = ticket.get();
+        EXPECT_EQ(reply.status, serve::request_status::failed);
+        // Fused: attempts 1+1, then solo: 1+1 more — four in total, spelled
+        // out in the structured error message.
+        EXPECT_EQ(reply.attempts, 4);
+        EXPECT_NE(reply.error.find("device fault persisted through 4"),
+                  std::string::npos)
+            << reply.error;
+        EXPECT_NE(reply.error.find("launch_fail"), std::string::npos)
+            << reply.error;
+
+        service.drain();
+        const serve::service_stats s = service.stats();
+        EXPECT_EQ(s.launch_faults, 4u);
+        EXPECT_EQ(s.launch_retries, 2u);
+        EXPECT_EQ(s.degraded_launches, 1u);
+        EXPECT_EQ(s.failed_requests, 1u);
+        EXPECT_EQ(s.recovered_requests, 0u);
+        EXPECT_EQ(s.completed_requests, 0u);
     }
-    serve::solve_service service(faulted_policy(storm), cfg);
-
-    auto ticket = service.submit(make_request(
-        work::stencil_3pt<double>(2, 16, 76), cg_opts(), 77));
-    const auto reply = ticket.get();
-    EXPECT_EQ(reply.status, serve::request_status::failed);
-    // Fused: attempts 1+1, then solo: 1+1 more — four in total, spelled
-    // out in the structured error message.
-    EXPECT_EQ(reply.attempts, 4);
-    EXPECT_NE(reply.error.find("device fault persisted through 4"),
-              std::string::npos)
-        << reply.error;
-    EXPECT_NE(reply.error.find("launch_fail"), std::string::npos)
-        << reply.error;
-
-    service.drain();
-    const serve::service_stats s = service.stats();
-    EXPECT_EQ(s.launch_faults, 4u);
-    EXPECT_EQ(s.launch_retries, 2u);
-    EXPECT_EQ(s.degraded_launches, 1u);
-    EXPECT_EQ(s.failed_requests, 1u);
-    EXPECT_EQ(s.recovered_requests, 0u);
-    EXPECT_EQ(s.completed_requests, 0u);
 }
 
 TEST(ServeResilience, FaultStormTripsTheBreakerAndSuspendsCoalescing)
 {
-    serve::service_config cfg;
-    cfg.workers = 1;
-    // Small enough to keep the storm phase fast, large enough that two
-    // compatible requests would reliably fuse were the breaker closed
-    // (max_batch 2 cuts the window short once both are queued).
-    cfg.max_batch = 2;
-    cfg.max_wait = milliseconds(100);
-    cfg.launch_retries = 0;
-    cfg.retry_backoff = microseconds(1);
-    cfg.breaker_window = 4;
-    cfg.breaker_fault_ratio = 0.5;
-    cfg.breaker_cooldown = 16;
-    // Every launch of the storm phase faults: each of the four requests
-    // burns its fused attempt and its solo re-solve (2 launches each).
-    std::vector<std::uint64_t> storm;
-    for (std::uint64_t launch = 0; launch < 8; ++launch) {
-        storm.push_back(launch);
-    }
-    serve::solve_service service(faulted_policy(storm), cfg);
+    for (const bl::xpu::launch_mode mode : oracle::kLaunchModes) {
+        SCOPED_TRACE(bl::xpu::to_string(mode));
+        serve::service_config cfg;
+        cfg.workers = 1;
+        // Small enough to keep the storm phase fast, large enough that two
+        // compatible requests would reliably fuse were the breaker closed
+        // (max_batch 2 cuts the window short once both are queued).
+        cfg.max_batch = 2;
+        cfg.max_wait = milliseconds(100);
+        cfg.launch_retries = 0;
+        cfg.retry_backoff = microseconds(1);
+        cfg.breaker_window = 4;
+        cfg.breaker_fault_ratio = 0.5;
+        cfg.breaker_cooldown = 16;
+        // Every launch of the storm phase faults: each of the four requests
+        // burns its fused attempt and its solo re-solve (2 launches each).
+        std::vector<std::uint64_t> storm;
+        for (std::uint64_t launch = 0; launch < 8; ++launch) {
+            storm.push_back(launch);
+        }
+        serve::solve_service service(mode_policy(mode, storm), cfg);
 
-    for (int i = 0; i < 4; ++i) {
-        auto ticket = service.submit(make_request(
-            work::stencil_3pt<double>(1, 16, 81), cg_opts(),
-            82 + static_cast<std::uint64_t>(i)));
-        EXPECT_EQ(ticket.get().status, serve::request_status::failed);
-    }
-    service.drain();
-    const serve::service_stats tripped = service.stats();
-    EXPECT_EQ(tripped.breaker_trips, 1u);
-    EXPECT_TRUE(tripped.breaker_active);
+        for (int i = 0; i < 4; ++i) {
+            auto ticket = service.submit(make_request(
+                work::stencil_3pt<double>(1, 16, 81), cg_opts(),
+                82 + static_cast<std::uint64_t>(i)));
+            EXPECT_EQ(ticket.get().status, serve::request_status::failed);
+        }
+        service.drain();
+        const serve::service_stats tripped = service.stats();
+        EXPECT_EQ(tripped.breaker_trips, 1u);
+        EXPECT_TRUE(tripped.breaker_active);
 
-    // While the breaker is open, compatible requests are NOT coalesced:
-    // each gets its own (clean) launch even inside a generous window.
-    auto t1 = service.submit(make_request(
-        work::stencil_3pt<double>(1, 16, 83), cg_opts(), 84));
-    auto t2 = service.submit(make_request(
-        work::stencil_3pt<double>(1, 16, 83), cg_opts(), 85));
-    const auto r1 = t1.get();
-    const auto r2 = t2.get();
-    ASSERT_EQ(r1.status, serve::request_status::ok) << r1.error;
-    ASSERT_EQ(r2.status, serve::request_status::ok) << r2.error;
-    EXPECT_EQ(r1.fused_systems, 1);
-    EXPECT_EQ(r2.fused_systems, 1);
-    service.drain();
-    EXPECT_EQ(service.stats().breaker_trips, 1u);
+        // While the breaker is open, compatible requests are NOT coalesced:
+        // each gets its own (clean) launch even inside a generous window.
+        auto t1 = service.submit(make_request(
+            work::stencil_3pt<double>(1, 16, 83), cg_opts(), 84));
+        auto t2 = service.submit(make_request(
+            work::stencil_3pt<double>(1, 16, 83), cg_opts(), 85));
+        const auto r1 = t1.get();
+        const auto r2 = t2.get();
+        ASSERT_EQ(r1.status, serve::request_status::ok) << r1.error;
+        ASSERT_EQ(r2.status, serve::request_status::ok) << r2.error;
+        EXPECT_EQ(r1.fused_systems, 1);
+        EXPECT_EQ(r2.fused_systems, 1);
+        service.drain();
+        EXPECT_EQ(service.stats().breaker_trips, 1u);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -976,79 +911,13 @@ TEST(ServeResilience, FaultStormTripsTheBreakerAndSuspendsCoalescing)
 // bounded lock-free MPMC queue.
 // ---------------------------------------------------------------------
 
-namespace {
-
-solver::solve_options gmres_opts()
-{
-    solver::solve_options opts;
-    opts.solver = solver::solver_type::gmres;
-    opts.preconditioner = bl::precond::type::jacobi;
-    opts.criterion = stop::relative(1e-8, 200);
-    opts.gmres_restart = 20;
-    return opts;
-}
-
-solver::solve_options richardson_opts()
-{
-    solver::solve_options opts;
-    opts.solver = solver::solver_type::richardson;
-    opts.preconditioner = bl::precond::type::jacobi;
-    opts.richardson_relaxation = 1.0;
-    opts.criterion = stop::relative(1e-8, 500);
-    return opts;
-}
-
-}  // namespace
-
 TEST(Serve, LaunchModesBitIdenticalToDirectAcrossSolvers)
 {
-    const std::vector<solver::solve_options> all_opts{
-        cg_opts(), bicgstab_opts(), gmres_opts(), richardson_opts()};
-    const std::vector<bl::xpu::launch_mode>& modes = kAllModes;
-
-    for (std::size_t oi = 0; oi < all_opts.size(); ++oi) {
-        const solver::solve_options& opts = all_opts[oi];
-        const std::uint64_t seed = 500 + 10 * oi;
-        std::vector<std::vector<double>> mode_x;
-        std::vector<std::vector<index_type>> mode_iters;
-        std::vector<std::vector<double>> mode_res;
-        for (const bl::xpu::launch_mode mode : modes) {
-            serve::service_config cfg;
-            cfg.workers = 1;
-            cfg.max_batch = 8;
-            cfg.max_wait = milliseconds(5);
-            serve::solve_service service(mode_policy(mode), cfg);
-            std::vector<serve::solve_service::ticket<double>> tickets;
-            for (int r = 0; r < 3; ++r) {
-                tickets.push_back(service.submit(make_request(
-                    work::stencil_3pt<double>(2, 24, seed), opts,
-                    seed + 100 + static_cast<std::uint64_t>(r))));
-            }
-            std::vector<double> xs;
-            std::vector<index_type> iters;
-            std::vector<double> res;
-            for (auto& t : tickets) {
-                const serve::solve_reply<double> reply = t.get();
-                ASSERT_EQ(reply.status, serve::request_status::ok)
-                    << reply.error;
-                xs.insert(xs.end(), reply.x.values().begin(),
-                          reply.x.values().end());
-                const auto ri = reply.log.all_iterations();
-                iters.insert(iters.end(), ri.begin(), ri.end());
-                const auto rr = reply.log.all_residual_norms();
-                res.insert(res.end(), rr.begin(), rr.end());
-            }
-            mode_x.push_back(std::move(xs));
-            mode_iters.push_back(std::move(iters));
-            mode_res.push_back(std::move(res));
-        }
-        for (std::size_t m = 1; m < modes.size(); ++m) {
-            EXPECT_EQ(mode_x[m], mode_x[0])
-                << "solver " << oi << " mode " << m;
-            EXPECT_EQ(mode_iters[m], mode_iters[0])
-                << "solver " << oi << " mode " << m;
-            EXPECT_EQ(mode_res[m], mode_res[0])
-                << "solver " << oi << " mode " << m;
+    // Seeds 0-1 draw every iterative solver on csr/none in every flavor.
+    for (const bl::xpu::launch_mode mode : oracle::kLaunchModes) {
+        for (const std::uint64_t seed : {0, 1}) {
+            oracle::check_serve_path({mode, 1, 1, microseconds(5000)},
+                                     seed);
         }
     }
 }
@@ -1069,16 +938,9 @@ TEST(Serve, GraphReplayReusesRecordingAcrossRebinds)
             work::stencil_3pt<double>(2, 20, 131), cg_opts(), rhs_seed));
         const serve::solve_reply<double> reply = ticket.get();
         ASSERT_EQ(reply.status, serve::request_status::ok) << reply.error;
-        // Bit-identical to a direct solo solve of the same batch: the
-        // recording was rebound to this round's values, not re-recorded.
-        const solver::batch_matrix<double> a =
-            work::stencil_3pt<double>(2, 20, 131);
-        const auto b = work::random_rhs<double>(2, 20, rhs_seed);
-        mat::batch_dense<double> x(2, 20, 1);
-        bl::xpu::queue q(bl::xpu::make_sycl_policy());
-        solver::solve(q, a, b, x, cg_opts());
-        EXPECT_EQ(reply.x.values(), x.values()) << "round " << round;
     }
+    // One recording, rebound to each later round's values (the Oracle.*
+    // suite checks rebound replies bit for bit against solo solves).
     service.drain();
     const serve::service_stats s = service.stats();
     EXPECT_EQ(s.launches_recorded, 1u);
@@ -1091,63 +953,18 @@ TEST(Serve, RefinedAndTrsvRequestsBypassTheRecordingsBitIdentically)
 {
     // Refinement has a convergence-dependent launch count and trsv cannot
     // be recorded, so in every launch mode both run outside the recording
-    // cache, bit-identical to their solo solves.
-    solver::solve_options ropts = cg_opts();
-    ropts.criterion = stop::relative(1e-11, 200);
-    ropts.storage = mat::storage_precision::fp32;
-    ropts.refine_sweeps = 3;
-    const mat::batch_csr<double> refined_a =
-        work::stencil_3pt<double>(3, 24, 161);
-
-    // Lower-triangular pattern: diagonal plus subdiagonal.
-    mat::batch_csr<double> trsv_a(2, 3, 3, {0, 1, 3, 5}, {0, 0, 1, 1, 2});
-    const double v0[] = {2, 1, 3, -1, 4};
-    const double v1[] = {1, 2, 2, 3, 5};
-    std::copy(std::begin(v0), std::end(v0), trsv_a.item_values(0));
-    std::copy(std::begin(v1), std::end(v1), trsv_a.item_values(1));
-    solver::solve_options topts;
-    topts.solver = solver::solver_type::trsv;
-
-    mat::batch_dense<double> want_refined(3, 24, 1);
-    {
-        bl::xpu::queue q(bl::xpu::make_sycl_policy());
-        solver::refine_options sweeps;
-        sweeps.max_sweeps = ropts.refine_sweeps;
-        const auto rr = solver::solve_refined(
-            q, solver::batch_matrix<double>(refined_a),
-            work::random_rhs<double>(3, 24, 162), want_refined, ropts,
-            sweeps);
-        ASSERT_EQ(rr.log.num_converged(), 3);
-    }
-    mat::batch_dense<double> want_trsv(2, 3, 1);
-    {
-        bl::xpu::queue q(bl::xpu::make_sycl_policy());
-        solver::solve(q, solver::batch_matrix<double>(trsv_a),
-                      work::random_rhs<double>(2, 3, 163), want_trsv, topts);
-    }
-
-    for (const bl::xpu::launch_mode mode : kAllModes) {
-        SCOPED_TRACE(bl::xpu::to_string(mode));
-        serve::service_config cfg;
-        cfg.workers = 1;
-        cfg.max_wait = microseconds(0);
-        serve::solve_service service(mode_policy(mode), cfg);
-        auto refined = service.submit(make_request(refined_a, ropts, 162));
-        auto trsv = service.submit(make_request(trsv_a, topts, 163));
-        const serve::solve_reply<double> r1 = refined.get();
-        const serve::solve_reply<double> r2 = trsv.get();
-        ASSERT_EQ(r1.status, serve::request_status::ok) << r1.error;
-        ASSERT_EQ(r2.status, serve::request_status::ok) << r2.error;
-        EXPECT_TRUE(same_bits(r1.x.values(), want_refined.values()));
-        EXPECT_TRUE(same_bits(r2.x.values(), want_trsv.values()));
-
-        service.drain();
-        const serve::service_stats s = service.stats();
-        EXPECT_EQ(s.batches_launched, 2u);
-        EXPECT_EQ(s.launches_recorded, 0u);
-        EXPECT_EQ(s.replays, 0u);
-        EXPECT_EQ(s.rebind_only, 0u);
-        EXPECT_EQ(s.refined_batches, 1u);
+    // cache, bit-identical to their solo solves. Seed 18 draws both trsv
+    // keys and a refined one.
+    const auto refined_or_trsv = [](const oracle::request_case& c) {
+        return c.kind == oracle::flavor::f64_refined ||
+               c.solver == solver::solver_type::trsv;
+    };
+    for (const bl::xpu::launch_mode mode : oracle::kLaunchModes) {
+        const serve::service_stats s =
+            oracle::check_serve_path({mode}, 18, refined_or_trsv);
+        EXPECT_GT(s.refined_batches, 0u);
+        EXPECT_GT(s.batches_launched, s.refined_batches);
+        EXPECT_EQ(s.launches_recorded + s.replays + s.rebind_only, 0u);
     }
 }
 
@@ -1165,17 +982,9 @@ TEST(Serve, GraphReplayWorkersShareTheRingAndReplayEveryBatch)
             work::stencil_3pt<double>(1, 16, 151), cg_opts(),
             900 + static_cast<std::uint64_t>(i))));
     }
-    for (std::size_t i = 0; i < tickets.size(); ++i) {
-        const serve::solve_reply<double> reply = tickets[i].get();
+    for (auto& ticket : tickets) {
+        const serve::solve_reply<double> reply = ticket.get();
         ASSERT_EQ(reply.status, serve::request_status::ok) << reply.error;
-        const solver::batch_matrix<double> a =
-            work::stencil_3pt<double>(1, 16, 151);
-        const auto b = work::random_rhs<double>(
-            1, 16, 900 + static_cast<std::uint64_t>(i));
-        mat::batch_dense<double> x(1, 16, 1);
-        bl::xpu::queue q(bl::xpu::make_sycl_policy());
-        solver::solve(q, a, b, x, cg_opts());
-        EXPECT_EQ(reply.x.values(), x.values()) << "request " << i;
     }
     service.drain();
     const serve::service_stats s = service.stats();
@@ -1194,7 +1003,7 @@ TEST(Serve, GraphReplayWorkersShareTheRingAndReplayEveryBatch)
 
 TEST(Serve, IdleFlushLaunchesLoneRequestEarly)
 {
-    for (const bl::xpu::launch_mode mode : kAllModes) {
+    for (const bl::xpu::launch_mode mode : oracle::kLaunchModes) {
         SCOPED_TRACE(bl::xpu::to_string(mode));
         serve::service_config cfg;
         cfg.workers = 1;
@@ -1216,7 +1025,7 @@ TEST(Serve, IdleFlushLaunchesLoneRequestEarly)
 
 TEST(Serve, ZeroIdleFlushHoldsTheFullWindow)
 {
-    for (const bl::xpu::launch_mode mode : kAllModes) {
+    for (const bl::xpu::launch_mode mode : oracle::kLaunchModes) {
         SCOPED_TRACE(bl::xpu::to_string(mode));
         serve::service_config cfg;
         cfg.workers = 1;
@@ -1235,7 +1044,7 @@ TEST(Serve, ZeroIdleFlushHoldsTheFullWindow)
 
 TEST(Serve, IdleFlushHoldIsCountedWithItsOversleep)
 {
-    for (const bl::xpu::launch_mode mode : kAllModes) {
+    for (const bl::xpu::launch_mode mode : oracle::kLaunchModes) {
         SCOPED_TRACE(bl::xpu::to_string(mode));
         serve::service_config cfg;
         cfg.workers = 1;
@@ -1521,9 +1330,8 @@ TEST(ServeResilience, FaultedReplayReRecordsInsteadOfReplayingPoisonedGraph)
     // batch's replay after a rebind) faults. The retry must re-record and
     // submit a fresh graph — replaying the invalidated one would bypass
     // the launch path and hide the fault.
-    bl::xpu::exec_policy policy = faulted_policy({1});
-    policy.launch_mode = bl::xpu::launch_mode::graph_replay;
-    serve::solve_service service(policy, cfg);
+    serve::solve_service service(
+        mode_policy(bl::xpu::launch_mode::graph_replay, {1}), cfg);
 
     auto t1 = service.submit(make_request(
         work::stencil_3pt<double>(2, 20, 141), cg_opts(), 801));

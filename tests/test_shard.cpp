@@ -6,53 +6,29 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "batchlin/batchlin.hpp"
+#include "oracle.hpp"
 #include "shard/lane.hpp"
 #include "shard/registry.hpp"
 #include "shard/router.hpp"
 
 namespace bl = batchlin;
-namespace mat = batchlin::mat;
 namespace perf = batchlin::perf;
 namespace serve = batchlin::serve;
 namespace shard = batchlin::shard;
 namespace solver = batchlin::solver;
-namespace stop = batchlin::stop;
 namespace work = batchlin::work;
 namespace xpu = batchlin::xpu;
 using bl::index_type;
 using std::chrono::microseconds;
 
+using oracle::cg_opts;
+using oracle::make_request;
+
 namespace {
-
-solver::solve_options cg_opts()
-{
-    solver::solve_options opts;
-    opts.solver = solver::solver_type::cg;
-    opts.preconditioner = bl::precond::type::jacobi;
-    opts.criterion = stop::relative(1e-8, 100);
-    return opts;
-}
-
-template <typename T>
-serve::solve_request<T> make_request(mat::batch_csr<T> a,
-                                     const solver::solve_options& opts,
-                                     std::uint64_t rhs_seed)
-{
-    serve::solve_request<T> req;
-    const index_type items = a.num_batch_items();
-    const index_type rows = a.rows();
-    req.b = work::random_rhs<T>(items, rows, rhs_seed);
-    req.x = mat::batch_dense<T>(items, rows, 1);
-    req.a = std::move(a);
-    req.opts = opts;
-    return req;
-}
 
 /// Fault schedule hitting every even launch in [0, 2 * executions): each
 /// faulted launch recovers on its immediate retry (the retry is a fresh,
@@ -91,80 +67,6 @@ index_type affine_shard_for(serve::solve_service& service, index_type rows,
     ADD_FAILURE() << "request routed to no shard";
     return 0;
 }
-
-/// Runs a fixed mixed request set through a service with the given shard
-/// layout and returns every solution value in submission order.
-std::vector<double> run_request_mix(index_type shards,
-                                    std::vector<xpu::fault_plan> faults = {})
-{
-    serve::service_config cfg;
-    cfg.shards = shards;
-    cfg.workers = 2;
-    cfg.max_batch = 16;
-    cfg.max_wait = microseconds(200);
-    cfg.shard_faults = std::move(faults);
-    serve::solve_service service(xpu::make_sycl_policy(), cfg);
-
-    std::vector<serve::solve_ticket<double>> tickets;
-    for (int wave = 0; wave < 4; ++wave) {
-        for (const index_type rows : {16, 24, 32, 48}) {
-            tickets.push_back(service.submit(
-                make_request(work::stencil_3pt<double>(2, rows,
-                                                       100 + rows),
-                             cg_opts(), 500 + rows)));
-        }
-    }
-
-    std::vector<double> out;
-    for (serve::solve_ticket<double>& ticket : tickets) {
-        serve::solve_reply<double> reply = ticket.get();
-        EXPECT_EQ(reply.status, serve::request_status::ok);
-        for (index_type i = 0; i < reply.x.num_batch_items(); ++i) {
-            const double* v = reply.x.item_values(i);
-            out.insert(out.end(), v, v + reply.x.rows());
-        }
-    }
-    return out;
-}
-
-bool bit_identical(const std::vector<double>& a,
-                   const std::vector<double>& b)
-{
-    return a.size() == b.size() &&
-           (a.empty() ||
-            std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
-}
-
-/// Scoped environment override that restores the previous value.
-class env_guard {
-public:
-    env_guard(const char* name, const char* value) : name_(name)
-    {
-        const char* old = std::getenv(name);
-        if (old != nullptr) {
-            had_old_ = true;
-            old_ = old;
-        }
-        if (value != nullptr) {
-            ::setenv(name, value, 1);
-        } else {
-            ::unsetenv(name);
-        }
-    }
-    ~env_guard()
-    {
-        if (had_old_) {
-            ::setenv(name_, old_.c_str(), 1);
-        } else {
-            ::unsetenv(name_);
-        }
-    }
-
-private:
-    const char* name_;
-    bool had_old_ = false;
-    std::string old_;
-};
 
 }  // namespace
 
@@ -238,48 +140,6 @@ TEST(ShardRegistry, FromNamesAppliesDeviceLaunchCosts)
     xpu::queue& q0 = reg.queue(0);
     EXPECT_EQ(&q0, &reg.queue(0));
     EXPECT_NE(&q0, &reg.queue(1));
-}
-
-TEST(ShardRegistry, EnvOverridesParse)
-{
-    {
-        env_guard guard("BATCHLIN_SHARDS", "4");
-        const auto count = shard::shards_from_env();
-        ASSERT_TRUE(count.has_value());
-        EXPECT_EQ(*count, 4);
-    }
-    {
-        env_guard guard("BATCHLIN_SHARDS", nullptr);
-        EXPECT_FALSE(shard::shards_from_env().has_value());
-    }
-    {
-        env_guard guard("BATCHLIN_SHARDS", "zero");
-        EXPECT_THROW(shard::shards_from_env(), bl::error);
-    }
-    {
-        env_guard guard("BATCHLIN_SHARD_DEVICES", "pvc1s,pvc1s");
-        const auto devices = shard::shard_devices_from_env();
-        ASSERT_TRUE(devices.has_value());
-        ASSERT_EQ(devices->size(), 2u);
-        EXPECT_EQ((*devices)[0], "PVC-1S");
-    }
-}
-
-TEST(ShardRegistry, ServiceAppliesEnvOverrideToDefaultConfigOnly)
-{
-    env_guard devices_guard("BATCHLIN_SHARD_DEVICES", nullptr);
-    env_guard guard("BATCHLIN_SHARDS", "3");
-    {
-        serve::solve_service service(xpu::make_sycl_policy(), {});
-        EXPECT_EQ(service.devices().size(), 3);
-        EXPECT_EQ(service.config().shards, 3);
-    }
-    {
-        serve::service_config cfg;
-        cfg.shards = 2;
-        serve::solve_service service(xpu::make_sycl_policy(), cfg);
-        EXPECT_EQ(service.devices().size(), 2);
-    }
 }
 
 TEST(ShardRouter, DeterministicForEqualCostShards)
@@ -418,31 +278,25 @@ TEST(ShardBreaker, CooldownFreezesTheWindowAgainstReTrips)
 
 TEST(ShardServe, BitIdenticalAcrossShardCounts)
 {
-    const std::vector<double> solo = run_request_mix(1);
-    const std::vector<double> two = run_request_mix(2);
-    const std::vector<double> four = run_request_mix(4);
-    ASSERT_FALSE(solo.empty());
-    EXPECT_TRUE(bit_identical(solo, two));
-    EXPECT_TRUE(bit_identical(solo, four));
+    for (const xpu::launch_mode mode : oracle::kLaunchModes) {
+        for (const index_type shards : {1, 2, 4}) {
+            oracle::check_serve_path({mode, shards, 2, microseconds(200)},
+                                     static_cast<std::uint64_t>(20 + shards));
+        }
+    }
 }
 
 TEST(ShardServe, BitIdenticalUnderInjectedPerShardFaults)
 {
-    const std::vector<double> clean = run_request_mix(2);
-    // Fault shard 0's workers on every even launch: every execution there
-    // faults once and recovers on retry. Replies must stay ok and
-    // bit-identical to the clean run.
-    std::vector<xpu::fault_plan> faults(1);
-    faults[0] = even_launch_faults(64);
-    const std::vector<double> faulted = run_request_mix(2, std::move(faults));
-    EXPECT_TRUE(bit_identical(clean, faulted));
-
-    std::vector<xpu::fault_plan> both(2);
-    both[0] = even_launch_faults(64);
-    both[1] = even_launch_faults(64);
-    const std::vector<double> faulted4 =
-        run_request_mix(4, std::move(both));
-    EXPECT_TRUE(bit_identical(clean, faulted4));
+    // Every shard's workers fail single launches on a schedule; every
+    // execution recovers on retry, and replies stay bit-identical.
+    for (const xpu::launch_mode mode : oracle::kLaunchModes) {
+        for (const index_type shards : {2, 4}) {
+            oracle::check_serve_path(
+                {mode, shards, 2, microseconds(200), true, true},
+                static_cast<std::uint64_t>(30 + shards));
+        }
+    }
 }
 
 TEST(ShardServe, PerShardFaultsIsolateAndBreakerTripsAlone)

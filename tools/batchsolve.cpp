@@ -39,8 +39,7 @@ struct cli_options {
     index_type restart = 20;
     index_type block_size = 4;
     std::uint64_t seed = 42;
-    /// Empty keeps the library default (BATCHLIN_STORAGE env or native).
-    std::string storage;
+    std::string storage = "native";
     index_type refine_sweeps = 0;
     bool verify = false;
     bool json = false;
@@ -84,7 +83,7 @@ struct cli_options {
         "  --block-size B  block-Jacobi block size        [4]\n"
         "  --seed S        workload seed                  [42]\n"
         "  --storage-precision P  native|fp32 matrix/precond storage\n"
-        "                  [BATCHLIN_STORAGE env, else native]\n"
+        "                  [native]\n"
         "  --refine-sweeps N  iterative-refinement sweeps recovering FP64\n"
         "                  accuracy on fp32 storage (0 = off)  [0]\n"
         "  --verify        compute and report true residuals\n"
@@ -221,14 +220,6 @@ solver::solver_type parse_solver(const std::string& s)
     if (s == "richardson") return solver::solver_type::richardson;
     if (s == "trsv") return solver::solver_type::trsv;
     BATCHLIN_ENSURE_MSG(false, "unknown solver: " + s);
-    return {};
-}
-
-mat::storage_precision parse_storage(const std::string& s)
-{
-    if (s == "native") return mat::storage_precision::native;
-    if (s == "fp32") return mat::storage_precision::fp32;
-    BATCHLIN_ENSURE_MSG(false, "unknown storage precision: " + s);
     return {};
 }
 
@@ -463,9 +454,7 @@ try {
                                 : stop::relative(o.tol, o.max_iters);
     opts.gmres_restart = o.restart;
     opts.block_jacobi_size = o.block_size;
-    if (!o.storage.empty()) {
-        opts.storage = parse_storage(o.storage);
-    }
+    opts.storage = mat::parse_storage_precision(o.storage);
     opts.refine_sweeps = o.refine_sweeps;
 
     if (o.serve) {
