@@ -23,21 +23,22 @@
 #     up with the sanitizer watching, and
 #  6. a BATCHLIN_CONC_CHECK build running the conc:: concurrency model
 #     checker over the lock-free serve/shard protocols: the ring,
-#     reply-slot, doorbell, and lane-counter invariants are explored
-#     exhaustively at 2-3 threads plus >= 10k seeded random schedules at
-#     higher thread counts (the seed set is fixed inside the tests, so
-#     the run is reproducible), and the seeded mutant suite proves the
-#     detector catches each weakened memory order and dropped wake. The
-#     serve/shard/oracle suites also re-run in this build, proving the
-#     instrumented shims are transparent when no engine is driving, and
+#     reply-slot, doorbell, gate, breaker and lane-guard invariants are
+#     explored exhaustively at 2-3 threads plus >= 10k seeded random
+#     schedules at higher thread counts (the seed set is fixed inside the
+#     tests, so the run is reproducible), and the seeded mutant suite
+#     proves the detector catches each weakened memory order and dropped
+#     wake. The serve/shard/oracle suites also re-run in this build,
+#     proving the instrumented shims are transparent when no engine is
+#     driving, and
 #  7. the failover and chaos-soak suites (device-loss fault model, lane
 #     eviction + queue migration, hang watchdog, half-open probes,
 #     priority shedding, brownout) at two shards: a bounded-runtime
 #     seeded soak mixing shard death/revival, a kernel hang, NaN poison,
 #     and open-loop overload, asserting zero lost tickets, balanced
-#     backlog books after drain, and bit-identity of successful solves
-#     against solo references — in the Release build and again under the
-#     instrumented checked build.
+#     books (every ticket resolved once, empty queues) after drain, and
+#     bit-identity of successful solves against solo references — in the
+#     Release build and again under the instrumented checked build.
 # The sanitizer passes are what prove the pooled launch resources, the
 # reused spill backing, the serving layer's lock-free handoffs, and the
 # solver kernels' SPMD discipline race- and UB-free.

@@ -220,8 +220,6 @@ void solve_service::stop()
     for (shard_lane& lane : lanes_) {
         detail::pending_ptr leftover;
         while (pop_one(lane, leftover)) {
-            lane.backlog_ns.fetch_sub(leftover->cost_ns,
-                                      std::memory_order_relaxed);
             ++rejected_requests_;
             reply_without_solving(*leftover, request_status::rejected);
             ring_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
@@ -305,7 +303,6 @@ service_stats solve_service::stats() const
         ss.heartbeat = lane.heartbeat.load(std::memory_order_relaxed);
         ss.queue_depth_systems = static_cast<std::uint64_t>(
             lane.ring_systems.load(std::memory_order_acquire));
-        ss.backlog_ns = lane.backlog_ns.load(std::memory_order_relaxed);
         ss.modeled_busy_seconds =
             static_cast<double>(lane.modeled_busy_ns) * 1e-9;
         ss.solves_per_sec =
@@ -355,7 +352,7 @@ bool solve_service::admit(detail::pending_entry& entry, int priority)
     };
     // Watermark shedding: above the soft watermark only positive-
     // priority requests are admitted; everything else is refused
-    // *before* it can deepen the backlog the brownout ladder and the
+    // *before* it can deepen the queue the brownout ladder and the
     // hard bound are already fighting.
     if (priority <= 0 && config_.shed_watermark < 1.0) {
         const auto mark = static_cast<size_type>(
@@ -408,27 +405,21 @@ bool solve_service::admit(detail::pending_entry& entry, int priority)
     }
 }
 
-shard::decision solve_service::route_request(
-    const detail::pending_entry& entry, index_type exclude) const
+index_type solve_service::route_request(const detail::pending_entry& entry,
+                                        index_type exclude) const
 {
-    if (lanes_.size() == 1) {
-        return router_.route(entry.key, entry.items, entry.rows, entry.nnz,
-                             {});
+    const auto routable = [&](const shard_lane& lane) {
+        return lane.guard.available() && lane.id != exclude;
+    };
+    if (std::all_of(lanes_.begin(), lanes_.end(), routable)) {
+        return router_.route(entry.key, entry.rows, entry.nnz);
     }
-    std::vector<std::int64_t> backlog;
-    backlog.reserve(lanes_.size());
     std::vector<char> alive;
     alive.reserve(lanes_.size());
-    bool any_dead = false;
     for (const shard_lane& lane : lanes_) {
-        backlog.push_back(lane.backlog_ns.load(std::memory_order_relaxed));
-        const bool routable =
-            lane.guard.available() && lane.id != exclude;
-        alive.push_back(routable ? 1 : 0);
-        any_dead = any_dead || !routable;
+        alive.push_back(routable(lane) ? 1 : 0);
     }
-    return router_.route(entry.key, entry.items, entry.rows, entry.nnz,
-                         backlog, any_dead ? &alive : nullptr);
+    return router_.route(entry.key, entry.rows, entry.nnz, &alive);
 }
 
 std::int64_t solve_service::steady_now_ns()
@@ -464,8 +455,8 @@ bool solve_service::evict_lane(shard_lane& lane, bool by_watchdog)
 void solve_service::migrate_entry(shard_lane& from,
                                   detail::pending_ptr entry)
 {
-    // Precondition: the entry is fully off-books — not on any ring, its
-    // backlog charge retired, and its global admission budget released.
+    // Precondition: the entry is fully off-books — not on any ring, and
+    // its global admission budget released.
     const auto items = static_cast<size_type>(entry->items);
     // Deadline checkpoint 5 of 5 (failover re-queue): a request that
     // outlived its deadline while its shard died expires instead of
@@ -486,10 +477,8 @@ void solve_service::migrate_entry(shard_lane& from,
             "failover: no healthy shard left to migrate to");
         return;
     }
-    const shard::decision where = route_request(*entry, from.id);
-    shard_lane& target = lanes_[static_cast<std::size_t>(where.shard)];
-    entry->shard = where.shard;
-    entry->cost_ns = where.cost_ns;
+    shard_lane& target =
+        lanes_[static_cast<std::size_t>(route_request(*entry, from.id))];
     ++entry->migrations;
     migrations_.fetch_add(1, std::memory_order_relaxed);
     migrated_systems_.fetch_add(static_cast<std::uint64_t>(items),
@@ -497,11 +486,10 @@ void solve_service::migrate_entry(shard_lane& from,
     from.migrated_requests.fetch_add(1, std::memory_order_relaxed);
     from.migrated_systems.fetch_add(static_cast<std::uint64_t>(items),
                                     std::memory_order_relaxed);
-    target.backlog_ns.fetch_add(where.cost_ns, std::memory_order_relaxed);
     // Re-reserve the global budget the pop released. Unconditional:
     // already-admitted work must not be dropped because new arrivals
     // filled the budget meanwhile — the transient overshoot is bounded by
-    // one batch and drains with the backlog.
+    // one batch and drains with the queue.
     ring_systems_.fetch_add(items, std::memory_order_acq_rel);
     enqueue(target, std::move(entry));
 }
@@ -510,7 +498,6 @@ void solve_service::failover_drain(shard_lane& lane)
 {
     detail::pending_ptr entry;
     while (pop_one(lane, entry)) {
-        lane.backlog_ns.fetch_sub(entry->cost_ns, std::memory_order_relaxed);
         migrate_entry(lane, std::move(entry));
         ring_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
     }
@@ -690,7 +677,7 @@ void solve_service::hold_window(shard_lane& own,
             return;
         }
     }
-    // Brownout level 1+ shrinks the window so backlog drains sooner.
+    // Brownout level 1+ shrinks the window so the queue drains sooner.
     const auto window_end =
         leader.enqueued +
         (brownout >= 1 ? config_.max_wait / 4 : config_.max_wait);
@@ -814,13 +801,6 @@ void solve_service::dispatch_loop(index_type shard_id, int local_id)
                 own.stolen_systems.fetch_add(
                     static_cast<std::uint64_t>(total),
                     std::memory_order_relaxed);
-                for (detail::pending_ptr& entry : chunk) {
-                    vic.backlog_ns.fetch_sub(entry->cost_ns,
-                                             std::memory_order_relaxed);
-                    own.backlog_ns.fetch_add(entry->cost_ns,
-                                             std::memory_order_relaxed);
-                    entry->shard = own.id;
-                }
             }
         }
         if (chunk.empty()) {
@@ -848,7 +828,7 @@ void solve_service::dispatch_loop(index_type shard_id, int local_id)
         // stops taking whole batches of unrelated requests down with it —
         // while the other shards keep coalescing.
         const bool solo = own.brk.suspended.load(std::memory_order_acquire);
-        // Stolen work is backlog by definition, and an entry already past
+        // Stolen work is queued overflow by definition, and an entry past
         // its deadline (checkpoint 2, dequeue) has nothing to wait for:
         // neither opens a window.
         detail::batch_tally window;
@@ -1124,8 +1104,6 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
                 // the CAS to the watchdog — the lane is equally dead
                 // either way, so the migration proceeds.
                 for (detail::pending_ptr& entry : live) {
-                    lane.backlog_ns.fetch_sub(entry->cost_ns,
-                                              std::memory_order_relaxed);
                     migrate_entry(lane, std::move(entry));
                 }
                 live.clear();
@@ -1167,21 +1145,6 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
         tally.recorded = now.recorded - graph_before.recorded;
         tally.rebound = now.rebound - graph_before.rebound;
         tally.replayed = now.replayed - graph_before.replayed;
-    }
-
-    // Retire the batch's routed cost from the lane backlog (atomic, so
-    // the router's lock-free reads stay consistent without the mutex).
-    {
-        std::int64_t retired = 0;
-        for (const detail::pending_ptr& entry : expired) {
-            retired += entry->cost_ns;
-        }
-        for (const detail::pending_ptr& entry : live) {
-            retired += entry->cost_ns;
-        }
-        if (retired != 0) {
-            lane.backlog_ns.fetch_sub(retired, std::memory_order_relaxed);
-        }
     }
 
     {

@@ -44,13 +44,13 @@
 // Sharding (`service_config::shards` / `shard_devices`): the service runs
 // one `shard::lane` per registry device — its own ring, worker pool,
 // graph caches, circuit breaker and fault accounting. `submit` routes
-// each request through `shard::router` (coalesce-key affinity,
-// cost-model spill, see shard/router.hpp), and idle workers steal from
-// rings holding more than a full batch. The registry derives every lane's
-// policy from the same base policy (kernel-behavior fields untouched), so
-// replies stay bit-identical no matter how many shards serve them or
-// where placement and stealing move a batch. A single-shard service
-// behaves exactly like the unsharded service did.
+// each request to its coalesce key's affine shard (`shard::router`), and
+// idle workers steal from rings holding more than a full batch. The
+// registry derives every lane's policy from the same base policy
+// (kernel-behavior fields untouched), so replies stay bit-identical no
+// matter how many shards serve them or where placement and stealing move
+// a batch. A single-shard service behaves exactly like the unsharded
+// service did.
 #pragma once
 
 #include <atomic>
@@ -338,11 +338,6 @@ struct pending_entry {
     index_type rows = 0;
     index_type nnz = 0;
     std::variant<typed_pending<double>, typed_pending<float>> body;
-    /// Shard the entry is currently assigned to (updated when stolen).
-    index_type shard = 0;
-    /// Router cost estimate; retired from the shard's backlog when the
-    /// entry completes, expires, or is rejected at stop.
-    std::int64_t cost_ns = 0;
     /// How many times failover moved this entry off a dead lane; capped
     /// by `service_config::max_migrations` so an entry cannot ping-pong
     /// across a fleet that keeps dying under it.
@@ -536,18 +531,15 @@ public:
             return fut;
         }
 
-        // Placement: coalesce-key affinity with cost-model spill (see
-        // shard/router.hpp). Reads the lane backlogs lock-free.
-        const shard::decision where = route_request(*entry);
-        entry->shard = where.shard;
-        entry->cost_ns = where.cost_ns;
+        // Placement: coalesce-key affinity (see shard/router.hpp); idle
+        // workers steal past that.
+        const index_type where = route_request(*entry);
         // Nothing between admit() and leave() below may throw: a
         // submitter stuck inside the gate would keep stop() waiting.
         if (!admit(*entry, priority)) {
             return fut;
         }
-        shard_lane& lane = lanes_[static_cast<std::size_t>(where.shard)];
-        lane.backlog_ns.fetch_add(where.cost_ns, std::memory_order_relaxed);
+        shard_lane& lane = lanes_[static_cast<std::size_t>(where)];
         lane.routed_requests.fetch_add(1, std::memory_order_relaxed);
         lane.routed_systems.fetch_add(static_cast<std::uint64_t>(items),
                                       std::memory_order_relaxed);
@@ -664,13 +656,12 @@ private:
         bell_.ring();
     }
 
-    /// Routes one request against the current lane backlogs (lock-free
-    /// reads; staleness degrades balance, never correctness). Evicted /
-    /// probing lanes carry zero routing weight; `exclude` (when >= 0)
-    /// additionally bars one lane — the failover migration uses it so a
-    /// dead lane never re-routes work to itself.
-    shard::decision route_request(const detail::pending_entry& entry,
-                                  index_type exclude = -1) const;
+    /// The shard one request's key routes to. Evicted / probing lanes
+    /// carry zero routing weight (lock-free reads of their guards);
+    /// `exclude` (when >= 0) additionally bars one lane — the failover
+    /// migration uses it so a dead lane never re-routes work to itself.
+    index_type route_request(const detail::pending_entry& entry,
+                             index_type exclude = -1) const;
 
     /// steady_clock now in integer nanoseconds (the watchdog/probe time
     /// base — comparable with `lane.launch_started_ns`).
@@ -685,11 +676,10 @@ private:
     bool evict_lane(shard_lane& lane, bool by_watchdog);
 
     /// Re-routes one already-admitted entry off dead `from` onto a
-    /// surviving lane's ring, re-charging the backlog books on both
-    /// sides and re-reserving the global budget. Entries past their
-    /// deadline expire here (deadline checkpoint 5: failover re-queue);
-    /// entries past the migration cap, or with no surviving lane, fail
-    /// with a structured error.
+    /// surviving lane's ring and re-reserves the global budget. Entries
+    /// past their deadline expire here (deadline checkpoint 5: failover
+    /// re-queue); entries past the migration cap, or with no surviving
+    /// lane, fail with a structured error.
     void migrate_entry(shard_lane& from, detail::pending_ptr entry);
 
     /// Drains everything queued on an evicted lane's ring and migrates it.

@@ -136,7 +136,6 @@ std::string service_stats::to_json() const
         emit_u64(out, "migrated_systems", s.migrated_systems);
         emit_u64(out, "heartbeat", s.heartbeat);
         emit_u64(out, "queue_depth_systems", s.queue_depth_systems);
-        emit_i64(out, "backlog_ns", s.backlog_ns);
         emit_double(out, "modeled_busy_seconds", s.modeled_busy_seconds);
         emit_double(out, "solves_per_sec", s.solves_per_sec, false);
         out += "}";

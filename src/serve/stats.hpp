@@ -50,9 +50,6 @@ struct shard_stats {
     std::uint64_t heartbeat = 0;
     /// Current ring depth of this shard, in systems.
     std::uint64_t queue_depth_systems = 0;
-    /// Estimated not-yet-completed work (router cost model) — what the
-    /// placement policy balances on.
-    std::int64_t backlog_ns = 0;
     /// Modeled device-busy time of this shard's launches (router cost
     /// model over the fused sizes that actually ran). The shard sweep's
     /// aggregate throughput is completed systems over the busiest

@@ -1,13 +1,13 @@
 // shard::lane — per-shard runtime state of the sharded serve layer, and
 // the per-shard circuit breaker.
 //
-// One lane per registry entry: its MPMC admission ring, the backlog
-// estimate the router balances on, the breaker and fault accounting that
-// isolate a misbehaving shard, and the per-shard counters `serve::stats`
-// exposes. The lane itself holds no threads and no locks: the ring and
-// the atomics are lock-free, the completion-side counters are guarded by
-// the service's statistics mutex, and the `xpu::queue`s executing a
-// lane's work are owned by the service's worker threads (one queue per
+// One lane per registry entry: its MPMC admission ring, whose depth the
+// idle workers steal on, the breaker and fault accounting that isolate a
+// misbehaving shard, and the per-shard counters `serve::stats` exposes.
+// The lane itself holds no threads and no locks: the ring and the
+// atomics are lock-free, the completion-side counters are guarded by the
+// service's statistics mutex, and the `xpu::queue`s executing a lane's
+// work are owned by the service's worker threads (one queue per
 // worker, the single-threaded contract `xpu::queue` documents).
 //
 // The struct is templated on the queued entry pointer so this header
@@ -167,8 +167,7 @@ struct lane_guard {
 template <typename EntryPtr>
 struct lane {
     index_type id = 0;
-    /// The emulated device (routing costs, stats labels, modeled busy
-    /// time).
+    /// The emulated device (stats labels, modeled busy time).
     perf::device_spec spec;
     /// Policy this lane's worker queues are built from (registry entry
     /// policy plus any per-shard injected fault schedule).
@@ -178,13 +177,6 @@ struct lane {
     /// signal and the batching window's "ring stayed empty" signal.
     std::unique_ptr<serve::mpmc_ring<EntryPtr>> ring;
     conc::atomic<size_type> ring_systems{0};
-
-    /// Estimated nanoseconds of routed-but-uncompleted work (the router
-    /// cost model); read lock-free by the router, moved between lanes
-    /// when work is stolen. conc::atomic (= std::atomic in the default
-    /// build): the backlog books-balance property in tests/test_conc.cpp
-    /// model-checks the submit/steal/retire transfers on these counters.
-    conc::atomic<std::int64_t> backlog_ns{0};
 
     breaker brk;
 

@@ -14,13 +14,6 @@ namespace {
 /// fixed sweep count preserves.
 constexpr double kNominalSweeps = 16.0;
 
-/// Spill hysteresis, in units of the request's own cost: the affine
-/// shard keeps the request until its projected backlog trails the least
-/// loaded shard by more than a full fused batch of such requests, so
-/// bursts below one batch stay together (and keep coalescing) while
-/// anything beyond what one launch can absorb flows to idle shards.
-constexpr std::int64_t kSpillBatchFactor = 32;
-
 /// splitmix64 finalizer: decorrelates the coalesce key per shard so the
 /// rendezvous draws are independent.
 std::uint64_t mix64(std::uint64_t x)
@@ -69,25 +62,15 @@ std::int64_t router::estimate_cost_ns(const perf::device_spec& spec,
     return std::max<std::int64_t>(1, std::llround(ns));
 }
 
-decision router::route(std::uint64_t key, index_type items, index_type rows,
-                       index_type nnz_per_item,
-                       const std::vector<std::int64_t>& backlog_ns) const
-{
-    return route(key, items, rows, nnz_per_item, backlog_ns, nullptr);
-}
-
-decision router::route(std::uint64_t key, index_type items, index_type rows,
-                       index_type nnz_per_item,
-                       const std::vector<std::int64_t>& backlog_ns,
-                       const std::vector<char>* alive) const
+index_type router::route(std::uint64_t key, index_type rows,
+                         index_type nnz_per_item,
+                         const std::vector<char>* alive) const
 {
     const std::size_t n = specs_.size();
     BATCHLIN_ENSURE_MSG(n > 0, "route on an empty router");
     if (n == 1) {
-        return {0, estimate_cost_ns(specs_[0], items, rows, nnz_per_item)};
+        return 0;
     }
-    BATCHLIN_ENSURE_DIMS(backlog_ns.size() == n,
-                         "backlog vector must cover every shard");
     if (alive != nullptr) {
         BATCHLIN_ENSURE_DIMS(alive->size() == n,
                              "alive mask must cover every shard");
@@ -98,52 +81,26 @@ decision router::route(std::uint64_t key, index_type items, index_type rows,
             alive = nullptr;
         }
     }
-    const auto routable = [&](std::size_t i) {
-        return alive == nullptr || (*alive)[i] != 0;
-    };
 
-    std::vector<std::int64_t> cost(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        cost[i] = estimate_cost_ns(specs_[i], items, rows, nnz_per_item);
-    }
-
-    // Weighted rendezvous: score = -ln(u) * cost (the cheaper the shard,
-    // the smaller its typical score); the minimum wins. Deterministic in
-    // (key, specs, mask), independent of backlog.
+    // Weighted rendezvous: score = -ln(u) * cost of one system (the
+    // cheaper the shard, the smaller its typical score); the minimum
+    // wins. Deterministic in (key, shape, specs, mask).
     std::size_t affine = n;
     double best = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-        if (!routable(i)) {
+        if (alive != nullptr && (*alive)[i] == 0) {
             continue;
         }
         const double score =
-            -std::log(hash01(key, i)) * static_cast<double>(cost[i]);
+            -std::log(hash01(key, i)) *
+            static_cast<double>(
+                estimate_cost_ns(specs_[i], 1, rows, nnz_per_item));
         if (affine == n || score < best) {
             best = score;
             affine = i;
         }
     }
-
-    // Spill guard: projected completion on the affine shard vs. the least
-    // loaded one, with one-batch hysteresis.
-    std::size_t least = n;
-    std::int64_t least_load = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!routable(i)) {
-            continue;
-        }
-        const std::int64_t load = backlog_ns[i] + cost[i];
-        if (least == n || load < least_load) {
-            least_load = load;
-            least = i;
-        }
-    }
-    const std::int64_t affine_load = backlog_ns[affine] + cost[affine];
-    const std::int64_t margin = cost[affine] * kSpillBatchFactor;
-    if (affine != least && affine_load > least_load + margin) {
-        return {static_cast<index_type>(least), cost[least]};
-    }
-    return {static_cast<index_type>(affine), cost[affine]};
+    return static_cast<index_type>(affine);
 }
 
 }  // namespace batchlin::shard

@@ -1,23 +1,19 @@
 // shard::router — cost-model placement of coalesced batches.
 //
-// Placement has two competing goals. Requests sharing a coalesce key must
-// land on the *same* shard, or sharding silently destroys the batching
-// the serve layer exists for; and shards must stay *balanced*, or one hot
-// key serializes the fleet on a single device. The router resolves this
-// with a three-level policy:
+// Placement has one job: requests sharing a coalesce key must land on
+// the *same* shard, or sharding silently destroys the batching the serve
+// layer exists for (the paper's throughput comes from fusing many small
+// systems into one launch, §3.4). Balance comes from the workers, not
+// from the router. Placement is two levels:
 //
 //  1. Affinity: weighted rendezvous hashing on the coalesce key, weighted
-//     by the inverse of the perfmodel cost estimate, so equal keys are
-//     routed identically (deterministic, the satellite requirement) and
-//     faster devices win proportionally more keys.
-//  2. Spill: when the affine shard's estimated backlog exceeds the least
-//     loaded shard's by more than a full batch worth of this request's
-//     cost, the request spills to the least loaded shard — cost model vs.
-//     per-shard queue depth, with enough hysteresis that small same-key
-//     bursts stay together and keep fusing.
-//  3. Stealing (implemented in the serve lanes, thresholds here): an idle
-//     shard pulls from the deepest ring once it holds more than a
-//     full batch, so routing mistakes and load skew self-correct.
+//     by the inverse of the perfmodel cost of one system of the key's
+//     shape, so equal keys are routed identically whatever their item
+//     counts and faster devices win proportionally more keys.
+//  2. Stealing (implemented in the serve lanes): an idle shard pulls from
+//     the deepest ring once it holds more than `steal_threshold` systems,
+//     so a hot key or a skewed key mix self-corrects — and the stolen
+//     chunk still fuses on the thief.
 //
 // Costs are int64 nanoseconds: the modeled solve of a handful of 8-row
 // systems is well under a microsecond of bandwidth time, so a coarser
@@ -32,13 +28,6 @@
 #include "util/math.hpp"
 
 namespace batchlin::shard {
-
-/// Routing verdict: the target shard and the request's estimated cost on
-/// it (the unit the lane backlog accounting runs in).
-struct decision {
-    index_type shard = 0;
-    std::int64_t cost_ns = 0;
-};
 
 class router {
 public:
@@ -62,24 +51,18 @@ public:
                                          index_type items, index_type rows,
                                          index_type nnz_per_item);
 
-    /// Routes one request. `backlog_ns` is the per-shard estimated
-    /// not-yet-completed work (same unit as `estimate_cost_ns`); it may
-    /// be read racily — staleness degrades balance, never correctness.
-    decision route(std::uint64_t key, index_type items, index_type rows,
-                   index_type nnz_per_item,
-                   const std::vector<std::int64_t>& backlog_ns) const;
-
-    /// Failover-aware routing: shards whose `alive` byte is zero are
-    /// skipped in both the rendezvous draw and the spill scan, so an
-    /// evicted lane keeps zero weight until its half-open probe restores
-    /// it. A null or all-dead mask degrades to the unmasked policy (the
-    /// caller has nowhere better to send the work anyway). The rendezvous
-    /// draw for a given (key, shard) pair is unchanged by the mask, so
-    /// keys return to their affine shard the moment it revives.
-    decision route(std::uint64_t key, index_type items, index_type rows,
-                   index_type nnz_per_item,
-                   const std::vector<std::int64_t>& backlog_ns,
-                   const std::vector<char>* alive) const;
+    /// The shard of coalesce key `key` whose systems have `rows` rows and
+    /// `nnz_per_item` stored nonzeros. Reads neither load nor item count,
+    /// so every request of a key gets the same answer. Shards whose
+    /// `alive` byte is zero are skipped, so an evicted lane keeps zero
+    /// weight until its half-open probe restores it. A null or all-dead
+    /// mask degrades to the unmasked draw (the caller has nowhere better
+    /// to send the work anyway). The draw for a given (key, shard) pair
+    /// is unchanged by the mask, so keys return to their affine shard the
+    /// moment it revives.
+    index_type route(std::uint64_t key, index_type rows,
+                     index_type nnz_per_item,
+                     const std::vector<char>* alive = nullptr) const;
 
 private:
     std::vector<perf::device_spec> specs_;

@@ -1,10 +1,12 @@
 // Tests for the multi-device sharding layer: registry enumeration and
 // policy derivation, cost-model routing (determinism, device weighting,
-// spill), the per-shard circuit breaker, and the sharded serve path —
-// bit-identity across shard counts (with and without injected per-shard
-// faults), fault isolation, work stealing, and per-shard statistics.
+// one shard per key at every item count), the per-shard circuit breaker,
+// and the sharded serve path — bit-identity across shard counts (with and
+// without injected per-shard faults), fault isolation, work stealing, and
+// per-shard statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <vector>
@@ -145,21 +147,13 @@ TEST(ShardRegistry, FromNamesAppliesDeviceLaunchCosts)
 TEST(ShardRouter, DeterministicForEqualCostShards)
 {
     const shard::router router({perf::pvc_1s(), perf::pvc_1s()});
-    const std::vector<std::int64_t> idle = {0, 0};
     bool hit_shard[2] = {false, false};
     for (std::uint64_t key = 1; key <= 64; ++key) {
-        const shard::decision first = router.route(key, 4, 16, 46, idle);
+        const index_type first = router.route(key, 16, 46);
         for (int repeat = 0; repeat < 3; ++repeat) {
-            const shard::decision again =
-                router.route(key, 4, 16, 46, idle);
-            EXPECT_EQ(again.shard, first.shard);
-            EXPECT_EQ(again.cost_ns, first.cost_ns);
+            EXPECT_EQ(router.route(key, 16, 46), first);
         }
-        hit_shard[first.shard] = true;
-        // Equal specs price the request equally on both shards.
-        EXPECT_EQ(first.cost_ns,
-                  shard::router::estimate_cost_ns(perf::pvc_1s(), 4, 16,
-                                                  46));
+        hit_shard[first] = true;
     }
     // Rendezvous hashing spreads distinct keys over both shards.
     EXPECT_TRUE(hit_shard[0]);
@@ -186,36 +180,56 @@ TEST(ShardRouter, CostModelTracksDeviceBandwidthAndLaunchCost)
     EXPECT_LT(shard::router::estimate_cost_ns(perf::pvc_1s(), 1, 8, 22),
               shard::router::estimate_cost_ns(perf::pvc_2s(), 1, 8, 22));
 
-    // Faster devices win proportionally more keys at equal backlog.
+    // Faster devices win proportionally more keys. The router weighs one
+    // system of the key's shape, so a system streaming as many bytes as
+    // the 16384-item batch above is bandwidth-bound too.
     const shard::router mixed({perf::pvc_1s(), perf::pvc_2s()});
-    const std::vector<std::int64_t> idle = {0, 0};
     int won_by_2s = 0;
     for (std::uint64_t key = 1; key <= 512; ++key) {
-        if (mixed.route(key, 16384, 256, 768, idle).shard == 1) {
+        if (mixed.route(key, 16384 * 256, 16384 * 768) == 1) {
             ++won_by_2s;
         }
     }
     EXPECT_GT(won_by_2s, 256);
 }
 
-TEST(ShardRouter, SpillsToLeastLoadedPastHysteresis)
+TEST(ShardRouter, MixedFleetPlacesAKeyAlikeAtEveryItemCount)
 {
-    const shard::router router({perf::pvc_1s(), perf::pvc_1s()});
-    const std::uint64_t key = 1234;
-    const shard::decision affine = router.route(key, 1, 16, 46, {0, 0});
-    const index_type other = affine.shard == 0 ? 1 : 0;
-
-    // Backlog below the one-batch hysteresis margin keeps the key home
-    // (same-key bursts must stay together and coalesce).
-    std::vector<std::int64_t> small_backlog = {0, 0};
-    small_backlog[affine.shard] = affine.cost_ns * 8;
-    EXPECT_EQ(router.route(key, 1, 16, 46, small_backlog).shard,
-              affine.shard);
-
-    // Far past the margin, the request spills to the least loaded shard.
-    std::vector<std::int64_t> heavy_backlog = {0, 0};
-    heavy_backlog[affine.shard] = affine.cost_ns * 100;
-    EXPECT_EQ(router.route(key, 1, 16, 46, heavy_backlog).shard, other);
+    // On a mixed fleet the cost ratio between devices moves with the item
+    // count (launch-bound for one system, bandwidth-bound for many), so a
+    // weight taken from the request's own size would split one key's
+    // requests across shards and they would never fuse. Every item count
+    // of a key must land on one shard. Driven through the service: the
+    // router itself takes no item count.
+    serve::service_config cfg;
+    cfg.shard_devices = {"pvc1s", "a100"};
+    cfg.workers = 1;
+    cfg.max_wait = microseconds(0);
+    serve::solve_service service(xpu::make_sycl_policy(), cfg);
+    bool hit_shard[2] = {false, false};
+    for (index_type k = 0; k < 400; ++k) {
+        // The iteration cap is part of the coalesce key: one key per k.
+        solver::solve_options opts = cg_opts();
+        opts.criterion = bl::stop::relative(1e-8, 100 + k);
+        const serve::service_stats before = service.stats();
+        for (const index_type items : {1, 8, 32}) {
+            service
+                .submit(make_request(work::stencil_3pt<double>(items, 16, 5),
+                                     opts, static_cast<std::uint64_t>(k)))
+                .get();
+        }
+        const serve::service_stats after = service.stats();
+        for (std::size_t s = 0; s < 2; ++s) {
+            const std::uint64_t routed = after.shards[s].routed_requests -
+                                         before.shards[s].routed_requests;
+            EXPECT_TRUE(routed == 0 || routed == 3)
+                << "key " << k << " split: " << routed
+                << " of 3 item counts on shard " << s;
+            hit_shard[s] = hit_shard[s] || routed > 0;
+        }
+    }
+    EXPECT_TRUE(hit_shard[0]);
+    EXPECT_TRUE(hit_shard[1]);
 }
 
 TEST(ShardBreaker, TripsAndCoolsDownIndependently)
@@ -370,19 +384,25 @@ TEST(ShardServe, WorkStealingRebalancesAHotKey)
     cfg.max_queue_systems = 8192;
     serve::solve_service service(xpu::make_sycl_policy(), cfg);
 
-    std::uint64_t total = 0;
+    // One hot key: every request shares the pattern and the options.
+    oracle::request_case c;
+    c.pc = oracle::ptype::jacobi;
+    c.rows = 16;
+    std::vector<oracle::request_case> cases;
+    std::vector<oracle::outcome> got;
     std::uint64_t steals = 0;
     for (int wave = 0; wave < 100 && steals == 0; ++wave) {
         std::vector<serve::solve_ticket<double>> tickets;
         tickets.reserve(64);
         for (int i = 0; i < 64; ++i) {
-            tickets.push_back(service.submit(make_request(
-                work::stencil_3pt<double>(1, 16, 21), cg_opts(),
-                static_cast<std::uint64_t>(wave * 64 + i))));
+            c.seed = static_cast<std::uint64_t>(wave * 64 + i);
+            cases.push_back(c);
+            tickets.push_back(service.submit(oracle::request_of<double>(c)));
         }
         for (serve::solve_ticket<double>& ticket : tickets) {
-            EXPECT_EQ(ticket.get().status, serve::request_status::ok);
-            ++total;
+            serve::solve_reply<double> reply = ticket.get();
+            EXPECT_EQ(reply.status, serve::request_status::ok);
+            got.push_back(oracle::outcome_of(reply.x, std::move(reply.log)));
         }
         steals = service.stats().steals;
     }
@@ -390,16 +410,31 @@ TEST(ShardServe, WorkStealingRebalancesAHotKey)
     // settles the books before the consistency checks below.
     service.drain();
     const serve::service_stats s = service.stats();
+    const std::uint64_t total = cases.size();
     EXPECT_GE(s.steals, 1u);
     EXPECT_EQ(s.completed_systems, total);
+    // Placement never splits the key: every request went to its affine
+    // shard, and only stealing moved work to the other one.
+    EXPECT_EQ(std::max(s.shards[0].routed_requests,
+                       s.shards[1].routed_requests),
+              total);
+    EXPECT_EQ(std::min(s.shards[0].routed_requests,
+                       s.shards[1].routed_requests),
+              0u);
     // Every system completed exactly once, on whichever shard executed it
-    // (on a single host core the scheduler may let one shard's worker do
-    // all the executing — including the stolen work — so no claim is made
-    // about which shard ran what, only that the books balance).
+    // (the scheduler may let one shard's worker do all the executing —
+    // including the stolen work — so no claim is made about which shard
+    // ran what, only that the books balance).
     EXPECT_EQ(s.shards[0].completed_systems + s.shards[1].completed_systems,
               total);
     EXPECT_EQ(s.shards[0].steals + s.shards[1].steals, s.steals);
     EXPECT_GE(s.shards[0].stolen_systems + s.shards[1].stolen_systems, 1u);
+    // Stolen or not, every reply is bit-identical to its solo solve.
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        const std::string where = oracle::describe(cases[i]);
+        oracle::expect_same(oracle::solo<double>(cases[i], where), got[i],
+                            c.rows, where);
+    }
 }
 
 TEST(ShardServe, PerShardStatsAreConsistentAfterDrain)
@@ -431,7 +466,6 @@ TEST(ShardServe, PerShardStatsAreConsistentAfterDrain)
     for (const serve::shard_stats& ss : s.shards) {
         EXPECT_EQ(ss.device, "PVC-1S");
         EXPECT_EQ(ss.queue_depth_systems, 0u);
-        EXPECT_EQ(ss.backlog_ns, 0);
         EXPECT_FALSE(ss.breaker_active);
         routed_requests += ss.routed_requests;
         routed_systems += ss.routed_systems;
@@ -479,8 +513,6 @@ TEST(ShardServe, GraphReplayShardsServeAndStayConsistent)
     EXPECT_EQ(s.shards[0].completed_systems + s.shards[1].completed_systems,
               128u);
     EXPECT_EQ(s.queue_depth_systems, 0u);
-    EXPECT_EQ(s.shards[0].backlog_ns, 0);
-    EXPECT_EQ(s.shards[1].backlog_ns, 0);
     // Every fused launch on either shard is a graph submission.
     EXPECT_EQ(s.replays, s.batches_launched);
     service.stop();
