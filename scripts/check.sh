@@ -11,7 +11,8 @@
 #     the serve::, shard and oracle tests, which exercise the service's
 #     submit/worker/reply handoffs from many host threads at once; the
 #     oracle names both launch modes explicitly, so the per-worker
-#     recording caches run under TSan too,
+#     recording caches run under TSan too, and the ServeResilience suite
+#     drives `solve_coalesced`'s retry and degrade loop on worker threads,
 #  4. a BATCHLIN_XPU_CHECK build running the kernel portability sanitizer:
 #     the fixture kernels must each trigger their diagnostic, and every
 #     shipped solver kernel must pass the full checker (shadow state,
@@ -61,7 +62,7 @@ cmake -B build-sanitize -S . -G Ninja \
 cmake --build build-sanitize -j "$JOBS"
 ctest --test-dir build-sanitize -j "$JOBS" --output-on-failure | tail -3
 
-echo "== config 3/7: Debug + TSan, serve + shard + oracle tests (build-tsan/)"
+echo "== config 3/7: Debug + TSan, serve + shard + oracle + resilience tests (build-tsan/)"
 cmake -B build-tsan -S . -G Ninja \
   -DCMAKE_BUILD_TYPE=Debug -DBATCHLIN_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target test_serve test_shard test_oracle
@@ -70,7 +71,7 @@ cmake --build build-tsan -j "$JOBS" --target test_serve test_shard test_oracle
 # client threads vs worker threads vs stats readers — is plain std::thread
 # and stays fully exercised.
 OMP_NUM_THREADS=1 ctest --test-dir build-tsan \
-  -R '^(Serve|Assemble|Shard[A-Za-z]*|Oracle)\.' \
+  -R '^(Serve|ServeResilience|Assemble|Shard[A-Za-z]*|Oracle)\.' \
   -j "$JOBS" --output-on-failure | tail -3
 
 echo "== config 4/7: xpu::check kernel portability sanitizer (build-check/)"
@@ -102,7 +103,7 @@ cmake --build build-conc -j "$JOBS" --target test_conc test_serve test_shard \
 ctest --test-dir build-conc -R '^Conc' \
   -j "$JOBS" --output-on-failure | tail -3
 OMP_NUM_THREADS=1 ctest --test-dir build-conc \
-  -R '^(Serve|Assemble|Shard[A-Za-z]*|Oracle)\.' \
+  -R '^(Serve|ServeResilience|Assemble|Shard[A-Za-z]*|Oracle)\.' \
   -j "$JOBS" --output-on-failure | tail -3
 
 echo "== config 7/7: failover + chaos soak at two shards"

@@ -15,10 +15,10 @@
 namespace batchlin::log {
 
 /// Terminal state of one system's solve. Replaces the old converged bit:
-/// a system that did not converge now says *why*, so the resilience layer
-/// (`solver::solve_resilient`, serve:: retry) can pick the right remedy —
-/// breakdowns re-solve down the fallback chain, `device_fault` retries,
-/// `max_iterations` is an accuracy problem, not a fault.
+/// a system that did not converge now says *why*, so recovery (the
+/// `solver::solve_resilient` chain, `solve_coalesced`'s retries) can pick
+/// the right remedy — breakdowns re-solve down the fallback chain,
+/// `device_fault` retries, `max_iterations` is accuracy, not a fault.
 enum class solve_status : std::uint8_t {
     /// The stop criterion was met (also: zero right-hand side, which is
     /// defined as immediately converged with x = 0).

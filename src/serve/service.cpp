@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "workload/stencil.hpp"
-#include "xpu/fault.hpp"
 
 #if defined(__linux__)
 #include <sys/prctl.h>
@@ -519,8 +518,7 @@ bool solve_service::send_probe(xpu::queue& q) const
         opts.criterion = batchlin::stop::relative(1e-8, 64);
         std::vector<solver::assembly_part<double>> part;
         part.push_back({&a, &b, &x});
-        (void)solver::solve_coalesced<double>(q, part, opts);
-        return true;
+        return !solver::solve_coalesced<double>(q, part, opts).solves.empty();
     } catch (...) {
         return false;
     }
@@ -544,7 +542,6 @@ bool solve_service::maybe_probe(shard_lane& lane, xpu::queue& q)
         return false;
     }
     if (send_probe(q)) {
-        lane.consecutive_exhausted.store(0, std::memory_order_relaxed);
         lane.guard.probe_succeeded();
         return true;
     }
@@ -942,7 +939,6 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
     // shrugs off the resulting thundering herd, and each client wakes
     // exactly once per fused window.
     std::vector<conc::atomic<std::uint32_t>*> wake_list;
-    std::vector<index_type> launch_sizes;
     std::vector<double> latencies;
 
     // Resolves one entry and hands its request's operands back: ok with
@@ -951,15 +947,15 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
     // it resolved (see try_reply).
     const auto reply = [&](detail::pending_entry& entry,
                            const solver::solve_result* solved,
-                           index_type offset, index_type fused,
-                           index_type attempts, const std::string& error) {
+                           index_type offset, index_type attempts,
+                           const std::string& error) {
         auto& typed = std::get<detail::typed_pending<T>>(entry.body);
         solve_reply<T> r;
         r.attempts = attempts;
         if (solved != nullptr) {
             r.log = std::move(typed.request.log);
             solver::split_log_into(solved->log, offset, entry.items, r.log);
-            r.fused_systems = fused;
+            r.fused_systems = solved->log.num_systems();
             r.queue_seconds = seconds_between(entry.enqueued, launch_time);
             r.solve_seconds = solved->wall_seconds;
         } else {
@@ -991,7 +987,7 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
     // never double-sets an already-resolved one.
     auto fail_remaining = [&](const std::string& what) {
         for (detail::pending_ptr& entry : live) {
-            reply(*entry, nullptr, 0, 0, 1, what);
+            reply(*entry, nullptr, 0, 1, what);
         }
     };
 
@@ -1000,17 +996,16 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
                           : nullptr;
     const solver::recording_counts graph_before =
         cache != nullptr ? cache->totals() : solver::recording_counts{};
+    solver::coalesced_result solved;
     if (!live.empty()) {
         try {
             std::vector<solver::assembly_part<T>> parts;
             parts.reserve(live.size());
-            index_type total = 0;
             for (detail::pending_ptr& entry : live) {
                 auto& typed =
                     std::get<detail::typed_pending<T>>(entry->body);
                 parts.push_back({&typed.request.a, &typed.request.b,
                                  &typed.request.x});
-                total += entry->items;
             }
             solver::solve_options opts =
                 std::get<detail::typed_pending<T>>(live.front()->body)
@@ -1030,108 +1025,47 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
                 opts.gmres_restart = 10;
             }
 
-            // Solves `p` in one solver call (which refines, replays a
-            // recording or launches eagerly), retrying device faults with
-            // capped exponential backoff. Injected faults are keyed by
-            // the worker queue's launch counter, so every retry is a
-            // fresh launch. Other exceptions propagate to the failure
-            // sweep below.
-            std::string last_fault;
-            auto attempt_with_retries =
-                [&](const std::vector<solver::assembly_part<T>>& p,
-                    index_type& attempts)
-                -> std::optional<solver::solve_result> {
-                auto backoff = config_.retry_backoff;
-                for (index_type retry = 0;; ++retry) {
-                    ++attempts;
-                    try {
-                        solver::solve_result result =
-                            solver::solve_coalesced<T>(q, p, opts, cache);
-                        if (result.refined) {
-                            ++tally.refined;
-                            tally.refine_sweeps += static_cast<std::uint64_t>(
-                                result.refined->sweeps);
-                            tally.refine_fallbacks +=
-                                result.refined->fell_back ? 1 : 0;
-                        }
-                        return result;
-                    } catch (const xpu::device_error& ex) {
-                        ++tally.faults;
-                        last_fault = ex.what();
-                        if (retry >= config_.launch_retries) {
-                            return std::nullopt;
-                        }
-                        ++tally.retries;
-                        if (backoff.count() > 0) {
-                            std::this_thread::sleep_for(backoff);
-                            backoff = std::min(
-                                backoff * 2, config_.max_retry_backoff);
-                        }
-                    }
+            // With a survivor to fail over to, an exhausted fused solve
+            // evicts this lane instead of degrading to solo solves on it.
+            const solver::retry_policy policy{
+                config_.launch_retries, config_.retry_backoff,
+                config_.max_retry_backoff,
+                !config_.failover || alive_lanes_excluding(lane.id) == 0};
+            solved = solver::solve_coalesced<T>(q, parts, opts, cache, policy);
+            tally.faults += static_cast<std::uint64_t>(solved.tally.faults);
+            tally.retries += static_cast<std::uint64_t>(solved.tally.retries);
+            tally.degraded = solved.degraded ? 1 : 0;
+            for (const solver::solve_result& result : solved.solves) {
+                if (result.refined) {
+                    ++tally.refined;
+                    tally.refine_sweeps +=
+                        static_cast<std::uint64_t>(result.refined->sweeps);
+                    tally.refine_fallbacks += result.refined->fell_back ? 1 : 0;
                 }
-            };
-
-            index_type fused_attempts = 0;
-            std::optional<solver::solve_result> combined =
-                attempt_with_retries(parts, fused_attempts);
-            if (combined) {
-                if (config_.failover) {
-                    lane.consecutive_exhausted.store(
-                        0, std::memory_order_relaxed);
-                }
-                launch_sizes.push_back(total);
-                index_type offset = 0;
-                for (detail::pending_ptr& entry : live) {
-                    reply(*entry, &*combined, offset, total, fused_attempts,
-                          {});
-                    offset += entry->items;
-                }
-            } else if (config_.failover &&
-                       alive_lanes_excluding(lane.id) > 0 &&
-                       lane.consecutive_exhausted.fetch_add(
-                           1, std::memory_order_acq_rel) +
-                               1 >=
-                           static_cast<std::uint32_t>(
-                               config_.evict_after_exhausted) &&
-                       (evict_lane(lane, /*by_watchdog=*/false) ||
-                        !lane.guard.available())) {
-                // Retry exhaustion with failover on and somewhere to go:
-                // declare the lane lost instead of grinding through solo
-                // degradation on a device that keeps faulting. The
-                // batch's entries migrate to survivors (their tickets
-                // resolve over there), and everything still queued
-                // behind them drains right after. `evict_lane` may lose
-                // the CAS to the watchdog — the lane is equally dead
-                // either way, so the migration proceeds.
+            }
+            if (solved.solves.empty() && !policy.degrade) {
+                // The batch's entries migrate to survivors (their tickets
+                // resolve over there), and everything still queued behind
+                // them drains right after. `evict_lane` may lose the CAS
+                // to the watchdog — the lane is equally dead either way.
+                evict_lane(lane, /*by_watchdog=*/false);
                 for (detail::pending_ptr& entry : live) {
                     migrate_entry(lane, std::move(entry));
                 }
                 live.clear();
                 failover_drain(lane);
-            } else {
-                // The fused launch keeps faulting: degrade to per-request
-                // solo solves so only the requests that genuinely cannot
-                // complete fail — the rest of the batch still resolves ok.
-                tally.degraded = 1;
-                for (detail::pending_ptr& entry : live) {
-                    auto& typed =
-                        std::get<detail::typed_pending<T>>(entry->body);
-                    const std::vector<solver::assembly_part<T>> solo{
-                        {&typed.request.a, &typed.request.b,
-                         &typed.request.x}};
-                    index_type attempts = fused_attempts;
-                    const std::optional<solver::solve_result> result =
-                        attempt_with_retries(solo, attempts);
-                    if (result) {
-                        launch_sizes.push_back(entry->items);
-                        reply(*entry, &*result, 0, entry->items, attempts,
-                              {});
-                    } else {
-                        reply(*entry, nullptr, 0, 0, attempts,
-                              "device fault persisted through " +
-                                  std::to_string(attempts) +
-                                  " solve attempts: " + last_fault);
-                    }
+            }
+            for (std::size_t i = 0; i < live.size(); ++i) {
+                const solver::part_outcome& part = solved.parts[i];
+                if (part.exhausted()) {
+                    reply(*live[i], nullptr, 0, part.attempts,
+                          "device fault persisted through " +
+                              std::to_string(part.attempts) +
+                              " solve attempts: " + part.fault);
+                } else {
+                    reply(*live[i],
+                          &solved.solves[static_cast<std::size_t>(part.solve)],
+                          part.offset, part.attempts, {});
                 }
             }
         } catch (const std::exception& ex) {
@@ -1168,7 +1102,8 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
         }
         lane.completed_systems += tally.ok_systems;
         lane.launch_faults += tally.faults;
-        for (const index_type size : launch_sizes) {
+        for (const solver::solve_result& launch : solved.solves) {
+            const index_type size = launch.log.num_systems();
             ++batches_launched_;
             batched_systems_sum_ += static_cast<std::uint64_t>(size);
             const std::size_t bucket =

@@ -223,10 +223,10 @@ struct service_config {
     bool skip_spill_zeroing = true;
     /// Sliding-window size of the latency percentile estimator.
     std::size_t latency_window = 8192;
-    /// Additional solve attempts after a `xpu::device_error` launch
-    /// failure before the batch degrades to per-request solo solves.
-    /// Injected faults are keyed by the worker queue's launch counter, so
-    /// a retry is a fresh launch and typically clears a transient fault.
+    /// The `solver::retry_policy` of every fused batch: additional solve
+    /// attempts after a `xpu::device_error` launch failure before the
+    /// batch degrades to per-request solo solves (with `failover` and a
+    /// survivor: before its lane is evicted).
     index_type launch_retries = 2;
     /// Backoff before the first retry; doubles per retry up to
     /// `max_retry_backoff` (capped exponential backoff). Slept on the
@@ -251,8 +251,7 @@ struct service_config {
     /// degrade-in-place counts. Only meaningful with at least two shards
     /// (a lone lane has nowhere to fail over to).
     bool failover = false;
-    /// Consecutive fused executions that exhausted their launch retries
-    /// with a device error before a worker declares the shard lost.
+    /// Retired, no longer read: the first exhausted execution evicts.
     std::uint32_t evict_after_exhausted = 1;
     /// Watchdog scan period; zero disables the watchdog thread (worker-
     /// side eviction still runs). The watchdog runs at 1 ns timer slack,
@@ -733,9 +732,9 @@ private:
     /// threshold.
     int steal_victim(index_type thief_shard) const;
 
-    /// Solves one group of compatible entries as one fused batch through
-    /// `caches` (null in `direct` mode) and resolves every entry: retries
-    /// with backoff, then failover eviction or degraded solo solves.
+    /// Solves one group of compatible entries in one `solve_coalesced`
+    /// call through `caches` (null in `direct` mode) and resolves every
+    /// entry from its outcome, or evicts the lane and migrates them.
     /// The batch's outcomes are added to `tally` (the window's counts
     /// for a chunk's first group, else empty) and it to the totals.
     template <typename T>

@@ -195,10 +195,6 @@ struct lane {
     /// steady_clock nanoseconds of the eviction (or last failed probe);
     /// the probe cooldown is measured from here.
     conc::atomic<std::int64_t> evicted_at_ns{0};
-    /// Consecutive fused executions that exhausted their launch retries
-    /// with a device error (reset on any success). Reaching
-    /// `service_config::evict_after_exhausted` declares the shard lost.
-    conc::atomic<std::uint32_t> consecutive_exhausted{0};
     /// Requests/systems migrated OFF this lane by failover drains.
     conc::atomic<std::uint64_t> migrated_requests{0};
     conc::atomic<std::uint64_t> migrated_systems{0};

@@ -182,38 +182,84 @@ std::uint64_t coalesce_key(const batch_matrix<T>& a,
 }
 
 template <typename T>
-solve_result solve_coalesced(xpu::queue& q,
-                             const std::vector<assembly_part<T>>& parts,
-                             const solve_options& opts,
-                             recording_cache<T>* cache)
+coalesced_result solve_coalesced(xpu::queue& q,
+                                 const std::vector<assembly_part<T>>& parts,
+                                 const solve_options& opts,
+                                 recording_cache<T>* cache,
+                                 const retry_policy& policy)
 {
     BATCHLIN_ENSURE_MSG(!opts.record_history,
                         "per-iteration history is not supported for "
                         "coalesced solves");
-    // Refinement and recording serve the iterative solvers; trsv, a direct
-    // triangular solve, always launches eagerly.
+    // One attempt at `p` as a fused batch. Refinement and recording serve
+    // the iterative solvers; trsv, a direct triangular solve, always
+    // launches eagerly. A single part already is a batch: it is solved in
+    // place, with no gather or scatter.
     const bool iterative = opts.solver != solver_type::trsv;
-    if (opts.refine_sweeps > 0 && iterative) {
-        refine_options ropts;
-        ropts.max_sweeps = opts.refine_sweeps;
-        refined_result rr = detail::solve_gathered(
-            parts, [&](const batch_matrix<T>& a, const mat::batch_dense<T>& b,
-                       mat::batch_dense<T>& x) {
-                return solve_refined(q, a, b, x, opts, ropts);
-            });
-        solve_result out;
-        out.log = std::move(rr.log);
-        out.stats = rr.stats;
-        out.wall_seconds = rr.wall_seconds;
-        out.refined = refine_outcome{rr.sweeps, rr.fell_back};
-        return out;
+    const bool refine = iterative && opts.refine_sweeps > 0;
+    const auto solve_fused = [&](const std::vector<assembly_part<T>>& p) {
+        if (cache != nullptr && iterative && !refine) {
+            return cache->solve(q, p, opts);
+        }
+        const index_type items = detail::validate_assembly(p);
+        const bool alone = p.size() == 1;
+        detail::assembly<T> ops;
+        if (!alone) {
+            ops = detail::gather(p, items);
+        }
+        const batch_matrix<T>& a = alone ? *p.front().a : ops.a;
+        const mat::batch_dense<T>& b = alone ? *p.front().b : ops.b;
+        mat::batch_dense<T>& x = alone ? *p.front().x : ops.x;
+        solve_result res;
+        if (refine) {
+            refined_result rr =
+                solve_refined(q, a, b, x, opts, {opts.refine_sweeps});
+            res.log = std::move(rr.log);
+            res.stats = rr.stats;
+            res.wall_seconds = rr.wall_seconds;
+            res.refined = refine_outcome{rr.sweeps, rr.fell_back};
+        } else {
+            res = solve(q, a, b, x, opts);
+        }
+        if (!alone) {
+            detail::scatter(ops.x, p);
+        }
+        return res;
+    };
+
+    coalesced_result out;
+    out.parts.resize(parts.size());
+    // Solves `group`, the parts from `first` on, with retries and records
+    // each part's outcome (`attempts` so far included). False when the
+    // retries are exhausted.
+    const auto attempt = [&](const std::vector<assembly_part<T>>& group,
+                             std::size_t first, index_type attempts) {
+        std::optional<solve_result> res = detail::with_retries(
+            policy, attempts, out.tally, [&] { return solve_fused(group); });
+        index_type offset = 0;
+        for (std::size_t k = 0; k < group.size(); ++k) {
+            part_outcome& part = out.parts[first + k];
+            part.attempts = attempts;
+            if (res) {
+                part.solve = static_cast<index_type>(out.solves.size());
+                part.offset = offset;
+                offset += group[k].items();
+            } else {
+                part.fault = out.tally.last_fault;
+            }
+        }
+        if (res) {
+            out.solves.push_back(std::move(*res));
+        }
+        return res.has_value();
+    };
+    if (!attempt(parts, 0, 0) && policy.degrade) {
+        out.degraded = true;
+        for (std::size_t i = 0; i < parts.size(); ++i) {
+            attempt({parts[i]}, i, out.parts[i].attempts);
+        }
     }
-    if (cache != nullptr && iterative) {
-        return cache->solve(q, parts, opts);
-    }
-    return detail::solve_gathered(
-        parts, [&](const batch_matrix<T>& a, const mat::batch_dense<T>& b,
-                   mat::batch_dense<T>& x) { return solve(q, a, b, x, opts); });
+    return out;
 }
 
 #define BATCHLIN_INSTANTIATE_ASSEMBLE(T)                                    \
@@ -221,9 +267,9 @@ solve_result solve_coalesced(xpu::queue& q,
                                 const batch_matrix<T>&);                    \
     template bool can_coalesce<T>(const batch_matrix<T>&,                   \
                                   const batch_matrix<T>&);                  \
-    template solve_result solve_coalesced<T>(                               \
+    template coalesced_result solve_coalesced<T>(                           \
         xpu::queue&, const std::vector<assembly_part<T>>&,                  \
-        const solve_options&, recording_cache<T>*);                         \
+        const solve_options&, recording_cache<T>*, const retry_policy&);    \
     template std::uint64_t coalesce_key<T>(const batch_matrix<T>&,          \
                                            const solve_options&);           \
     template index_type detail::validate_assembly<T>(                       \

@@ -6,15 +6,19 @@
 // independent solve requests can only exploit that if someone gathers the
 // requests into one batch before it hits the device: `solve_coalesced`
 // takes N compatible requests (same pattern, same options), assembles one
-// combined batch, runs exactly one fused solve, and scatters each
-// request's solution and convergence record back. Because every system is
-// solved by its own work-group with a launch configuration that depends
-// only on the system shape, the per-request results are bit-identical to
-// solo `solve` calls (tests/test_serve.cpp asserts this).
+// combined batch, runs one fused solve (recovering device faults), and
+// scatters each request's solution and convergence record back. As every
+// system is solved by its own work-group with a launch configuration that
+// depends only on the system shape, the per-request results are
+// bit-identical to solo `solve` calls (tests/test_serve.cpp asserts this).
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <optional>
+#include <string>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -22,6 +26,7 @@
 #include "solver/dispatch.hpp"
 #include "solver/options.hpp"
 #include "util/error.hpp"
+#include "xpu/fault.hpp"
 
 namespace batchlin::solver {
 
@@ -51,11 +56,54 @@ bool can_coalesce(const batch_matrix<T>& lhs, const batch_matrix<T>& rhs);
 template <typename T>
 class recording_cache;
 
+/// How a solve recovers from `xpu::device_error` launches: `retries`
+/// more attempts after a faulted one (injected faults are keyed by the
+/// queue's launch counter, so a retry is a fresh launch), with a backoff
+/// that doubles per retry up to `max_backoff`. With `degrade`, a fused
+/// solve that exhausts its retries is followed by solo solves of each part,
+/// retried the same way, so only the parts that cannot complete fail.
+struct retry_policy {
+    index_type retries = 0;
+    std::chrono::microseconds backoff{0};
+    std::chrono::microseconds max_backoff{0};
+    bool degrade = false;
+};
+
+/// Faulted attempts, those of them retried, and the last fault's text.
+struct fault_tally {
+    index_type faults = 0;
+    index_type retries = 0;
+    std::string last_fault;
+};
+
+/// What `solve_coalesced` did for one part: its records are entries
+/// [offset, offset + items) of `coalesced_result::solves[solve]`'s log, or
+/// (`solve` < 0) every attempt faulted, the last with `fault`. `attempts`
+/// counts the fused attempts plus, after degradation, its own.
+struct part_outcome {
+    index_type solve = -1;
+    index_type offset = 0;
+    index_type attempts = 0;
+    std::string fault;
+
+    bool exhausted() const { return solve < 0; }
+};
+
+/// Outcome of `solve_coalesced`: the completed solves (the fused one, or
+/// one per part solved alone after degradation) and one outcome per part.
+struct coalesced_result {
+    std::vector<solve_result> solves;
+    std::vector<part_outcome> parts;
+    fault_tally tally;
+    bool degraded = false;
+};
+
 /// Solves all parts as one fused batch on `q` and scatters each part's
 /// solution back into its `x`. Part `i`'s systems occupy batch entries
-/// [offset_i, offset_i + items_i) of the combined result, with offsets in
-/// part order; use `split_log` to slice the combined log per part. How the
-/// batch reaches the device is decided here, and only here:
+/// [offset_i, offset_i + items_i) of the fused solve's result, with offsets
+/// in part order. Device faults are recovered here, and only here, under
+/// `policy`; an exhausted part is reported, not thrown. How the batch
+/// reaches the device is decided here too:
 ///   - `opts.refine_sweeps > 0` (any solver but trsv): the gathered batch
 ///     runs the mixed-precision refinement driver (`solve_refined`, at most
 ///     `refine_sweeps` correction sweeps); `refined` reports what it did.
@@ -68,10 +116,11 @@ class recording_cache;
 /// Every path is bit-identical to solo solves of the parts and fills
 /// `stats`.
 template <typename T>
-solve_result solve_coalesced(xpu::queue& q,
-                             const std::vector<assembly_part<T>>& parts,
-                             const solve_options& opts,
-                             recording_cache<T>* cache = nullptr);
+coalesced_result solve_coalesced(xpu::queue& q,
+                                 const std::vector<assembly_part<T>>& parts,
+                                 const solve_options& opts,
+                                 recording_cache<T>* cache = nullptr,
+                                 const retry_policy& policy = {});
 
 /// Grouping key of a coalescing batcher: precision, format, dimensions,
 /// storage mode, sparsity pattern, and the full option set. Batches that
@@ -96,6 +145,35 @@ void split_log_into(const log::batch_log& combined, index_type offset,
                     index_type items, log::batch_log& out);
 
 namespace detail {
+
+/// The one device-fault recovery loop: calls `attempt()` until it returns
+/// without throwing `xpu::device_error`, at most `1 + policy.retries`
+/// times, backing off in between; nullopt once the retries are exhausted.
+/// Other exceptions propagate.
+template <typename Attempt>
+auto with_retries(const retry_policy& policy, index_type& attempts,
+                  fault_tally& tally, Attempt&& attempt)
+    -> std::optional<decltype(attempt())>
+{
+    std::chrono::microseconds backoff = policy.backoff;
+    for (index_type retry = 0;; ++retry) {
+        ++attempts;
+        try {
+            return attempt();
+        } catch (const xpu::device_error& ex) {
+            ++tally.faults;
+            tally.last_fault = ex.what();
+            if (retry >= policy.retries) {
+                return std::nullopt;
+            }
+            ++tally.retries;
+            if (backoff.count() > 0) {
+                std::this_thread::sleep_for(backoff);
+                backoff = std::min(backoff * 2, policy.max_backoff);
+            }
+        }
+    }
+}
 
 /// Validates an assembly: every part present, shapes consistent, patterns
 /// coalescible with the leader. Returns the combined batch-item count.
@@ -267,24 +345,6 @@ void scatter(const mat::batch_dense<T>& x,
         copy_items(x, offset, *part.x, 0, part.items());
         offset += part.items();
     }
-}
-
-/// Runs `solve_fn(a, b, x)` once over the parts gathered into one batch
-/// and scatters the solutions back. A single part already is a batch: it
-/// is solved in place, with no gather or scatter.
-template <typename T, typename Solve>
-auto solve_gathered(const std::vector<assembly_part<T>>& parts,
-                    Solve&& solve_fn)
-{
-    const index_type total_items = validate_assembly(parts);
-    if (parts.size() == 1) {
-        return solve_fn(*parts.front().a, *parts.front().b,
-                        *parts.front().x);
-    }
-    assembly<T> ops = gather(parts, total_items);
-    auto result = solve_fn(std::as_const(ops.a), std::as_const(ops.b), ops.x);
-    scatter(ops.x, parts);
-    return result;
 }
 
 }  // namespace detail

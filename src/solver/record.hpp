@@ -72,10 +72,9 @@ public:
 
 private:
     template <typename U>
-    friend solve_result solve_coalesced(xpu::queue&,
-                                        const std::vector<assembly_part<U>>&,
-                                        const solve_options&,
-                                        recording_cache<U>*);
+    friend coalesced_result solve_coalesced(
+        xpu::queue&, const std::vector<assembly_part<U>>&,
+        const solve_options&, recording_cache<U>*, const retry_policy&);
 
     struct slot {
         std::uint64_t key = 0;

@@ -10,6 +10,17 @@
 #include "util/timer.hpp"
 
 namespace batchlin::solver {
+namespace {
+
+/// Tolerance of the compressed inner solves: looser is wasted accuracy,
+/// tighter is unreachable on fp32 storage.
+constexpr double inner_tolerance = 1e-6;
+/// A sweep that does not shrink a system's true residual by this factor
+/// means the compressed operator cannot resolve the remaining error: the
+/// system has stalled, and falls back.
+constexpr double stall_threshold = 0.5;
+
+}  // namespace
 
 template <typename T>
 refined_result solve_refined(xpu::queue& q, const batch_matrix<T>& a,
@@ -55,7 +66,7 @@ refined_result solve_refined(xpu::queue& q, const batch_matrix<T>& a,
     inner.refine_sweeps = 0;
     inner.record_history = false;
     inner.criterion.tolerance =
-        std::max(opts.criterion.tolerance, ropts.inner_tolerance);
+        std::max(opts.criterion.tolerance, inner_tolerance);
 
     // Every system refines on its own: it sweeps until it meets its
     // target, stalls or runs out of sweeps, and a stopped system never
@@ -132,7 +143,7 @@ refined_result solve_refined(xpu::queue& q, const batch_matrix<T>& a,
         for (index_type i = 0; i < items; ++i) {
             const auto s = static_cast<std::size_t>(i);
             active[s] = active[s] && unmet(i) &&
-                        rnorm[s] <= ropts.stall_threshold * before[s];
+                        rnorm[s] <= stall_threshold * before[s];
         }
     }
 
@@ -142,7 +153,10 @@ refined_result solve_refined(xpu::queue& q, const batch_matrix<T>& a,
             short_of_target.push_back(i);
         }
     }
-    if (!short_of_target.empty() && ropts.fallback_to_native) {
+    // The fallback chain's verdict, kept for the systems it fails on.
+    std::vector<log::solve_status> chain(static_cast<std::size_t>(items),
+                                         log::solve_status::converged);
+    if (!short_of_target.empty()) {
         // Refinement stalled (or ran out of sweeps) short of the target:
         // demote exactly those systems to the native-storage fallback
         // chain, so the caller never gets worse accuracy than a plain
@@ -160,6 +174,7 @@ refined_result solve_refined(xpu::queue& q, const batch_matrix<T>& a,
         for (index_type j = 0; j < sub_x.num_batch_items(); ++j) {
             const index_type i = short_of_target[static_cast<std::size_t>(j)];
             iterations[static_cast<std::size_t>(i)] += rr.log.iterations(j);
+            chain[static_cast<std::size_t>(i)] = rr.log.status(j);
             detail::copy_items(sub_x, j, xw, i);
         }
         rnorm = true_norms();
@@ -173,10 +188,11 @@ refined_result solve_refined(xpu::queue& q, const batch_matrix<T>& a,
         const double bn = bnorm[static_cast<std::size_t>(i)];
         out.true_residuals[static_cast<std::size_t>(i)] =
             bn > 0.0 ? norm / bn : norm;
+        const log::solve_status failed = chain[static_cast<std::size_t>(i)];
         out.log.record(i, iterations[static_cast<std::size_t>(i)], norm,
-                       norm <= target(i)
-                           ? log::solve_status::converged
-                           : log::solve_status::max_iterations);
+                       failed != log::solve_status::converged ? failed
+                       : norm <= target(i) ? log::solve_status::converged
+                                           : log::solve_status::max_iterations);
     }
     out.wall_seconds = timer.seconds();
     return out;

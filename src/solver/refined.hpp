@@ -33,30 +33,15 @@ namespace batchlin::solver {
 struct refine_options {
     /// Correction sweeps allowed after the initial inner solve.
     index_type max_sweeps = 4;
-    /// Tolerance of the compressed inner solves (same tolerance type as
-    /// the outer criterion). Looser than fp32 epsilon is wasted accuracy;
-    /// tighter is unreachable on fp32 storage. Floored at the outer
-    /// tolerance so a loose outer request is honored directly.
-    double inner_tolerance = 1e-6;
-    /// A sweep counts as progress for a system when it shrinks the
-    /// system's true residual by at least this factor; otherwise that
-    /// system has stalled (the compressed operator cannot resolve the
-    /// remaining error) and the fallback engages for it.
-    double stall_threshold = 0.5;
-    /// Demote stalled systems to a native-storage `solve_resilient` run.
-    /// Disabled, a stall returns with the systems' best-effort iterates
-    /// and non-converged statuses.
-    bool fallback_to_native = true;
-
-    friend bool operator==(const refine_options&,
-                           const refine_options&) = default;
 };
 
 /// Outcome of a refined solve.
 struct refined_result {
     /// Per-system record: iterations summed over all inner solves, the
     /// final TRUE (FP64, explicit) residual norm, and a status judged
-    /// against the outer criterion on that true residual.
+    /// against the outer criterion on that true residual — except that a
+    /// system the fallback chain failed on keeps the chain's terminal
+    /// status (`singular`, a breakdown, ...).
     log::batch_log log;
     /// Counters summed over every inner launch (and the fallback, if it
     /// ran) — this is where the fp32 traffic reduction shows up.

@@ -7,13 +7,14 @@
 // turns those per-system statuses into action: it re-solves exactly the
 // unhealthy systems as a gathered sub-batch down a bounded policy chain
 // (by default: the primary config, then BiCGSTAB, then GMRES with a larger
-// restart, then batched dense LU), retries `xpu::device_error` launches,
-// and optionally re-verifies every claimed convergence against the
-// explicit residual — which is what catches a *finite* bit flip that the
-// non-finite guards cannot see. Healthy batches pay one pass over the
-// status array and (when enabled) one explicit-residual check. The chain
-// works on fp32-storage batches too: the sub-batch gather copies whichever
-// value array is live, and the direct stage widens its copy to native.
+// restart, then batched dense LU), retries `xpu::device_error` launches
+// through `solve_coalesced`'s recovery loop (`detail::with_retries`), and
+// re-verifies every claimed convergence against the explicit residual —
+// which is what catches a *finite* bit flip that the non-finite guards
+// cannot see. Healthy batches pay one pass over the status array and one
+// explicit-residual check. The chain works on fp32-storage batches too:
+// the sub-batch gather copies whichever value array is live, and the
+// direct stage widens its copy to native.
 #pragma once
 
 #include <vector>
@@ -41,18 +42,17 @@ struct resilient_options {
     /// unhealthy. Must not be empty.
     std::vector<fallback_stage> chain;
     /// Additional attempts after a `xpu::device_error` launch failure,
-    /// per stage. Scheduled faults are keyed by the queue's launch
-    /// counter, so a retry is a fresh launch and typically succeeds.
+    /// per stage, without backoff (`retry_policy::retries`).
     index_type launch_retries = 2;
-    /// Re-check every system that claims convergence against its explicit
-    /// residual; violators are demoted to `device_fault` and re-solved.
-    /// This is the only detector for silent finite corruption (bitflip
-    /// poisoning) — the in-kernel guards only catch NaN/Inf.
-    bool verify_residuals = true;
-    /// Slack factor on the stop target for the explicit-residual check
-    /// (the implicit residual recurrence drifts from the true residual).
-    double verify_slack = 100.0;
 };
+
+/// Slack factor on the stop target of the explicit-residual check every
+/// claimed convergence goes through (the implicit residual recurrence
+/// drifts from the true residual). Violators are demoted to
+/// `device_fault` and re-solved: the only detector for silent finite
+/// corruption (bitflip poisoning), since the in-kernel guards only catch
+/// NaN/Inf.
+inline constexpr double verify_slack = 100.0;
 
 /// The default bounded chain for a primary configuration: the primary
 /// itself, BiCGSTAB with a doubled iteration budget, GMRES with a larger

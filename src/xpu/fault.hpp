@@ -5,12 +5,12 @@
 // allocation fails under occupancy pressure, and transient memory faults
 // corrupt workspace mid-kernel. The portability literature (Reguly's SYCL
 // study; Ginkgo's porting papers) shows such failure behaviour is backend
-// dependent, so the resilience layers above (`solver::solve_resilient`,
-// `serve::solve_service`) must be provable against *scheduled* faults: a
-// `fault_plan` on the `exec_policy` describes exactly which launch, which
-// group, and which barrier phase gets hit, and the same plan replays the
-// identical schedule on every run. An empty plan costs one branch per
-// launch and nothing per work-item.
+// dependent, so the recovery above (`solver::solve_coalesced`'s retries,
+// `solver::solve_resilient`, serve's failover) must be provable against
+// *scheduled* faults: a `fault_plan` on the `exec_policy` describes exactly
+// which launch, which group, and which barrier phase gets hit, and the
+// same plan replays the identical schedule on every run. An empty plan
+// costs one branch per launch and nothing per work-item.
 #pragma once
 
 #include <cstdint>

@@ -233,6 +233,10 @@ TEST(Failover, DeviceLossMigratesWorkToSurvivorsBitIdentically)
     EXPECT_EQ(alive.completed_systems, 12u);
     EXPECT_GE(dead.migrated_requests, 1u);
     EXPECT_NE(dead.state, "healthy");
+    // The exhausted fused attempt (1 + 1 retry) evicts the lane before
+    // any solo degradation could run on it.
+    EXPECT_EQ(s.degraded_launches, 0u);
+    EXPECT_EQ(s.launch_faults, 2u);
     // Books balance once everything resolved.
     EXPECT_EQ(s.queue_depth_systems, 0u);
     EXPECT_EQ(s.submitted_requests,

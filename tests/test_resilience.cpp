@@ -711,7 +711,7 @@ TEST(Resilient, VerifierCatchesSilentBitflipCorruption)
                 << "phase " << phase;
             const double target = primary.criterion.tolerance *
                                   rhs_norms[static_cast<std::size_t>(i)] *
-                                  opts.verify_slack;
+                                  solver::verify_slack;
             ASSERT_LE(explicit_res[static_cast<std::size_t>(i)], target)
                 << "phase " << phase << " system " << i
                 << " claims convergence with a bad explicit residual";
@@ -863,7 +863,7 @@ TEST(FaultSoak, ThousandSolvesUnderRandomizedSchedules)
             if (result.log.status(i) == solve_status::converged) {
                 ASSERT_LE(explicit_res[si],
                           primary.criterion.tolerance * rhs_norms[si] *
-                              opts.verify_slack)
+                              solver::verify_slack)
                     << "trial " << trial << " system " << i;
             } else {
                 // A failed system must say why, and "failed" never means

@@ -125,7 +125,7 @@ TEST(Assemble, CoalescedSolveMatchesSoloSolveBitwise)
     }
     bl::xpu::queue q(bl::xpu::make_sycl_policy());
     const solver::solve_result combined =
-        solver::solve_coalesced<double>(q, parts, opts);
+        solver::solve_coalesced<double>(q, parts, opts).solves.front();
     EXPECT_EQ(combined.log.num_systems(), 8);
 
     index_type offset = 0;
@@ -248,7 +248,8 @@ TEST(Record, ReplayBitIdenticalToEagerForEveryTable3Combo)
                         eparts.push_back({&as[p], &bs[p], &xe[p]});
                     }
                     const solver::solve_result got =
-                        solver::solve_coalesced(rq, parts, opts, &cache);
+                        solver::solve_coalesced(rq, parts, opts, &cache)
+                            .solves.front();
                     const solver::recording_counts& counts = cache.totals();
                     EXPECT_EQ(counts.recorded, 1u) << where;
                     EXPECT_EQ(counts.rebound, round) << where;
@@ -256,7 +257,9 @@ TEST(Record, ReplayBitIdenticalToEagerForEveryTable3Combo)
 
                     bl::xpu::queue eq(bl::xpu::make_sycl_policy());
                     const bl::xpu::counters want =
-                        solver::solve_coalesced(eq, eparts, opts).stats;
+                        solver::solve_coalesced(eq, eparts, opts)
+                            .solves.front()
+                            .stats;
                     EXPECT_EQ(got.stats.flops, want.flops) << where;
                     EXPECT_EQ(got.stats.global_read_bytes,
                               want.global_read_bytes)
