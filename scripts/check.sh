@@ -2,8 +2,8 @@
 # Builds and tests the seven verification configs:
 #  1. the default Release build (tier-1: what CI and users run), whose
 #     Oracle.* suite serves generated requests down every execution path
-#     (launch mode x shards x workers x window x spill zeroing x transient
-#     faults, plus the resilient chain on native and fp32 storage) and
+#     (launch mode x shards x workers x window x transient faults, plus
+#     the resilient chain on native and fp32 storage) and
 #     checks each against its solo solve,
 #  2. a Debug + ASan/UBSan build (BATCHLIN_SANITIZE=ON), which also keeps
 #     assertions alive so the debug-only workspace-binder name checks run,

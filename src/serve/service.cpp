@@ -1010,9 +1010,6 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
             solver::solve_options opts =
                 std::get<detail::typed_pending<T>>(live.front()->body)
                     .request.opts;
-            if (config_.skip_spill_zeroing) {
-                opts.zero_spill = false;
-            }
             // Brownout levels 2/3 trade per-request quality for drain
             // rate (opt-in via `service_config::brownout`; they change
             // numerics, see DESIGN.md §14): level 2 strips refinement

@@ -216,10 +216,7 @@ struct service_config {
     /// batch size).
     size_type max_queue_systems = 4096;
     overflow_policy on_full = overflow_policy::reject;
-    /// Skip zero-filling the spill scratch on the hot path (the solver
-    /// kernels overwrite every spilled element before reading it; the
-    /// equivalence tests pin down that replies are bit-identical either
-    /// way).
+    /// Retired, no longer read: no solve zero-fills its spill scratch.
     bool skip_spill_zeroing = true;
     /// Sliding-window size of the latency percentile estimator.
     std::size_t latency_window = 8192;

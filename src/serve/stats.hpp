@@ -173,8 +173,8 @@ struct service_stats {
     std::uint64_t steals = 0;
 
     /// batch_size_histogram[k] counts launches that fused k systems;
-    /// index 0 aggregates launches larger than the histogram (cannot
-    /// happen while `max_batch` bounds the batcher).
+    /// index 0 aggregates launches larger than `max_batch`: a request
+    /// with more systems than `max_batch` is admitted and launches alone.
     std::vector<std::uint64_t> batch_size_histogram;
 
     /// Submit-to-reply latency percentiles over a sliding window of the

@@ -175,7 +175,6 @@ std::uint64_t coalesce_key(const batch_matrix<T>& a,
                         ? static_cast<std::uint64_t>(*opts.reduction) + 1
                         : 0);
     h = hash_mix(h, static_cast<std::uint64_t>(opts.trsv_triangle));
-    h = hash_mix(h, static_cast<std::uint64_t>(opts.zero_spill));
     h = hash_mix(h, static_cast<std::uint64_t>(opts.storage));
     h = hash_mix(h, static_cast<std::uint64_t>(opts.refine_sweeps));
     return h;

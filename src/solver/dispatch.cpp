@@ -211,7 +211,6 @@ launch_setup resolve_launch(const xpu::exec_policy& policy,
     setup.plan = plan_workspace(opts.solver, rows, nnz, pc_elems,
                                 policy.slm_bytes_per_group, sizeof(T),
                                 opts.gmres_restart, opts.slm);
-    setup.plan.zero_spill = opts.zero_spill;
     return setup;
 }
 

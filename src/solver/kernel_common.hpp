@@ -57,14 +57,11 @@ public:
                           static_cast<index_type>(s.elems),
                           xpu::mem_space::global};
 #ifdef BATCHLIN_XPU_CHECK
-        // Spill slots are tracked like SLM allocations. A zero-filled
-        // backing starts defined; with zero_spill off (the serve:: hot
-        // path) every read-before-write is a real bug the skipped fill
-        // would otherwise hide.
+        // Spill slots are tracked like SLM allocations: the backing is
+        // never cleared, so every read-before-write is a real bug.
         if (xpu::check::group_checker* chk = g_.checker()) {
             out.tag = chk->register_global_region(
-                s.elems * static_cast<size_type>(sizeof(T)),
-                plan_.zero_spill());
+                s.elems * static_cast<size_type>(sizeof(T)));
         }
 #endif
         return out;
@@ -120,18 +117,15 @@ struct spill_view {
 
 /// Spilled-workspace backing of one launch: a contiguous slice of
 /// `plan.global_elems_per_group` per work-group, carved from the queue's
-/// scratch pool so repeated solves reuse one allocation. By default the
-/// backing is zeroed per launch, exactly like the per-launch vector it
-/// replaces; `plan.zero_spill == false` (the serve:: hot path) skips the
-/// fill, which is safe because the kernels overwrite every spilled
-/// element before reading it.
+/// scratch pool so repeated solves reuse one allocation. The backing is
+/// not cleared: the kernels write every spilled element before reading
+/// it.
 template <typename T>
 struct spill_buffer {
     spill_buffer(xpu::queue& q, const slm_plan& plan, index_type num_groups)
         : per_group(plan.global_elems_per_group),
           data(reinterpret_cast<T*>(q.scratch().acquire(
-              per_group * static_cast<size_type>(num_groups) * sizeof(T),
-              plan.zero_spill)))
+              per_group * static_cast<size_type>(num_groups) * sizeof(T))))
     {}
 
     T* for_group(index_type local_group)

@@ -25,7 +25,6 @@ struct launch_setup {
 };
 
 /// Resolves storage, workspace plan and launch configuration (§3.5-3.6).
-/// The plan already carries `opts.zero_spill`.
 template <typename T>
 launch_setup resolve_launch(const xpu::exec_policy& policy,
                             const batch_matrix<T>& a,

@@ -92,11 +92,8 @@ struct solve_options {
     /// Record the per-iteration residual history of every system (costs
     /// num_systems x max_iterations doubles; off by default).
     bool record_history = false;
-    /// Zero-fill the spilled workspace backing before each launch. The
-    /// kernels overwrite every spilled element before reading it, so this
-    /// only costs time; it stays on by default for exact continuity with
-    /// the historical per-launch buffers. serve:: disables it on its hot
-    /// path (see service_config::skip_spill_zeroing).
+    /// Retired, no longer read: the spill backing is never zero-filled
+    /// (every kernel writes each spilled element before reading it).
     bool zero_spill = true;
     /// Storage precision of the matrix and preconditioner payloads. fp32
     /// halves the streamed value/factor bytes on the bandwidth-bound solve

@@ -133,10 +133,6 @@ solve_result recording_cache<T>::solve(
     }
     hit->last_use = ++tick_;
     recorded_solve<T>& rec = *hit->rec;
-    if (rec.setup.plan.zero_spill) {
-        // Match the eager path's per-launch zero fill bit-for-bit.
-        std::fill(rec.spill.begin(), rec.spill.end(), T{});
-    }
     ++totals_.replayed;
     solve_result result;
     wall_timer timer;

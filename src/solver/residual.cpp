@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "util/error.hpp"
+#include "xpu/queue.hpp"
 
 namespace batchlin::solver {
 
@@ -66,8 +67,9 @@ void item_residuals(const mat::batch_dense<T>& a, index_type item,
     }
 }
 
-/// Runs the row kernel over every item (items in parallel); `sink(item,
-/// row, r)` must only touch state owned by `item`.
+/// Runs the row kernel over every item (items in parallel, on a team sized
+/// like a launch's); `sink(item, row, r)` must only touch state owned by
+/// `item`.
 template <typename T, typename Sink>
 void for_each_residual(const batch_matrix<T>& a,
                        const mat::batch_dense<T>& b,
@@ -77,9 +79,10 @@ void for_each_residual(const batch_matrix<T>& a,
     BATCHLIN_ENSURE_DIMS(b.num_batch_items() == items &&
                              x.num_batch_items() == items,
                          "batch sizes must match");
+    const int team = xpu::launch_team(items);
     std::visit(
         [&](const auto& m) {
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for num_threads(team) schedule(static)
             for (index_type item = 0; item < items; ++item) {
                 item_residuals(m, item, b, x, [&](index_type i, double r) {
                     sink(item, i, r);

@@ -52,7 +52,6 @@ bound_plan::bound_plan(const slm_plan& plan)
         }
         slots_.push_back(s);
     }
-    zero_spill_ = plan.zero_spill;
 #ifndef NDEBUG
     source_ = &plan;
 #endif

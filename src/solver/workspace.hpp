@@ -54,13 +54,6 @@ struct slm_plan {
     size_type slm_bytes = 0;
     /// Elements (of the value type) spilled to global memory per group.
     size_type global_elems_per_group = 0;
-    /// Whether the spill backing is zero-filled before the launch. The
-    /// kernels write every spilled element before reading it, so the fill
-    /// is not needed for correctness; it stays on by default to mirror the
-    /// value-initialized per-launch buffer the scratch pool replaced.
-    /// `solve_options::zero_spill` propagates here (serve:: turns it off
-    /// on its hot path).
-    bool zero_spill = true;
 
     /// Index of a named entry; throws when absent.
     index_type find(const std::string& name) const;
@@ -97,10 +90,6 @@ public:
     {
         return slots_[static_cast<std::size_t>(i)];
     }
-    /// Whether the source plan's spill backing is zero-filled per launch;
-    /// the sanitizer treats non-zeroed spill slots as initially undefined.
-    bool zero_spill() const { return zero_spill_; }
-
     /// Debug-only guard: entry `i` of the source plan must be named `name`.
     void check_name(index_type i, const char* name) const
     {
@@ -118,7 +107,6 @@ public:
 
 private:
     std::vector<slot> slots_;
-    bool zero_spill_ = true;
 #ifndef NDEBUG
     const slm_plan* source_ = nullptr;
 #endif

@@ -67,6 +67,7 @@ public:
     /// Attaches the sanitizer for the coming launch (nullptr detaches);
     /// subsequent allocations hand out tagged, shadow-tracked spans.
     void set_checker(check::group_checker* checker) { checker_ = checker; }
+    check::group_checker* checker() const { return checker_; }
 #endif
 
     /// Prepares a pooled arena for the next kernel launch: releases all

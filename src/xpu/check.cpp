@@ -82,15 +82,11 @@ span_tag group_checker::register_slm_region(size_type bytes)
     return {this, static_cast<index_type>(regions_.size()) - 1, 0};
 }
 
-span_tag group_checker::register_global_region(size_type bytes,
-                                               bool initially_defined)
+span_tag group_checker::register_global_region(size_type bytes)
 {
     region_info info;
     info.bytes = bytes;
-    info.is_slm = false;
-    if (!initially_defined) {
-        info.shadow.assign(static_cast<std::size_t>(bytes), 0);
-    }
+    info.shadow.assign(static_cast<std::size_t>(bytes), 0);
     regions_.push_back(std::move(info));
     return {this, static_cast<index_type>(regions_.size()) - 1, 0};
 }
@@ -114,22 +110,20 @@ void group_checker::on_access(index_type region, size_type offset,
                         "access through a span of an SLM allocation released "
                         "by slm_arena::reset()");
     }
-    if (!r.shadow.empty()) {
-        unsigned char* shadow = r.shadow.data() + offset;
-        if (is_write) {
-            std::fill_n(shadow, static_cast<std::size_t>(bytes),
-                        static_cast<unsigned char>(1));
-        } else {
-            for (size_type b = 0; b < bytes; ++b) {
-                if (shadow[b] == 0) {
-                    throw_violation(
-                        diagnostic::uninitialized_read, lane_, uniform_lane,
-                        offset, offset + bytes,
-                        r.is_slm
-                            ? "read of SLM bytes never written by this group"
-                            : "read of spill-scratch bytes never written by "
-                              "this group (zero_spill is off)");
-                }
+    unsigned char* shadow = r.shadow.data() + offset;
+    if (is_write) {
+        std::fill_n(shadow, static_cast<std::size_t>(bytes),
+                    static_cast<unsigned char>(1));
+    } else {
+        for (size_type b = 0; b < bytes; ++b) {
+            if (shadow[b] == 0) {
+                throw_violation(
+                    diagnostic::uninitialized_read, lane_, uniform_lane,
+                    offset, offset + bytes,
+                    r.is_slm
+                        ? "read of SLM bytes never written by this group"
+                        : "read of spill-scratch bytes never written by "
+                          "this group");
             }
         }
     }

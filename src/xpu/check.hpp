@@ -214,11 +214,10 @@ public:
     /// tag the owning span carries.
     span_tag register_slm_region(size_type bytes);
 
-    /// Registers a spill slot in global scratch. `initially_defined` is
-    /// true when the launch zero-filled the backing (plan.zero_spill);
-    /// otherwise reads-before-writes are flagged, which is exactly the
-    /// hazard the serve:: hot path's skipped fill could hide.
-    span_tag register_global_region(size_type bytes, bool initially_defined);
+    /// Registers a spill slot in global scratch (all bytes undefined: the
+    /// scratch pool never clears its blocks, so a read-before-write would
+    /// see a previous launch's data).
+    span_tag register_global_region(size_type bytes);
 
     /// slm_arena::reset(): every live SLM region becomes dead; any later
     /// access through a span of it is a use-after-reset.
@@ -290,8 +289,8 @@ private:
         size_type bytes = 0;
         bool is_slm = false;
         bool dead = false;
-        /// Non-empty when reads must be preceded by writes; one byte of
-        /// shadow per tracked byte, 1 = defined.
+        /// One byte of shadow per tracked byte, 1 = defined; every region
+        /// starts undefined.
         std::vector<unsigned char> shadow;
     };
 

@@ -1,6 +1,5 @@
 #include "xpu/queue.hpp"
 
-#include <algorithm>
 #include <chrono>
 
 namespace batchlin::xpu {
@@ -22,16 +21,10 @@ void queue::emulate_launch_cost(double us)
     }
 }
 
-std::byte* scratch_pool::acquire(size_type bytes, bool zeroed)
+std::byte* scratch_pool::acquire(size_type bytes)
 {
     if (static_cast<size_type>(storage_.size()) < bytes) {
-        // The grown tail is value-initialized by resize, so a non-zeroed
-        // acquisition still never hands out uninitialized memory.
         storage_.resize(static_cast<std::size_t>(bytes));
-    }
-    if (zeroed) {
-        std::fill_n(storage_.data(), static_cast<std::size_t>(bytes),
-                    std::byte{0});
     }
     return storage_.data();
 }

@@ -2,10 +2,12 @@
 //
 // `queue::run_batch` is the simulator's equivalent of submitting one fused
 // ND-range kernel with `num_groups` work-groups (one per batch entry,
-// §3.2/§3.4). Work-groups execute concurrently across OpenMP threads; each
-// thread owns a private SLM arena sized to the device budget and a private
-// counter block, merged after the launch so results are independent of the
-// host thread count.
+// §3.2/§3.4). Work-groups execute concurrently across a team of OpenMP
+// threads sized to the launch (one per 16 groups, at most
+// `omp_get_max_threads()`; a team of one runs on the calling thread); each
+// team thread owns a private SLM arena sized to the device budget and a
+// private counter block, merged after the launch so results are
+// independent of the host thread count.
 //
 // Launch resources are pooled: the per-thread arenas, the per-thread
 // counter blocks, and the spill scratch backing all live on the queue and
@@ -17,6 +19,7 @@
 
 #include <omp.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -51,6 +54,24 @@ struct batch_range {
 batch_range stack_partition(index_type num_items, index_type num_stacks,
                             index_type stack_id);
 
+/// Work-groups a team thread takes at a time from a launch's parallel
+/// driver.
+inline constexpr index_type launch_chunk = 16;
+
+/// Host threads a launch of `num_groups` groups runs on: one per
+/// `launch_chunk` groups, at most `omp_get_max_threads()`. A thread beyond
+/// that count could get no work. A launch of one chunk or less makes no
+/// OpenMP runtime call.
+inline int launch_team(index_type num_groups)
+{
+    const index_type chunks = (num_groups + launch_chunk - 1) / launch_chunk;
+    if (chunks <= 1) {
+        return 1;
+    }
+    return static_cast<int>(
+        std::min<index_type>(chunks, omp_get_max_threads()));
+}
+
 /// Profiling record of one kernel launch — the simulator's analogue of a
 /// SYCL event with profiling info enabled.
 struct launch_record {
@@ -65,20 +86,16 @@ struct launch_record {
 /// The solvers carve the spilled (global-memory) workspace of each launch
 /// from here, keyed by the required byte size: the buffer grows when a
 /// launch needs more and is reused as-is otherwise, so repeated solves of
-/// the same shape stop paying a heap allocation per solve. Acquired blocks
-/// are zero-filled by default, matching the freshly value-initialized
-/// backing the solvers previously allocated per launch; callers that
-/// provably overwrite every element they read (the serve:: hot path) may
-/// opt out of the fill.
+/// the same shape stop paying a heap allocation per solve. Blocks are not
+/// cleared: every kernel writes each spilled element before reading it
+/// (xpu::check proves this, see DESIGN.md §8).
 class scratch_pool {
 public:
     /// Returns a block of at least `bytes` bytes, aligned for any
-    /// fundamental type. The block is zero-filled when `zeroed` is true
-    /// (the default); with `zeroed == false` it carries whatever the
-    /// previous acquisition left behind, which is only safe when the
-    /// caller writes every element before reading it. Valid until the
+    /// fundamental type, carrying whatever the previous acquisition left
+    /// behind (growth value-initializes the new tail). Valid until the
     /// next `acquire` on this pool.
-    std::byte* acquire(size_type bytes, bool zeroed = true);
+    std::byte* acquire(size_type bytes);
 
     size_type capacity() const
     {
@@ -179,9 +196,6 @@ private:
                         index_type first_group, const char* kernel_label,
                         double emulated_us)
     {
-#ifndef BATCHLIN_XPU_CHECK
-        (void)kernel_label;
-#endif
         // Fault dispatch: the launch counter keys scheduled events, so it
         // advances for every submission — including the ones that fail.
         // An empty plan costs exactly this one branch.
@@ -245,127 +259,98 @@ private:
         // Event clocks are only read with profiling enabled (the SYCL
         // `enable_profiling` property costs nothing when off).
         const double start_seconds = profiling_ ? now_seconds() : 0.0;
-        const int max_threads = omp_get_max_threads();
-        prepare_launch(max_threads);
-        size_type slm_high_water = 0;
+        const int team = launch_team(num_groups);
+        prepare_launch(team);
 
-        if (max_threads == 1) {
-            // Single-host-thread fast path: the fork/join of the parallel
-            // region costs more than a small launch's kernel work. Group
-            // order, counter accumulation, and error propagation are the
-            // ones the one-thread parallel region would produce.
-            slm_arena& arena = arena_pool_[0];
-            arena.begin_launch();
-            counters& local = thread_stats_[0];
-#ifdef BATCHLIN_XPU_CHECK
-            check::group_checker* chk =
-                attach_checker(0, arena, kernel_label);
-#endif
-            for (index_type g = 0; g < num_groups; ++g) {
-                arena.reset();
-                group ctx(first_group + g, work_group_size, sub_group_size,
-                          arena, local);
-                if (!launch_faults.empty()) {
-                    arm_group_faults(launch_faults, first_group + g, arena,
-                                     ctx, policy_.faults.seed);
-                }
-#ifdef BATCHLIN_XPU_CHECK
-                if (chk != nullptr) {
-                    chk->begin_group(first_group + g, work_group_size);
-                    ctx.set_checker(chk);
-                }
-#endif
-                body(ctx);
-#ifdef BATCHLIN_XPU_CHECK
-                if (chk != nullptr) {
-                    chk->end_group();
-                }
-#endif
-                if (!launch_faults.empty()) {
-                    arena.arm_alloc_failure(-1);
-                }
-            }
-            launch_stats += local;
-            finish_launch(launch_stats, arena.high_water(), start_seconds,
-                          num_groups, work_group_size, sub_group_size,
-                          emulated_us);
-            return;
-        }
-
-        // Exceptions must not escape the parallel region (that would
-        // terminate); capture the first one and rethrow on the host side,
-        // like a device-side error reported at synchronization.
-        std::exception_ptr first_error = nullptr;
-        std::atomic<bool> failed{false};
-
-#pragma omp parallel reduction(max : slm_high_water)
-        {
-            const int tid = omp_get_thread_num();
+        // The per-group sequence both drivers below run: group `g` on team
+        // thread `tid`'s pooled arena and counter block.
+        const auto run_group = [&](auto& kernel, int tid, index_type g) {
             slm_arena& arena = arena_pool_[tid];
-            arena.begin_launch();
-            counters& local = thread_stats_[tid];
-            // Each thread runs its own copy of the kernel functor, the way
-            // a device receives the functor by value. Shared, the closure
-            // sits on the launching thread's stack, which that thread keeps
-            // writing while it runs groups itself, and every other thread's
-            // per-iteration reads of the captured operands (criterion,
-            // launch config) then contend for whichever cache line the
-            // stack layout happens to share. Type-erased bodies (graph
-            // replay) live on the heap and are not copied: that would
-            // allocate per launch.
-            std::conditional_t<
-                std::is_trivially_copyable_v<std::decay_t<KernelBody>>,
-                std::decay_t<KernelBody>, KernelBody&>
-                thread_body = body;
-#ifdef BATCHLIN_XPU_CHECK
-            check::group_checker* chk =
-                attach_checker(tid, arena, kernel_label);
-#endif
-#pragma omp for schedule(dynamic, 16)
-            for (index_type g = 0; g < num_groups; ++g) {
-                if (failed.load(std::memory_order_relaxed)) {
-                    continue;
-                }
-                arena.reset();
-                group ctx(first_group + g, work_group_size, sub_group_size,
-                          arena, local);
-                if (!launch_faults.empty()) {
-                    arm_group_faults(launch_faults, first_group + g, arena,
-                                     ctx, policy_.faults.seed);
-                }
-                try {
-#ifdef BATCHLIN_XPU_CHECK
-                    if (chk != nullptr) {
-                        chk->begin_group(first_group + g, work_group_size);
-                        ctx.set_checker(chk);
-                    }
-#endif
-                    thread_body(ctx);
-#ifdef BATCHLIN_XPU_CHECK
-                    if (chk != nullptr) {
-                        chk->end_group();
-                    }
-#endif
-                } catch (...) {
-#pragma omp critical(batchlin_queue_error)
-                    {
-                        if (!first_error) {
-                            first_error = std::current_exception();
-                        }
-                    }
-                    failed.store(true, std::memory_order_relaxed);
-                }
-                if (!launch_faults.empty()) {
-                    arena.arm_alloc_failure(-1);
-                }
+            arena.reset();
+            const index_type id = first_group + g;
+            group ctx(id, work_group_size, sub_group_size, arena,
+                      thread_stats_[tid]);
+            if (!launch_faults.empty()) {
+                arm_group_faults(launch_faults, id, arena, ctx,
+                                 policy_.faults.seed);
             }
-            slm_high_water = arena.high_water();
-        }
-        if (first_error) {
-            std::rethrow_exception(first_error);
+#ifdef BATCHLIN_XPU_CHECK
+            check::group_checker* chk = arena.checker();
+            if (chk != nullptr) {
+                chk->begin_group(id, work_group_size);
+                ctx.set_checker(chk);
+            }
+#endif
+            kernel(ctx);
+#ifdef BATCHLIN_XPU_CHECK
+            if (chk != nullptr) {
+                chk->end_group();
+            }
+#endif
+            if (!launch_faults.empty()) {
+                arena.arm_alloc_failure(-1);
+            }
+        };
+
+        size_type slm_high_water = 0;
+        if (team == 1) {
+            // A team of one runs on the calling thread with no OpenMP
+            // call: the fork/join would cost more than a small launch's
+            // kernel work. Errors propagate as they are thrown.
+            begin_thread(0, kernel_label);
+            for (index_type g = 0; g < num_groups; ++g) {
+                run_group(body, 0, g);
+            }
+            slm_high_water = arena_pool_[0].high_water();
+        } else {
+            // Exceptions must not escape the parallel region (that would
+            // terminate); capture the first one and rethrow on the host
+            // side, like a device-side error reported at synchronization.
+            std::exception_ptr first_error = nullptr;
+            std::atomic<bool> failed{false};
+
+#pragma omp parallel num_threads(team) reduction(max : slm_high_water)
+            {
+                const int tid = omp_get_thread_num();
+                begin_thread(tid, kernel_label);
+                // Each thread runs its own copy of the kernel functor, the
+                // way a device receives the functor by value. Shared, the
+                // closure sits on the launching thread's stack, which that
+                // thread keeps writing while it runs groups itself, and
+                // every other thread's per-iteration reads of the captured
+                // operands (criterion, launch config) then contend for
+                // whichever cache line the stack layout happens to share.
+                // Type-erased bodies (graph replay) live on the heap and
+                // are not copied: that would allocate per launch.
+                std::conditional_t<
+                    std::is_trivially_copyable_v<std::decay_t<KernelBody>>,
+                    std::decay_t<KernelBody>, KernelBody&>
+                    thread_body = body;
+#pragma omp for schedule(dynamic, launch_chunk)
+                for (index_type g = 0; g < num_groups; ++g) {
+                    if (failed.load(std::memory_order_relaxed)) {
+                        continue;
+                    }
+                    try {
+                        run_group(thread_body, tid, g);
+                    } catch (...) {
+#pragma omp critical(batchlin_queue_error)
+                        {
+                            if (!first_error) {
+                                first_error = std::current_exception();
+                            }
+                        }
+                        failed.store(true, std::memory_order_relaxed);
+                    }
+                }
+                slm_high_water = arena_pool_[tid].high_water();
+            }
+            if (first_error) {
+                std::rethrow_exception(first_error);
+            }
         }
 
-        for (int t = 0; t < max_threads; ++t) {
+        for (int t = 0; t < team; ++t) {
             launch_stats += thread_stats_[t];
         }
         finish_launch(launch_stats, slm_high_water, start_seconds,
@@ -444,9 +429,9 @@ private:
     /// end-to-end throughput measurements.
     static void emulate_launch_cost(double us);
 
-    /// Ensures per-thread arenas and counter blocks exist for `num_threads`
-    /// threads and zeroes the counter blocks. Allocates only when the host
-    /// thread count grew past the pool size; steady state is alloc-free.
+    /// Ensures per-thread arenas and counter blocks exist for a team of
+    /// `num_threads` threads and zeroes the counter blocks. Allocates only
+    /// when a team outgrew the pool; steady state is alloc-free.
     void prepare_launch(int num_threads);
 
     /// Commits a finished launch: footprint, cumulative and last-launch
@@ -472,13 +457,14 @@ private:
     /// the ring is full.
     void record_launch(launch_record record);
 
-#ifdef BATCHLIN_XPU_CHECK
-    /// Binds thread `tid`'s pooled checker to the arena for this launch —
-    /// or detaches both when the policy runs unchecked — and returns it
-    /// for the per-group wiring.
-    check::group_checker* attach_checker(int tid, slm_arena& arena,
-                                         const char* kernel_label)
+    /// Readies team thread `tid`'s pooled arena for this launch and, in
+    /// checked builds, binds the thread's pooled checker to it — or
+    /// detaches it when the policy runs unchecked.
+    void begin_thread(int tid, const char* kernel_label)
     {
+        slm_arena& arena = arena_pool_[tid];
+        arena.begin_launch();
+#ifdef BATCHLIN_XPU_CHECK
         check::group_checker* chk = nullptr;
         if (policy_.check_level != check_level::none) {
             chk = &checker_pool_[static_cast<std::size_t>(tid)];
@@ -487,9 +473,10 @@ private:
             chk->begin_launch(kernel_label);
         }
         arena.set_checker(chk);
-        return chk;
-    }
+#else
+        (void)kernel_label;
 #endif
+    }
 
     friend class command_graph;
 

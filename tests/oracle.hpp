@@ -329,7 +329,6 @@ struct path {
     index_type shards = 1;
     int workers = 1;
     std::chrono::microseconds max_wait{0};
-    bool skip_spill_zeroing = true;
     /// Single failed launches on every shard at launch 0, 3, 7, 12, ...:
     /// the gaps grow, so even a refined batch (several launches per
     /// attempt) soon fits between two, and every retry succeeds.
@@ -348,8 +347,7 @@ inline serve::service_stats check_serve_path(
     os << "seed=" << seed << " path=[" << xpu::to_string(p.mode)
        << " shards=" << p.shards << " workers=" << p.workers
        << " max_wait=" << p.max_wait.count()
-       << "us skip_spill_zeroing=" << p.skip_spill_zeroing
-       << " faults=" << p.faults << "]";
+       << "us faults=" << p.faults << "]";
     const std::string at = os.str();
     std::vector<request_case> cases = generate(seed);
     std::erase_if(cases,
@@ -363,7 +361,6 @@ inline serve::service_stats check_serve_path(
     cfg.shards = p.shards;
     cfg.workers = p.workers;
     cfg.max_wait = p.max_wait;
-    cfg.skip_spill_zeroing = p.skip_spill_zeroing;
     for (index_type s = 0; p.faults && s < p.shards; ++s) {
         xpu::fault_plan& plan = cfg.shard_faults.emplace_back();
         for (std::uint64_t i = 0, launch = 0; i < 32; ++i, launch += i + 2) {

@@ -301,20 +301,16 @@ TEST(Record, ReplayBitIdenticalToEagerForEveryTable3Combo)
 }
 
 // Routing requests through the service produces bit-identical solutions
-// and convergence records to solo solves, for every worker count,
-// batching window, and spill-zeroing mode (skipping the spill zero-fill,
-// the serve hot-path default, cannot change results).
+// and convergence records to solo solves, for every worker count and
+// batching window.
 TEST(Serve, RepliesBitIdenticalToSoloSolvesAcrossConfigs)
 {
     std::uint64_t seed = 0;
     for (const int workers : {1, 3}) {
         for (const long wait_us : {0L, 2000L}) {
-            for (const bool skip_zeroing : {true, false}) {
-                oracle::check_serve_path({bl::xpu::launch_mode::direct, 1,
-                                          workers, microseconds(wait_us),
-                                          skip_zeroing},
-                                         seed++);
-            }
+            oracle::check_serve_path({bl::xpu::launch_mode::direct, 1,
+                                      workers, microseconds(wait_us)},
+                                     seed++);
         }
     }
 }
@@ -381,6 +377,29 @@ TEST(Serve, CompatibleRequestsCoalesceIntoOneLaunch)
         EXPECT_GT(s.p50_latency_seconds, 0.0);
         EXPECT_GE(s.p99_latency_seconds, s.p50_latency_seconds);
     }
+}
+
+TEST(Serve, OversizedRequestLaunchesAloneInHistogramBucketZero)
+{
+    // A request with more systems than max_batch is admitted and launched
+    // alone; the histogram counts that launch in bucket 0.
+    serve::service_config cfg;
+    cfg.workers = 1;
+    cfg.max_batch = 4;
+    serve::solve_service service(bl::xpu::make_sycl_policy(), cfg);
+    const auto reply = service
+                           .submit(make_request(
+                               work::stencil_3pt<double>(5, 16, 43),
+                               cg_opts(), 210))
+                           .get();
+    ASSERT_EQ(reply.status, serve::request_status::ok) << reply.error;
+    EXPECT_EQ(reply.fused_systems, 5);
+    service.drain();
+    const serve::service_stats s = service.stats();
+    EXPECT_EQ(s.batches_launched, 1u);
+    ASSERT_EQ(s.batch_size_histogram.size(), 5u);
+    EXPECT_EQ(s.batch_size_histogram[0], 1u);
+    EXPECT_DOUBLE_EQ(s.mean_batch_size, 5.0);
 }
 
 TEST(Serve, ExpiredRequestsAreNeverSolved)

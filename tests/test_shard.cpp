@@ -307,7 +307,7 @@ TEST(ShardServe, BitIdenticalUnderInjectedPerShardFaults)
     for (const xpu::launch_mode mode : oracle::kLaunchModes) {
         for (const index_type shards : {2, 4}) {
             oracle::check_serve_path(
-                {mode, shards, 2, microseconds(200), true, true},
+                {mode, shards, 2, microseconds(200), true},
                 static_cast<std::uint64_t>(30 + shards));
         }
     }

@@ -269,9 +269,9 @@ std::pair<std::vector<double>, counters> solve_with_threads(int num_threads)
 TEST(Queue, SolveBitIdenticalAcrossHostThreadCounts)
 {
     // The per-thread arena pool and counter merge must keep results and
-    // cumulative counters independent of the host thread count: the serial
-    // fast path (1 thread) and the parallel region (here oversubscribed on
-    // purpose) have to agree bit for bit.
+    // cumulative counters independent of the host thread count: a team of
+    // one on the calling thread and the parallel driver (24 groups run a
+    // team of 2 at 4 threads) have to agree bit for bit.
     const auto [x1, c1] = solve_with_threads(1);
     const auto [x4, c4] = solve_with_threads(4);
     EXPECT_EQ(x1, x4);
@@ -284,6 +284,23 @@ TEST(Queue, SolveBitIdenticalAcrossHostThreadCounts)
     EXPECT_DOUBLE_EQ(c1.global_read_bytes, c4.global_read_bytes);
     EXPECT_DOUBLE_EQ(c1.global_write_bytes, c4.global_write_bytes);
     EXPECT_DOUBLE_EQ(c1.constant_read_bytes, c4.constant_read_bytes);
+}
+
+TEST(Queue, LaunchTeamCoversOnlyItsGroupChunks)
+{
+    // A launch forks one host thread per 16-group chunk, at most
+    // omp_get_max_threads(): a thread beyond that could get no work.
+    const int saved = omp_get_max_threads();
+    omp_set_num_threads(4);
+    queue q(make_sycl_policy());
+    q.run_batch(20, 16, 16, [](group&) {});
+    EXPECT_EQ(q.pooled_threads(), 2);
+    q.run_batch(100, 16, 16, [](group&) {});
+    EXPECT_EQ(q.pooled_threads(), 4);
+    queue single(make_sycl_policy());
+    single.run_batch(1, 16, 16, [](group&) {});
+    EXPECT_EQ(single.pooled_threads(), 1);
+    omp_set_num_threads(saved);
 }
 
 TEST(Queue, RepeatedSolvesOnOneQueueAreBitIdentical)
@@ -517,19 +534,14 @@ TEST(Queue, ScratchPoolZeroFillIsOptional)
         EXPECT_EQ(block[i], std::byte{0}) << i;
     }
     std::memset(block, 0xab, 64);
-    // Non-zeroed reacquisition of a fitting block keeps prior contents.
-    block = q.scratch().acquire(64, false);
+    // Reacquisition of a fitting block keeps prior contents.
+    block = q.scratch().acquire(64);
     for (int i = 0; i < 64; ++i) {
         EXPECT_EQ(block[i], std::byte{0xab}) << i;
     }
-    // Growth value-initializes the new tail even without the fill.
-    block = q.scratch().acquire(128, false);
+    // Growth value-initializes the new tail.
+    block = q.scratch().acquire(128);
     for (int i = 64; i < 128; ++i) {
-        EXPECT_EQ(block[i], std::byte{0}) << i;
-    }
-    // A zeroed acquisition scrubs everything again.
-    block = q.scratch().acquire(128, true);
-    for (int i = 0; i < 128; ++i) {
         EXPECT_EQ(block[i], std::byte{0}) << i;
     }
 }

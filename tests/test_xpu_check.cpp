@@ -6,8 +6,8 @@
 //    checker must report exactly that diagnostic class with a correctly
 //    located structured report;
 //  * clean sweeps — every shipped solver kernel (iterative, direct, TRSV)
-//    must pass the full checker, SLM-resident and spilled, including the
-//    serve-style unzeroed spill path;
+//    must pass the full checker, SLM-resident and spilled (spill scratch
+//    is never cleared, so every spill slot starts undefined);
 //  * lane-order adversary — race-free kernels must produce bit-identical
 //    outputs under reversed and shuffled lane execution orders.
 #include <gtest/gtest.h>
@@ -316,9 +316,10 @@ TEST(LaneOrderAdversary, SolverOutputsAreLaneOrderIndependent)
 
 namespace {
 
-void expect_clean_solve(solver::solver_type s, solver::matrix_format f,
-                        precond::type pc, size_type slm_bytes,
-                        bool zero_spill)
+/// Solves a small stencil batch under the full checker and returns the
+/// elements the plan spilled to global scratch per group.
+size_type expect_clean_solve(solver::solver_type s, solver::matrix_format f,
+                             precond::type pc, size_type slm_bytes)
 {
     const index_type items = 4;
     const index_type rows = 24;
@@ -337,13 +338,17 @@ void expect_clean_solve(solver::solver_type s, solver::matrix_format f,
     opts.preconditioner = pc;
     opts.criterion = stop::relative(1e-8, 300);
     opts.gmres_restart = 15;
-    opts.zero_spill = zero_spill;
+    if (pc == precond::type::none) {
+        // Unpreconditioned Richardson needs damping on the stencil.
+        opts.richardson_relaxation = 0.35;
+    }
 
     xpu::queue q(checked_policy(xpu::check_level::adversary,
                                 xpu::lane_order::shuffled, slm_bytes));
     const auto result = solver::solve(q, a, b, x, opts);
     EXPECT_EQ(result.log.num_converged(), items)
         << solver::to_string(s) << "/" << precond::to_string(pc);
+    return result.plan.global_elems_per_group;
 }
 
 constexpr size_type kSlmResident = 128 * 1024;
@@ -358,8 +363,7 @@ TEST(CheckedSolvers, CgCleanUnderFullChecker)
          {precond::type::none, precond::type::jacobi, precond::type::ilu,
           precond::type::isai, precond::type::block_jacobi}) {
         expect_clean_solve(solver::solver_type::cg,
-                           solver::matrix_format::csr, pc, kSlmResident,
-                           true);
+                           solver::matrix_format::csr, pc, kSlmResident);
     }
 }
 
@@ -369,8 +373,7 @@ TEST(CheckedSolvers, BicgstabCleanUnderFullChecker)
          {precond::type::none, precond::type::jacobi, precond::type::ilu,
           precond::type::isai}) {
         expect_clean_solve(solver::solver_type::bicgstab,
-                           solver::matrix_format::csr, pc, kSlmResident,
-                           true);
+                           solver::matrix_format::csr, pc, kSlmResident);
     }
 }
 
@@ -380,8 +383,7 @@ TEST(CheckedSolvers, GmresCleanUnderFullChecker)
          {precond::type::none, precond::type::jacobi, precond::type::ilu,
           precond::type::isai}) {
         expect_clean_solve(solver::solver_type::gmres,
-                           solver::matrix_format::csr, pc, kSlmResident,
-                           true);
+                           solver::matrix_format::csr, pc, kSlmResident);
     }
 }
 
@@ -389,44 +391,73 @@ TEST(CheckedSolvers, RichardsonCleanUnderFullChecker)
 {
     expect_clean_solve(solver::solver_type::richardson,
                        solver::matrix_format::csr, precond::type::jacobi,
-                       kSlmResident, true);
+                       kSlmResident);
 }
 
 TEST(CheckedSolvers, EllAndDenseFormatsClean)
 {
     expect_clean_solve(solver::solver_type::cg, solver::matrix_format::ell,
-                       precond::type::jacobi, kSlmResident, true);
+                       precond::type::jacobi, kSlmResident);
     expect_clean_solve(solver::solver_type::cg,
                        solver::matrix_format::dense, precond::type::jacobi,
-                       kSlmResident, true);
+                       kSlmResident);
 }
 
 TEST(CheckedSolvers, SpilledWorkspaceClean)
 {
-    // A tiny SLM budget forces the planner to spill: the spill slots are
-    // shadow-tracked global regions, exercised here with the default
-    // zero-filled backing.
-    expect_clean_solve(solver::solver_type::cg, solver::matrix_format::csr,
-                       precond::type::ilu, kSlmTiny, true);
-    expect_clean_solve(solver::solver_type::gmres,
-                       solver::matrix_format::csr, precond::type::jacobi,
-                       kSlmTiny, true);
-}
+    // A tiny SLM budget spills workspace slots to global scratch, which is
+    // never cleared: every spill slot starts shadow-undefined, so this
+    // sweep proves each kernel writes its spilled workspace before reading
+    // it — every solver x legal format/preconditioner cell, then trsv.
+    using enum solver::matrix_format;
+    using ptype = precond::type;
+    const std::pair<solver::matrix_format, ptype> cells[] = {
+        {csr, ptype::none},  {csr, ptype::jacobi}, {csr, ptype::ilu},
+        {csr, ptype::isai},  {csr, ptype::block_jacobi},
+        {ell, ptype::none},  {ell, ptype::jacobi}, {dense, ptype::none},
+        {dense, ptype::jacobi}};
+    for (const auto& [f, pc] : cells) {
+        for (const auto s :
+             {solver::solver_type::cg, solver::solver_type::bicgstab,
+              solver::solver_type::gmres, solver::solver_type::richardson}) {
+            EXPECT_GT(expect_clean_solve(s, f, pc, kSlmTiny), 0)
+                << solver::to_string(s) << "/" << precond::to_string(pc);
+        }
+    }
 
-TEST(CheckedSolvers, UnzeroedSpillClean)
-{
-    // The serve:: hot path skips the spill zero-fill, which is only sound
-    // when every kernel writes each spilled element before reading it.
-    // With zero_spill off the spill regions start shadow-undefined, so
-    // this sweep PROVES that write-before-read discipline.
-    expect_clean_solve(solver::solver_type::cg, solver::matrix_format::csr,
-                       precond::type::ilu, kSlmTiny, false);
-    expect_clean_solve(solver::solver_type::bicgstab,
-                       solver::matrix_format::csr, precond::type::jacobi,
-                       kSlmTiny, false);
-    expect_clean_solve(solver::solver_type::gmres,
-                       solver::matrix_format::csr, precond::type::isai,
-                       kSlmTiny, false);
+    // A lower-bidiagonal system long enough that trsv's solution slot
+    // spills too.
+    const index_type items = 2;
+    const index_type rows = 96;
+    std::vector<index_type> rp{0};
+    std::vector<index_type> ci;
+    for (index_type i = 0; i < rows; ++i) {
+        if (i > 0) {
+            ci.push_back(i - 1);
+        }
+        ci.push_back(i);
+        rp.push_back(static_cast<index_type>(ci.size()));
+    }
+    mat::batch_csr<double> a_csr(items, rows, rows, rp, ci);
+    for (index_type item = 0; item < items; ++item) {
+        for (index_type i = 0; i < rows; ++i) {
+            double* row = a_csr.item_values(item) + rp[i];
+            if (i > 0) {
+                *row++ = -1.0;
+            }
+            *row = 2.0 + static_cast<double>(item);
+        }
+    }
+    const solver::batch_matrix<double> a = a_csr;
+    const auto b = work::random_rhs<double>(items, rows, 9);
+    mat::batch_dense<double> x(items, rows, 1);
+    solver::solve_options opts;
+    opts.solver = solver::solver_type::trsv;
+    xpu::queue q(checked_policy(xpu::check_level::adversary,
+                                xpu::lane_order::shuffled, kSlmTiny));
+    const auto result = solver::solve(q, a, b, x, opts);
+    EXPECT_EQ(result.log.num_converged(), items);
+    EXPECT_GT(result.plan.global_elems_per_group, 0);
 }
 
 TEST(CheckedSolvers, TrsvCleanUnderFullChecker)
