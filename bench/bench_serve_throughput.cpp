@@ -282,10 +282,10 @@ shard_cell_result run_shard_cell(int shards, int clients, double min_time)
 
 /// One open-loop overload cell: a paced generator offering `rate_sps`
 /// sheddable (priority 0) requests per second against a service with the
-/// watermark shed and the brownout ladder on. Unlike the closed-loop
-/// cells, the generator does not wait for replies, so offering past the
-/// service's capacity is possible — the degradation machinery, not
-/// client backpressure, must keep accepted-request latency bounded.
+/// watermark shed on. Unlike the closed-loop cells, the generator does
+/// not wait for replies, so offering past the service's capacity is
+/// possible — shedding and deadlines, not client backpressure, must keep
+/// accepted-request latency bounded.
 struct overload_result {
     double offered_sps = 0.0;
     double accepted_sps = 0.0;
@@ -295,8 +295,6 @@ struct overload_result {
     unsigned long long completed = 0;
     unsigned long long shed = 0;
     unsigned long long expired = 0;
-    unsigned long long brownout_batches = 0;
-    long long brownout_max = 0;
 };
 
 overload_result run_overload_cell(double rate_sps, double min_time,
@@ -312,11 +310,6 @@ overload_result run_overload_cell(double rate_sps, double min_time,
     // then wait at most ~a batch of backlog, which is what keeps their
     // p99 flat as the offered load doubles past capacity.
     cfg.shed_watermark = 24.0 / 256.0;
-    cfg.brownout = true;
-    // Enter brownout level 1 (batching window cut to a quarter) as soon
-    // as the queue reaches the shed watermark: under overload the window
-    // is pure added latency — a full batch is already waiting.
-    cfg.brownout_low = 24.0 / 256.0;
     xpu::exec_policy policy = xpu::make_sycl_policy();
     policy.emulated_launch_us = launch_latency_us;
     serve::solve_service service(policy, cfg);
@@ -412,8 +405,6 @@ overload_result run_overload_cell(double rate_sps, double min_time,
     // without ever entering the latency accounting.
     out.p50_ms = s.p50_latency_seconds * 1e3;
     out.p99_ms = s.p99_latency_seconds * 1e3;
-    out.brownout_batches = s.brownout_batches;
-    out.brownout_max = s.brownout_max;
     return out;
 }
 
@@ -553,16 +544,16 @@ int main(int argc, char** argv)
     // path (open-loop generator + shed watermark + collector sharing the
     // host with the workers — the closed-loop cells above measure a
     // different, deeper-queued regime). Then offer 0.5x and 2x of C with
-    // the shed watermark and brownout ladder on. The robustness
-    // acceptance bar: accepted-request p99 at 2x saturation within 1.5x
-    // of the unsaturated p99 — shedding, not luck, keeps latency flat.
+    // the shed watermark on. The robustness acceptance bar: accepted-
+    // request p99 at 2x saturation within 1.5x of the unsaturated p99 —
+    // shedding, not luck, keeps latency flat.
     const std::size_t top = std::size(kClients) - 1;
     // Calibration ladder: double the offered rate until the service
     // visibly sheds (or stops keeping up). An all-out storm would
     // understate capacity — on a small host the generator itself starves
     // the workers — so approach saturation from below instead.
     std::printf("\nOverload sweep: open-loop priority-0 traffic, shed "
-                "watermark 24/256 systems, brownout on, deadline 3 ms\n");
+                "watermark 24/256 systems, deadline 3 ms\n");
     double capacity = 0.0;
     {
         const double probe_time = std::min(min_time, 0.5);
@@ -584,24 +575,23 @@ int main(int argc, char** argv)
     }
     std::printf("saturation: sustained %.0f accepted solves/sec\n",
                 capacity);
-    std::printf("%12s | %12s | %12s | %9s | %9s | %9s\n", "offered/sec",
-                "accepted/sec", "shed frac", "p50 ms", "p99 ms",
-                "brownouts");
-    rule(76);
+    std::printf("%12s | %12s | %12s | %9s | %9s\n", "offered/sec",
+                "accepted/sec", "shed frac", "p50 ms", "p99 ms");
+    rule(66);
     const double kOverloadFactors[] = {0.5, 2.0};
     overload_result overload[std::size(kOverloadFactors)];
     for (std::size_t i = 0; i < std::size(kOverloadFactors); ++i) {
         overload[i] = run_overload_cell(capacity * kOverloadFactors[i],
                                         min_time, launch_latency_us);
         const overload_result& r = overload[i];
-        std::printf("%12.1f | %12.1f | %12.3f | %9.3f | %9.3f | %9llu\n",
+        std::printf("%12.1f | %12.1f | %12.3f | %9.3f | %9.3f\n",
                     r.offered_sps, r.accepted_sps, r.shed_fraction,
-                    r.p50_ms, r.p99_ms, r.brownout_batches);
+                    r.p50_ms, r.p99_ms);
     }
     const double overload_p99_ratio =
         overload[0].p99_ms > 0.0 ? overload[1].p99_ms / overload[0].p99_ms
                                  : 0.0;
-    rule(76);
+    rule(66);
     std::printf("accepted p99 at 2.0x vs 0.5x capacity: %.2fx "
                 "(%s 1.5x bar), shed %.0f%% at 2.0x\n",
                 overload_p99_ratio,
@@ -701,12 +691,10 @@ int main(int argc, char** argv)
                 "\"shed_fraction\": %.3f, \"completed\": %llu, "
                 "\"shed\": %llu, \"expired\": %llu, "
                 "\"p50_latency_ms\": %.3f, "
-                "\"p99_latency_ms\": %.3f, \"brownout_batches\": %llu, "
-                "\"brownout_max\": %lld}%s\n",
+                "\"p99_latency_ms\": %.3f}%s\n",
                 kOverloadFactors[i], r.offered_sps, r.accepted_sps,
                 r.shed_fraction, r.completed, r.shed, r.expired, r.p50_ms,
-                r.p99_ms, r.brownout_batches, r.brownout_max,
-                i + 1 == std::size(kOverloadFactors) ? "" : ",");
+                r.p99_ms, i + 1 == std::size(kOverloadFactors) ? "" : ",");
         }
         std::fprintf(f, "  ],\n");
         std::fprintf(f,

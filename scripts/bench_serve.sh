@@ -16,8 +16,8 @@
 # Last comes the overload sweep: an open-loop generator calibrates the
 # sustainable accepted rate with a doubling ladder, then offers 0.5x and
 # 2x of it as priority-0 traffic against a service with the shed
-# watermark, brownout ladder, and a 3 ms deadline enabled. The JSON
-# records the "overload" cells plus the headline
+# watermark and a 3 ms deadline enabled. The JSON records the
+# "overload" cells plus the headline
 # overload_accepted_p99_ratio_2x_vs_unsat — the robustness acceptance
 # bar is that accepted-request p99 at 2x saturation stays within 1.5x of
 # the unsaturated p99 (shedding keeps latency flat while excess load is

@@ -34,7 +34,7 @@
 #     driving, and
 #  7. the failover and chaos-soak suites (device-loss fault model, lane
 #     eviction + queue migration, hang watchdog, half-open probes,
-#     priority shedding, brownout) at two shards: a bounded-runtime
+#     priority shedding, deadlines) at two shards: a bounded-runtime
 #     seeded soak mixing shard death/revival, a kernel hang, NaN poison,
 #     and open-loop overload, asserting zero lost tickets, balanced
 #     books (every ticket resolved once, empty queues) after drain, and
@@ -109,7 +109,7 @@ OMP_NUM_THREADS=1 ctest --test-dir build-conc \
 echo "== config 7/7: failover + chaos soak at two shards"
 # The robustness layer end to end: the sticky device-loss and hang fault
 # kinds, eviction/migration/half-open probing, the hang watchdog,
-# priority shedding, the brownout ladder, and the seeded chaos soak
+# priority shedding, deadline expiry, and the seeded chaos soak
 # (death + revival + hang + poison + open-loop overload, >= 1000 solves)
 # — first in the Release build, then under the instrumented checked
 # build so the fault injector and the failover paths themselves run with

@@ -108,8 +108,6 @@ solve_service::solve_service(xpu::exec_policy policy, service_config config)
                         "service needs at least one worker per shard");
     BATCHLIN_ENSURE_MSG(config_.shards > 0,
                         "service needs at least one shard");
-    BATCHLIN_ENSURE_MSG(config_.steal_threshold >= 0,
-                        "steal threshold cannot be negative");
     BATCHLIN_ENSURE_MSG(config_.max_batch > 0,
                         "max_batch must be positive");
     BATCHLIN_ENSURE_MSG(config_.max_queue_systems > 0,
@@ -259,12 +257,6 @@ service_stats solve_service::stats() const
     s.migrations = migrations_.load(std::memory_order_relaxed);
     s.migrated_systems = migrated_systems_.load(std::memory_order_relaxed);
     s.shed_requests = shed_requests_.load(std::memory_order_relaxed);
-    s.brownout_level =
-        static_cast<int>(brownout_level_.load(std::memory_order_relaxed));
-    s.brownout_max =
-        static_cast<int>(brownout_max_.load(std::memory_order_relaxed));
-    s.brownout_batches =
-        brownout_batches_.load(std::memory_order_relaxed);
     s.queue_depth_requests = ring_pending_.load(std::memory_order_acquire);
     s.queue_depth_systems = static_cast<std::uint64_t>(
         ring_systems_.load(std::memory_order_acquire));
@@ -351,8 +343,7 @@ bool solve_service::admit(detail::pending_entry& entry, int priority)
     };
     // Watermark shedding: above the soft watermark only positive-
     // priority requests are admitted; everything else is refused
-    // *before* it can deepen the queue the brownout ladder and the
-    // hard bound are already fighting.
+    // *before* it can deepen the queue toward the hard bound.
     if (priority <= 0 && config_.shed_watermark < 1.0) {
         const auto mark = static_cast<size_type>(
             std::max(config_.shed_watermark, 0.0) *
@@ -380,7 +371,7 @@ bool solve_service::admit(detail::pending_entry& entry, int priority)
             ++rejected_requests_;
             return refuse(request_status::rejected);
         }
-        // Deadline checkpoint 1b (blocked admission): a request whose
+        // Deadline checkpoint 2 of 4 (blocked admission): a request whose
         // deadline passes while its submitter waits for space expires
         // instead of occupying the queue it can no longer use.
         const auto now = std::chrono::steady_clock::now();
@@ -457,7 +448,7 @@ void solve_service::migrate_entry(shard_lane& from,
     // Precondition: the entry is fully off-books — not on any ring, and
     // its global admission budget released.
     const auto items = static_cast<size_type>(entry->items);
-    // Deadline checkpoint 5 of 5 (failover re-queue): a request that
+    // Deadline checkpoint 4 of 4 (failover re-queue): a request that
     // outlived its deadline while its shard died expires instead of
     // riding the migration.
     if (entry->deadline <= std::chrono::steady_clock::now()) {
@@ -583,36 +574,15 @@ void solve_service::watchdog_loop()
     }
 }
 
-int solve_service::brownout_for_depth(size_type depth_systems) const
-{
-    if (!config_.brownout) {
-        return 0;
-    }
-    const double frac =
-        static_cast<double>(depth_systems) /
-        static_cast<double>(config_.max_queue_systems);
-    if (frac >= config_.brownout_high) {
-        return 3;
-    }
-    if (frac >= config_.brownout_mid) {
-        return 2;
-    }
-    if (frac >= config_.brownout_low) {
-        return 1;
-    }
-    return 0;
-}
-
 int solve_service::steal_victim(index_type thief_shard) const
 {
-    if (!config_.work_stealing || lanes_.size() < 2) {
+    if (lanes_.size() < 2) {
         return -1;
     }
     int victim = -1;
-    // Victim depth below which nothing is stolen (0 = max_batch).
-    size_type deepest = static_cast<size_type>(
-        config_.steal_threshold > 0 ? config_.steal_threshold
-                                    : config_.max_batch);
+    // Only overflow beyond what the victim's own next launch can absorb
+    // is worth moving; sub-batch queues keep fusing locally.
+    auto deepest = static_cast<size_type>(config_.max_batch);
     for (const shard_lane& lane : lanes_) {
         if (lane.id == thief_shard) {
             continue;
@@ -658,7 +628,7 @@ void solve_service::pop_into(shard_lane& lane,
 
 void solve_service::hold_window(shard_lane& own,
                                 std::vector<detail::pending_ptr>& chunk,
-                                index_type& total, int brownout,
+                                index_type& total,
                                 detail::batch_tally& window)
 {
     using clock = std::chrono::steady_clock;
@@ -674,10 +644,7 @@ void solve_service::hold_window(shard_lane& own,
             return;
         }
     }
-    // Brownout level 1+ shrinks the window so the queue drains sooner.
-    const auto window_end =
-        leader.enqueued +
-        (brownout >= 1 ? config_.max_wait / 4 : config_.max_wait);
+    const auto window_end = leader.enqueued + config_.max_wait;
     // The ring is empty from here on (the last pop came up short).
     auto quiet_since = clock::now();
     // Set by the first park: only a window that waited counts as a hold,
@@ -783,7 +750,7 @@ void solve_service::dispatch_loop(index_type shard_id, int local_id)
             continue;
         }
         // Gather a chunk without blocking — own ring first, then (when
-        // idle) the deepest neighbor past the steal threshold.
+        // idle) the deepest neighbor holding more than max_batch systems.
         std::vector<detail::pending_ptr> chunk;
         index_type total = 0;
         pop_into(own, chunk, total);
@@ -815,23 +782,18 @@ void solve_service::dispatch_loop(index_type shard_id, int local_id)
             continue;
         }
         idle = 0;
-        // Brownout level from the admission depth at dequeue: level 1+
-        // shrinks the batching window; levels 2/3 additionally cap
-        // per-request work inside execute_typed().
-        const int brownout = brownout_for_depth(
-            ring_systems_.load(std::memory_order_acquire));
         // A tripped breaker suspends coalescing on this shard: every entry
         // launches solo, so a fault pattern tied to batch composition
         // stops taking whole batches of unrelated requests down with it —
         // while the other shards keep coalescing.
         const bool solo = own.brk.suspended.load(std::memory_order_acquire);
-        // Stolen work is queued overflow by definition, and an entry past
-        // its deadline (checkpoint 2, dequeue) has nothing to wait for:
-        // neither opens a window.
+        // Stolen work is queued overflow by definition, and a leader
+        // already past its deadline has nothing to wait for (it expires
+        // at launch): neither opens a window.
         detail::batch_tally window;
         if (!stolen && !solo &&
             chunk.front()->deadline > std::chrono::steady_clock::now()) {
-            hold_window(own, chunk, total, brownout, window);
+            hold_window(own, chunk, total, window);
         }
 
         // Group the chunk into compatible fused launches. FIFO arrivals
@@ -866,10 +828,10 @@ void solve_service::dispatch_loop(index_type shard_id, int local_id)
                 // service totals.
                 if (group.front()->body.index() == 0) {
                     execute_typed<double>(own, q, caches, std::move(group),
-                                          brownout, std::exchange(window, {}));
+                                          std::exchange(window, {}));
                 } else {
                     execute_typed<float>(own, q, caches, std::move(group),
-                                         brownout, std::exchange(window, {}));
+                                         std::exchange(window, {}));
                 }
             } catch (...) {
                 // execute_typed() fails tickets individually; anything that
@@ -914,10 +876,12 @@ template <typename T>
 void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
                                   detail::worker_caches* caches,
                                   std::vector<detail::pending_ptr> batch,
-                                  int brownout, detail::batch_tally tally)
+                                  detail::batch_tally tally)
 {
     const auto launch_time = std::chrono::steady_clock::now();
     launch_age_scope age(lane.launch_started_ns, steady_now_ns());
+    // Deadline checkpoint 3 of 4 (launch): an entry whose deadline has
+    // passed by now is never solved.
     std::vector<detail::pending_ptr> live;
     std::vector<detail::pending_ptr> expired;
     for (detail::pending_ptr& entry : batch) {
@@ -1007,20 +971,9 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
                 parts.push_back({&typed.request.a, &typed.request.b,
                                  &typed.request.x});
             }
-            solver::solve_options opts =
+            const solver::solve_options& opts =
                 std::get<detail::typed_pending<T>>(live.front()->body)
                     .request.opts;
-            // Brownout levels 2/3 trade per-request quality for drain
-            // rate (opt-in via `service_config::brownout`; they change
-            // numerics, see DESIGN.md §14): level 2 strips refinement
-            // down to one sweep, level 3 additionally shortens the GMRES
-            // basis. CG/BiCGSTAB requests only feel level 2.
-            if (brownout >= 2 && opts.refine_sweeps > 1) {
-                opts.refine_sweeps = 1;
-            }
-            if (brownout >= 3 && opts.gmres_restart > 10) {
-                opts.gmres_restart = 10;
-            }
 
             // With a survivor to fail over to, an exhausted fused solve
             // evicts this lane instead of degrading to solo solves on it.
@@ -1084,19 +1037,6 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
             static_cast<std::uint64_t>(expired.size()),
             std::memory_order_relaxed);
         totals_ += tally;
-        // Brownout telemetry (all writers hold mu_ here, so plain
-        // load/store is race-free; the fields stay atomic for the
-        // lock-free readers in stats()).
-        brownout_level_.store(static_cast<std::uint32_t>(brownout),
-                              std::memory_order_relaxed);
-        if (brownout > 0) {
-            brownout_batches_.fetch_add(1, std::memory_order_relaxed);
-            if (brownout_max_.load(std::memory_order_relaxed) <
-                static_cast<std::uint32_t>(brownout)) {
-                brownout_max_.store(static_cast<std::uint32_t>(brownout),
-                                    std::memory_order_relaxed);
-            }
-        }
         lane.completed_systems += tally.ok_systems;
         lane.launch_faults += tally.faults;
         for (const solver::solve_result& launch : solved.solves) {

@@ -174,13 +174,10 @@ struct service_config {
     /// shard per name, each charging its device's modeled launch costs
     /// as emulated wall time; overrides `shards`.
     std::vector<std::string> shard_devices;
-    /// Cross-shard work stealing: an idle shard's worker pulls from the
-    /// deepest ring holding more than `steal_threshold` systems.
+    /// Retired, no longer read: an idle shard's worker always steals
+    /// from the deepest other ring holding more than `max_batch` systems.
     bool work_stealing = true;
-    /// Victim depth (systems) below which nothing is stolen; 0 = auto
-    /// (`max_batch`: only overflow beyond what the victim's own next
-    /// launch can absorb is worth moving, and sub-batch queues keep
-    /// fusing locally).
+    /// Retired, no longer read: the steal threshold is `max_batch`.
     index_type steal_threshold = 0;
     /// Per-shard injected fault schedules (index = shard id; shards past
     /// the end get the base policy's plan). Lets tests fault one shard
@@ -275,16 +272,15 @@ struct service_config {
     /// sheds priority <= 0 requests (status `rejected`, structured
     /// "shed" error, `shed_requests` counter); >= 1 disables shedding.
     double shed_watermark = 1.0;
-    /// Brownout ladder driven by queue-depth watermarks (fractions of
-    /// `max_queue_systems`): level 1 (>= brownout_low) shrinks the
-    /// coalescing window to a quarter of `max_wait`, level 2
-    /// (>= brownout_mid) additionally caps refinement at one sweep, and
-    /// level 3 (>= brownout_high) additionally caps the GMRES restart at
-    /// 10. Levels 2 and 3 trade accuracy/iteration count for time — they
-    /// change numerics by design, so the ladder is opt-in.
+    /// Retired, no longer read: overload is met by shedding and
+    /// deadlines only, and no request's window or numerics depend on
+    /// queue depth.
     bool brownout = false;
+    /// Retired, no longer read.
     double brownout_low = 0.50;
+    /// Retired, no longer read.
     double brownout_mid = 0.75;
+    /// Retired, no longer read.
     double brownout_high = 0.90;
 };
 
@@ -518,7 +514,7 @@ public:
         ++submitted_requests_;
         submitted_systems_ += static_cast<std::uint64_t>(items);
 
-        // Deadline checkpoint 1 of 5 (admission): a deadline already in
+        // Deadline checkpoint 1 of 4 (admission): a deadline already in
         // the past expires here, before routing — it must never be
         // queued, and never silently read as "no deadline".
         if (expired_at_admission) {
@@ -673,7 +669,7 @@ private:
 
     /// Re-routes one already-admitted entry off dead `from` onto a
     /// surviving lane's ring and re-reserves the global budget. Entries
-    /// past their deadline expire here (deadline checkpoint 5: failover
+    /// past their deadline expire here (deadline checkpoint 4: failover
     /// re-queue); entries past the migration cap, or with no surviving
     /// lane, fail with a structured error.
     void migrate_entry(shard_lane& from, detail::pending_ptr entry);
@@ -697,10 +693,6 @@ private:
     /// worker when the launch returns).
     void watchdog_loop();
 
-    /// Brownout ladder level for the given queue depth (0 when the
-    /// ladder is disabled).
-    int brownout_for_depth(size_type depth_systems) const;
-
     /// The one worker loop of every launch mode: pops its shard's ring
     /// (stealing from deeper rings when idle), holds the batching window
     /// open for companions, groups compatible entries up to `max_batch`,
@@ -722,11 +714,10 @@ private:
     /// max_wait` / `idle_flush`), parking on the doorbell in between.
     /// Counts the hold into `window`'s window fields.
     void hold_window(shard_lane& own, std::vector<detail::pending_ptr>& chunk,
-                     index_type& total, int brownout,
-                     detail::batch_tally& window);
+                     index_type& total, detail::batch_tally& window);
 
-    /// Deepest ring worth stealing from; -1 when no victim clears the
-    /// threshold.
+    /// Deepest other ring holding more than `max_batch` systems; -1 when
+    /// none does or the service has a single lane.
     int steal_victim(index_type thief_shard) const;
 
     /// Solves one group of compatible entries in one `solve_coalesced`
@@ -738,7 +729,7 @@ private:
     void execute_typed(shard_lane& lane, xpu::queue& q,
                        detail::worker_caches* caches,
                        std::vector<detail::pending_ptr> batch,
-                       int brownout, detail::batch_tally tally);
+                       detail::batch_tally tally);
 
     service_config config_;
     /// Snapshot of the constructor policy's launch mode.
@@ -812,9 +803,6 @@ private:
     conc::atomic<std::uint64_t> migrations_{0};
     conc::atomic<std::uint64_t> migrated_systems_{0};
     conc::atomic<std::uint64_t> shed_requests_{0};
-    conc::atomic<std::uint32_t> brownout_level_{0};
-    conc::atomic<std::uint32_t> brownout_max_{0};
-    conc::atomic<std::uint64_t> brownout_batches_{0};
 
     /// One queue per worker, flat-indexed `shard * config_.workers +
     /// local` (deque: xpu::queue is not movable in debug builds).

@@ -20,15 +20,6 @@ void emit_u64(std::string& out, const char* key, std::uint64_t value,
     out += buf;
 }
 
-void emit_i64(std::string& out, const char* key, std::int64_t value,
-              bool comma = true)
-{
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "\"%s\": %" PRId64 "%s", key, value,
-                  comma ? ", " : "");
-    out += buf;
-}
-
 void emit_double(std::string& out, const char* key, double value,
                  bool comma = true)
 {
@@ -99,9 +90,6 @@ std::string service_stats::to_json() const
     emit_u64(out, "probes", probes);
     emit_u64(out, "probe_successes", probe_successes);
     emit_u64(out, "shed_requests", shed_requests);
-    emit_i64(out, "brownout_level", brownout_level);
-    emit_i64(out, "brownout_max", brownout_max);
-    emit_u64(out, "brownout_batches", brownout_batches);
     emit_u64(out, "queue_depth_requests", queue_depth_requests);
     emit_u64(out, "queue_depth_systems", queue_depth_systems);
     emit_u64(out, "steals", steals);

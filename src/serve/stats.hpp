@@ -72,7 +72,9 @@ struct service_stats {
     /// Requests refused by admission control (bounded queue full or
     /// service no longer accepting).
     std::uint64_t rejected_requests = 0;
-    /// Requests whose deadline passed before their batch launched.
+    /// Requests whose deadline passed before they were solved: at
+    /// admission, while blocked on a full queue, at launch, or when
+    /// re-queued by failover. Never solved.
     std::uint64_t expired_requests = 0;
     /// Requests whose batch solve threw.
     std::uint64_t failed_requests = 0;
@@ -147,18 +149,12 @@ struct service_stats {
     std::uint64_t probes = 0;
     std::uint64_t probe_successes = 0;
 
-    /// Overload-degradation counters (PR 10). Sheds are the subset of
-    /// `rejected_requests` refused by the watermark policy (priority <= 0
-    /// while the queue sits above `shed_watermark`) rather than by a hard
-    /// queue-full.
+    /// Overload shedding: the subset of `rejected_requests` refused by
+    /// the watermark policy (priority <= 0 while the queue sits above
+    /// `shed_watermark`) rather than by a hard queue-full. Shedding and
+    /// deadlines are the whole overload response; no queue depth changes
+    /// a request's window or numerics.
     std::uint64_t shed_requests = 0;
-    /// Brownout ladder: current level (0 = off, 1 = shrunk coalescing
-    /// window, 2 = + capped refinement sweeps, 3 = + capped GMRES
-    /// restart), the highest level reached, and how many fused launches
-    /// executed at level > 0.
-    int brownout_level = 0;
-    int brownout_max = 0;
-    std::uint64_t brownout_batches = 0;
 
     /// Current admission queue depth (all shards).
     std::uint64_t queue_depth_requests = 0;

@@ -188,9 +188,9 @@ struct lane {
     /// worker per lane this is exact; with several it tracks the oldest
     /// still-running launch (first CAS from 0 wins, cleared by the owner).
     conc::atomic<std::int64_t> launch_started_ns{0};
-    /// Liveness heartbeat: bumped once per worker-loop iteration; a lane
-    /// whose heartbeat stalls while work is queued is wedged in a way the
-    /// launch-age signal alone cannot see. Exposed in stats.
+    /// Liveness heartbeat: bumped once per worker-loop iteration and
+    /// read only by `stats()` (an operator sees a stalled count); the
+    /// watchdog detects wedges by `launch_started_ns` alone.
     conc::atomic<std::uint64_t> heartbeat{0};
     /// steady_clock nanoseconds of the eviction (or last failed probe);
     /// the probe cooldown is measured from here.

@@ -11,9 +11,9 @@
 //     shape, so equal keys are routed identically whatever their item
 //     counts and faster devices win proportionally more keys.
 //  2. Stealing (implemented in the serve lanes): an idle shard pulls from
-//     the deepest ring once it holds more than `steal_threshold` systems,
-//     so a hot key or a skewed key mix self-corrects — and the stolen
-//     chunk still fuses on the thief.
+//     the deepest other ring once it holds more than `max_batch` systems
+//     — a rule, not a setting — so a hot key or a skewed key mix
+//     self-corrects, and the stolen chunk still fuses on the thief.
 //
 // Costs are int64 nanoseconds: the modeled solve of a handful of 8-row
 // systems is well under a microsecond of bandwidth time, so a coarser

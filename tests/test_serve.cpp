@@ -1091,6 +1091,38 @@ TEST(Serve, IdleFlushHoldIsCountedWithItsOversleep)
     }
 }
 
+TEST(Serve, FullBatchInHandLaunchesWithoutAWindow)
+{
+    // A leader that already brings max_batch systems has no companion to
+    // wait for: it launches at once, however long the window and with
+    // the idle flush off — the rule that makes a queue-depth window
+    // shrink under overload redundant.
+    for (const bl::xpu::launch_mode mode : oracle::kLaunchModes) {
+        SCOPED_TRACE(bl::xpu::to_string(mode));
+        serve::service_config cfg;
+        cfg.workers = 1;
+        cfg.max_batch = 8;
+        cfg.max_wait = milliseconds(2000);
+        cfg.idle_flush = microseconds(0);
+        serve::solve_service service(mode_policy(mode), cfg);
+
+        const auto t0 = std::chrono::steady_clock::now();
+        auto ticket = service.submit(make_request(
+            work::stencil_3pt<double>(8, 16, 164), cg_opts(), 1003));
+        const auto reply = ticket.get();
+        const auto elapsed = std::chrono::steady_clock::now() - t0;
+        ASSERT_EQ(reply.status, serve::request_status::ok) << reply.error;
+        EXPECT_EQ(reply.fused_systems, 8);
+        EXPECT_LT(elapsed, milliseconds(500));
+        // Replies resolve before the batch's counters commit.
+        service.drain();
+        const serve::service_stats s = service.stats();
+        EXPECT_EQ(s.window_holds, 0u);
+        ASSERT_EQ(s.batch_size_histogram.size(), 9u);
+        EXPECT_EQ(s.batch_size_histogram[8], 1u);
+    }
+}
+
 namespace {
 
 /// First line of a /proc text file; empty when it is absent or

@@ -379,7 +379,6 @@ TEST(ShardServe, WorkStealingRebalancesAHotKey)
     cfg.shards = 2;
     cfg.workers = 1;
     cfg.max_batch = 8;
-    cfg.steal_threshold = 4;
     cfg.max_wait = microseconds(100);
     cfg.max_queue_systems = 8192;
     serve::solve_service service(xpu::make_sycl_policy(), cfg);
