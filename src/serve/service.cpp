@@ -244,7 +244,7 @@ service_stats solve_service::stats() const
     s.recovered_requests = totals_.recovered;
     s.launches_recorded = totals_.recorded;
     s.replays = totals_.replayed;
-    s.rebind_only = totals_.rebound;
+    s.rebind_only = totals_.replayed - totals_.recorded;
     s.refined_batches = totals_.refined;
     s.refine_sweeps = totals_.refine_sweeps;
     s.refine_fallbacks = totals_.refine_fallbacks;
@@ -1027,7 +1027,6 @@ void solve_service::execute_typed(shard_lane& lane, xpu::queue& q,
     if (cache != nullptr) {
         const solver::recording_counts& now = cache->totals();
         tally.recorded = now.recorded - graph_before.recorded;
-        tally.rebound = now.rebound - graph_before.rebound;
         tally.replayed = now.replayed - graph_before.replayed;
     }
 

@@ -206,8 +206,8 @@ struct service_config {
     std::chrono::microseconds idle_flush{25};
     /// Cached graph recordings per worker and precision in the
     /// `graph_replay` launch mode (LRU-evicted, see
-    /// `solver::recording_cache`). Each distinct (sparsity pattern,
-    /// options, fused size) shape occupies one slot.
+    /// `solver::recording_cache`). Each coalescing key (sparsity pattern
+    /// and options) occupies one slot, whatever its fused sizes.
     std::size_t graph_cache_entries = 8;
     /// Admission bound, counted in systems (a batched request counts its
     /// batch size).
@@ -361,7 +361,6 @@ struct batch_tally {
     std::uint64_t recovered = 0;
     std::uint64_t degraded = 0;
     std::uint64_t recorded = 0;
-    std::uint64_t rebound = 0;
     std::uint64_t replayed = 0;
     std::uint64_t refined = 0;
     std::uint64_t refine_sweeps = 0;
@@ -383,7 +382,6 @@ struct batch_tally {
         recovered += o.recovered;
         degraded += o.degraded;
         recorded += o.recorded;
-        rebound += o.rebound;
         replayed += o.replayed;
         refined += o.refined;
         refine_sweeps += o.refine_sweeps;

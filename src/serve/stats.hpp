@@ -98,12 +98,12 @@ struct service_stats {
 
     /// Graph-launch counters (zero in `launch_mode::direct`, and never
     /// bumped by refined or trsv batches, which the solver does not
-    /// record). A recording happens on the first batch of a (pattern,
-    /// options, size) shape and again after a fault invalidates the cached
-    /// graph; every subsequent compatible batch only swaps values
-    /// (`rebind_only`) and replays. `replays / batches_launched` close to
-    /// 1 means the launch path is amortized to rebind cost — the
-    /// effectiveness metric of the mode.
+    /// record). A coalescing key records on its first batch, at the next
+    /// power of two of its systems, and again when a batch outgrows that,
+    /// a fault invalidates it, or it returns after eviction; other batches
+    /// only swap values (`rebind_only` = `replays - launches_recorded`)
+    /// and replay. `replays / batches_launched` close to 1 means the
+    /// launch path is amortized to rebind cost.
     std::uint64_t launches_recorded = 0;
     /// Graph submissions (each one fused launch replayed from a graph).
     std::uint64_t replays = 0;

@@ -1,29 +1,29 @@
-// Graph-recorded coalesced solves: record once, rebind + replay per batch.
+// Graph-recorded coalesced solves: one recording per coalescing key.
 //
 // An eager `solve_coalesced` pays per batch for (a) the eager kernel
 // submission (`emulated_launch_us`), (b) re-planning the workspace and
 // re-binding the plan, and (c) re-constructing the preconditioner
-// dispatch. For a serve:: worker the stream of batches is highly
-// repetitive — same pattern, same options, frequently even the same total
-// batch size (the coalescing hash already groups requests exactly this
-// way) — so a `recording_cache` hoists all three out of the loop. Given
+// dispatch. A serve:: worker's batches repeat the same pattern and options
+// (the coalescing hash groups requests exactly this way) at varying fused
+// sizes, so a `recording_cache` hoists all three out of the loop. Given
 // one, `solve_coalesced` runs each batch as:
 //
 //   record   — on a miss: gathers the parts into owned, address-stable
-//              operands, resolves plan + launch config once, and records
-//              the bound solver kernel — through the same dispatch ladder
-//              an eager solve launches through (ladder.hpp) — into a
-//              finalized `xpu::graph_exec` (charging `emulated_record_us`
-//              once) whose closure captures raw pointers into the owned
-//              storage; the preconditioner is constructed once, here.
-//   rebind   — on a hit: swaps in the batch's data by value copy (matrix
-//              values, right-hand sides, initial guesses). No
-//              re-recording: the sparsity pattern is shared, and every
+//              operands for `std::bit_ceil` of the batch's systems,
+//              resolves plan + launch config once, and records the bound
+//              solver kernel over that capacity — through the ladder an
+//              eager solve launches through (ladder.hpp) — into a final
+//              `xpu::graph_exec` (charging `emulated_record_us` once); the
+//              preconditioner is constructed once, here.
+//   rebind   — on a hit (a batch no larger than the capacity): swaps in
+//              the batch's matrix values, right-hand sides and initial
+//              guesses by value copy. The pattern is shared, and every
 //              preconditioner reads the matrix VALUES in-kernel via
-//              `generate()` (host construction is pattern-only), so a
-//              value swap is bit-exact.
-//   replay   — submits the finalized graph at `emulated_replay_us`
-//              instead of the full eager launch cost.
+//              `generate()`, so a value swap is bit-exact.
+//   replay   — runs the graph over the batch's systems only, at
+//              `emulated_replay_us`. Each system is its own work-group
+//              under a launch config fixed by pattern and options, so
+//              solutions, log and counters equal the eager fused solve.
 //   scatter  — copies the solutions back into the parts' x storage.
 //
 // Fault integration: replays advance the queue's launch counter through
@@ -48,19 +48,19 @@ template <typename T>
 class recorded_solve;
 
 /// What a `recording_cache` did over its life. A faulted replay counts:
-/// the submission happened, like a failed eager launch.
+/// the submission happened, like a failed eager launch. Every replay
+/// follows a recording or a rebind: rebinds are `replayed - recorded`.
 struct recording_counts {
     std::uint64_t recorded = 0;
-    std::uint64_t rebound = 0;
     std::uint64_t replayed = 0;
 };
 
-/// One worker's recordings, reached through `solve_coalesced`: a batch
-/// whose shape (coalescing key, then an exact check of options, total
-/// item count, storage mode and sparsity pattern, so a hash collision
-/// re-records instead of corrupting) matches a slot is rebound and
-/// replayed; a miss records into a free slot, an invalidated one, or the
-/// least recently used one. Owned by one thread — no locking.
+/// One worker's recordings, one slot per coalescing key, reached through
+/// `solve_coalesced`: a batch whose key's slot fits it (an exact check of
+/// options, storage mode and pattern, so a hash collision re-records
+/// instead of corrupting, and at most the recorded capacity) is rebound
+/// and replayed; otherwise it records into its key's slot, a free one, or
+/// the least recently used one. Owned by one thread — no locking.
 template <typename T>
 class recording_cache {
 public:

@@ -49,7 +49,7 @@ graph_exec command_graph::finalize()
     return graph_exec(std::move(nodes));
 }
 
-void graph_exec::replay(queue& q)
+void graph_exec::replay(queue& q, index_type groups)
 {
     BATCHLIN_ENSURE_MSG(nodes_ != nullptr,
                         "replay of a default-constructed graph_exec");
@@ -60,7 +60,8 @@ void graph_exec::replay(queue& q)
     // that is the whole point of a finalized graph.
     bool first = true;
     for (const graph_node& node : *nodes_) {
-        q.run_recorded(node, first ? q.policy().emulated_replay_us : 0.0);
+        q.run_recorded(node, groups,
+                       first ? q.policy().emulated_replay_us : 0.0);
         first = false;
     }
 }

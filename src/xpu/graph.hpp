@@ -12,7 +12,7 @@
 //   q.run_batch(...);          // captured, NOT executed
 //   g.end_recording();
 //   graph_exec exec = g.finalize();   // charges emulated_record_us once
-//   exec.replay(q);            // executes, charging emulated_replay_us
+//   exec.replay(q, groups);    // runs `groups` work-groups per node
 //
 // Replays go through the queue's normal launch path, so the launch counter
 // advances and `xpu::fault_plan` events fire on replays just as they do on
@@ -53,13 +53,13 @@ class graph_exec {
 public:
     graph_exec() = default;
 
-    /// Executes every recorded node on `q` in record order. Each node goes
-    /// through the queue's launch path — the launch counter advances and
-    /// fault events keyed to it fire — but one replay is charged
-    /// `emulated_replay_us` instead of the eager launch overhead. Throws
-    /// whatever the kernels throw; throws `state_error` when the
-    /// executable has been invalidated.
-    void replay(queue& q);
+    /// Executes every recorded node on `q` in record order over its first
+    /// `groups` work-groups (an executable-graph update narrowing the
+    /// recorded nd-range), through the queue's launch path — the launch
+    /// counter advances and fault events keyed to it fire — but charging
+    /// one `emulated_replay_us` instead of the eager launch overhead.
+    /// Throws whatever the kernels throw, and `state_error` once invalidated.
+    void replay(queue& q, index_type groups);
 
     /// True until `invalidate()` — an empty executable is not valid.
     bool valid() const { return nodes_ != nullptr && !invalidated_; }

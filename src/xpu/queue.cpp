@@ -29,13 +29,16 @@ std::byte* scratch_pool::acquire(size_type bytes)
     return storage_.data();
 }
 
-void queue::run_recorded(const graph_node& node, double emulated_us)
+void queue::run_recorded(const graph_node& node, index_type groups,
+                         double emulated_us)
 {
     BATCHLIN_ENSURE_MSG(static_cast<bool>(node.body),
                         "replay of an empty graph node");
     BATCHLIN_ENSURE_MSG(recorder_ == nullptr,
                         "cannot replay a graph while recording");
-    run_batch_impl(node.num_groups, node.work_group_size,
+    BATCHLIN_ENSURE_MSG(groups >= 0 && groups <= node.num_groups,
+                        "replay of more groups than were recorded");
+    run_batch_impl(groups, node.work_group_size,
                    node.sub_group_size, node.body, node.first_group,
                    node.kernel_label, emulated_us);
 }

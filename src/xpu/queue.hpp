@@ -170,10 +170,11 @@ public:
                        kernel_label, policy_.emulated_launch_us);
     }
 
-    /// Executes one recorded node, charging `emulated_us` of host launch
-    /// cost instead of the policy's eager cost. Replays go through the
-    /// same fault dispatch and launch counter as eager submissions.
-    void run_recorded(const graph_node& node, double emulated_us);
+    /// Executes the first `groups` work-groups of one recorded node at
+    /// `emulated_us` of host launch cost, through the same fault dispatch,
+    /// launch counter and statistics as eager submissions.
+    void run_recorded(const graph_node& node, index_type groups,
+                      double emulated_us);
 
     /// Charges `us` microseconds of host-side cost (busy-wait, like the
     /// emulated launch overhead). Used for one-time graph record cost.

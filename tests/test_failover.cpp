@@ -624,6 +624,15 @@ soak_outcome run_chaos_soak(index_type shards,
             break;
         }
     }
+    // The storm can drain before a dead lane's probes walk its launch
+    // counter to the revive index; probes keep running until stop(), so
+    // give them time to bring the lane back before sealing the gate.
+    const auto probe_deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (service.stats().probe_successes == 0 &&
+           std::chrono::steady_clock::now() < probe_deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     service.drain();
     service.stop();
     out.stats = service.stats();

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -172,9 +173,11 @@ TEST(Record, ReplayBitIdenticalToEagerForEveryTable3Combo)
     // times the four iterative solvers, times native / fp32 storage (fp32
     // requested by the options on native parts, and fp32 parts): a
     // two-part batch solved through a recording cache — recorded and
-    // replayed, then rebound to new values and replayed again — must match
-    // eager solves of each part bit for bit, and report the same launch
-    // counters as the eager fused solve of the same batch.
+    // replayed, rebound to new values and replayed again, rebound to a
+    // smaller batch that replays only its own systems, then outgrown by a
+    // batch past the recorded capacity, which records once more — must
+    // match eager solves of each part bit for bit, and report the same
+    // launch counters as the eager fused solve of the same batch.
     using solver::matrix_format;
     using ptype = bl::precond::type;
     const std::vector<std::pair<matrix_format, ptype>> cells{
@@ -192,7 +195,8 @@ TEST(Record, ReplayBitIdenticalToEagerForEveryTable3Combo)
         solver::solver_type::gmres, solver::solver_type::richardson};
     enum class storage { native, fp32_opts, fp32_parts };
     constexpr index_type rows = 16;
-    const index_type part_items[2] = {2, 3};
+    // Parts per round: 5 systems record at capacity 8, 3 fit it, 9 do not.
+    const index_type round_items[4][2] = {{2, 3}, {2, 3}, {1, 2}, {4, 5}};
 
     const auto as_format = [](mat::batch_csr<double> csr,
                               matrix_format f, bool fp32) {
@@ -228,7 +232,8 @@ TEST(Record, ReplayBitIdenticalToEagerForEveryTable3Combo)
 
                 bl::xpu::queue rq(bl::xpu::make_sycl_policy());
                 solver::recording_cache<double> cache(1);
-                for (std::uint64_t round = 0; round < 2; ++round) {
+                for (std::uint64_t round = 0; round < 4; ++round) {
+                    const index_type* part_items = round_items[round];
                     std::vector<solver::batch_matrix<double>> as;
                     std::vector<mat::batch_dense<double>> bs, xs, xe;
                     std::vector<solver::assembly_part<double>> parts, eparts;
@@ -251,15 +256,29 @@ TEST(Record, ReplayBitIdenticalToEagerForEveryTable3Combo)
                         solver::solve_coalesced(rq, parts, opts, &cache)
                             .solves.front();
                     const solver::recording_counts& counts = cache.totals();
-                    EXPECT_EQ(counts.recorded, 1u) << where;
-                    EXPECT_EQ(counts.rebound, round) << where;
+                    EXPECT_EQ(counts.recorded, round < 3 ? 1u : 2u) << where;
                     EXPECT_EQ(counts.replayed, round + 1) << where;
+                    EXPECT_EQ(got.log.num_systems(),
+                              part_items[0] + part_items[1])
+                        << where;
 
                     bl::xpu::queue eq(bl::xpu::make_sycl_policy());
-                    const bl::xpu::counters want =
+                    const solver::solve_result fused =
                         solver::solve_coalesced(eq, eparts, opts)
-                            .solves.front()
-                            .stats;
+                            .solves.front();
+                    EXPECT_EQ(got.log.all_iterations(),
+                              fused.log.all_iterations())
+                        << where << " round " << round;
+                    EXPECT_EQ(got.log.all_statuses(),
+                              fused.log.all_statuses())
+                        << where << " round " << round;
+                    EXPECT_TRUE(same_bits(got.log.all_residual_norms(),
+                                          fused.log.all_residual_norms()))
+                        << where << " round " << round;
+                    const bl::xpu::counters& want = fused.stats;
+                    EXPECT_EQ(got.stats.groups_launched,
+                              want.groups_launched)
+                        << where;
                     EXPECT_EQ(got.stats.flops, want.flops) << where;
                     EXPECT_EQ(got.stats.global_read_bytes,
                               want.global_read_bytes)
@@ -285,6 +304,8 @@ TEST(Record, ReplayBitIdenticalToEagerForEveryTable3Combo)
                         const bl::log::batch_log replayed = solver::split_log(
                             got.log, offset, part_items[p]);
                         EXPECT_TRUE(same_bits(xs[p].values(), x.values()))
+                            << where << " round " << round << " part " << p;
+                        EXPECT_TRUE(same_bits(xs[p].values(), xe[p].values()))
                             << where << " round " << round << " part " << p;
                         EXPECT_EQ(replayed.all_iterations(),
                                   eager.log.all_iterations())
@@ -946,29 +967,41 @@ TEST(Serve, LaunchModesBitIdenticalToDirectAcrossSolvers)
 
 TEST(Serve, GraphReplayReusesRecordingAcrossRebinds)
 {
+    // One key whose fused size cycles 1..8, at the default
+    // graph_cache_entries: a recording serves every batch up to its
+    // power-of-two capacity, so the key records at most once per bucket
+    // (1, 2, 4, 8), not once per size.
+    constexpr index_type kSizes = 8;
+    constexpr int kCycles = 3;
     serve::service_config cfg;
     cfg.workers = 1;
-    cfg.max_batch = 4;
+    cfg.max_batch = kSizes;
     cfg.max_wait = microseconds(0);
     serve::solve_service service(
         mode_policy(bl::xpu::launch_mode::graph_replay), cfg);
 
-    for (int round = 0; round < 6; ++round) {
-        const std::uint64_t rhs_seed =
-            700 + static_cast<std::uint64_t>(round);
-        auto ticket = service.submit(make_request(
-            work::stencil_3pt<double>(2, 20, 131), cg_opts(), rhs_seed));
-        const serve::solve_reply<double> reply = ticket.get();
-        ASSERT_EQ(reply.status, serve::request_status::ok) << reply.error;
+    std::uint64_t rhs_seed = 700;
+    for (int cycle = 0; cycle < kCycles; ++cycle) {
+        for (index_type size = 1; size <= kSizes; ++size) {
+            auto ticket = service.submit(
+                make_request(work::stencil_3pt<double>(size, 20, 131),
+                             cg_opts(), rhs_seed++));
+            const serve::solve_reply<double> reply = ticket.get();
+            ASSERT_EQ(reply.status, serve::request_status::ok)
+                << "size " << size << ": " << reply.error;
+        }
     }
-    // One recording, rebound to each later round's values (the Oracle.*
-    // suite checks rebound replies bit for bit against solo solves).
+    // Rebound replies are checked bit for bit against solo solves by the
+    // Oracle.* suite.
     service.drain();
     const serve::service_stats s = service.stats();
-    EXPECT_EQ(s.launches_recorded, 1u);
-    EXPECT_EQ(s.replays, 6u);
-    EXPECT_EQ(s.rebind_only, 5u);
-    EXPECT_EQ(s.batches_launched, 6u);
+    const std::uint64_t batches = kSizes * kCycles;
+    EXPECT_LE(s.launches_recorded,
+              static_cast<std::uint64_t>(std::bit_width(
+                  static_cast<std::uint32_t>(kSizes))));
+    EXPECT_EQ(s.replays, batches);
+    EXPECT_EQ(s.rebind_only, batches - s.launches_recorded);
+    EXPECT_EQ(s.batches_launched, batches);
 }
 
 TEST(Serve, RefinedAndTrsvRequestsBypassTheRecordingsBitIdentically)
