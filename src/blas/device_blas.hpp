@@ -8,6 +8,8 @@
 // these blocks across all solvers mirrors the paper's code-reuse argument.
 #pragma once
 
+#include <cmath>
+
 #include "xpu/group.hpp"
 #include "xpu/span.hpp"
 
@@ -78,6 +80,26 @@ void scale(xpu::group& g, T alpha, dspan<T> x)
     detail::charge_write(g, x, x.len);
 }
 
+/// dst = src, and in the same pass a group vote on the bits of src: true
+/// when every element is +0.0 (a -0.0 or a NaN votes no). The vote is a
+/// group reduction of one integer flag per element.
+template <typename T>
+bool copy_is_zero(xpu::group& g, dspan<const T> src, dspan<T> dst,
+                  xpu::reduce_path path)
+{
+    detail::charge_read(g, src, src.len);
+    detail::charge_write(g, dst, src.len);
+    const index_type nonzero = g.reduce_sum<index_type>(
+        src.len,
+        [&](index_type i) -> index_type {
+            const T v = src[i];
+            dst[i] = v;
+            return v != T{0} || std::signbit(v) ? 1 : 0;
+        },
+        path);
+    return nonzero == 0;
+}
+
 /// y += alpha * x.
 template <typename T>
 void axpy(xpu::group& g, T alpha, dspan<const T> x, dspan<T> y)
@@ -97,6 +119,66 @@ void axpby(xpu::group& g, T alpha, dspan<const T> x, T beta, dspan<T> y)
                 [&](index_type i) { y[i] = alpha * x[i] + beta * y[i]; });
     g.stats().flops += 3.0 * x.len;
     detail::charge_read(g, x, x.len);
+    detail::charge_read(g, y, y.len);
+    detail::charge_write(g, y, y.len);
+}
+
+/// out = y + alpha * x, returning ||out|| from the same pass: the fused form
+/// of copy(y, out); axpy(alpha, x, out); nrm2(out), with the same
+/// arithmetic per element and the same reduction order. BiCGSTAB's
+/// s = r - alpha v and r = s - omega t.
+template <typename T>
+T axpy_nrm2(xpu::group& g, T alpha, dspan<const T> x, dspan<const T> y,
+            dspan<T> out, xpu::reduce_path path)
+{
+    detail::charge_read(g, x, x.len);
+    detail::charge_read(g, y, x.len);
+    detail::charge_write(g, out, x.len);
+    g.stats().flops += 3.0 * x.len;  // axpy, then the squares
+    const T sq = g.reduce_sum<T>(
+        x.len,
+        [&](index_type i) {
+            const T v = y[i] + alpha * x[i];
+            out[i] = v;
+            return v * v;
+        },
+        path);
+    using std::sqrt;
+    return sqrt(sq);
+}
+
+/// p = r + beta * (p - omega * v) in one pass: the fused form of
+/// axpy(-omega, v, p); axpby(1, r, beta, p) (1 * r is exact, so the
+/// result is bit-identical). BiCGSTAB's search-direction update.
+template <typename T>
+void direction_update(xpu::group& g, dspan<const T> r, T beta, T omega,
+                      dspan<const T> v, dspan<T> p)
+{
+    g.for_items(r.len, [&](index_type i) {
+        const T q = p[i] + -omega * v[i];
+        p[i] = r[i] + beta * q;
+    });
+    g.stats().flops += 4.0 * r.len;
+    detail::charge_read(g, r, r.len);
+    detail::charge_read(g, v, r.len);
+    detail::charge_read(g, p, r.len);
+    detail::charge_write(g, p, r.len);
+}
+
+/// y += a1 * x1 + a2 * x2 in one pass, rounded as (y + a1 x1) + a2 x2: the
+/// fused form of axpy(a1, x1, y); axpy(a2, x2, y). BiCGSTAB's
+/// x += alpha p_hat + omega s_hat.
+template <typename T>
+void axpy2(xpu::group& g, T a1, dspan<const T> x1, T a2, dspan<const T> x2,
+           dspan<T> y)
+{
+    g.for_items(y.len, [&](index_type i) {
+        const T v = y[i] + a1 * x1[i];
+        y[i] = v + a2 * x2[i];
+    });
+    g.stats().flops += 4.0 * y.len;
+    detail::charge_read(g, x1, y.len);
+    detail::charge_read(g, x2, y.len);
     detail::charge_read(g, y, y.len);
     detail::charge_write(g, y, y.len);
 }

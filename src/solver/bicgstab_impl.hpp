@@ -61,16 +61,15 @@ void run_bicgstab_bound(xpu::queue& q, const MatBatch& a,
 
             const auto pc = precond_ptr->generate(g, a_view, pc_work);
 
-            blas::copy<T>(g, x_global, x_loc);
             // r = b - A x; the shadow residual is frozen at r0.
-            blas::spmv<T>(g, a_view, x_loc, r);
-            blas::axpby<T>(g, T{1}, b_view, T{-1}, r);
-            blas::copy<T>(g, r, r_hat);
+            const initial_norms<T> init = initial_residual<T>(
+                g, a_view, b_view, x_global, x_loc, r, r_hat,
+                config.reduction);
             blas::fill<T>(g, p, T{0});
             blas::fill<T>(g, v, T{0});
 
-            const T rhs_norm = blas::nrm2<T>(g, b_view, config.reduction);
-            T res_norm = blas::nrm2<T>(g, r, config.reduction);
+            const T rhs_norm = init.rhs;
+            T res_norm = init.res;
 
             T rho = T{1};
             T alpha = T{1};
@@ -107,12 +106,12 @@ void run_bicgstab_bound(xpu::queue& q, const MatBatch& a,
                 }
                 const T beta = (rho_new / rho) * (alpha / omega);
                 // p = r + beta * (p - omega * v).
-                blas::axpy<T>(g, -omega, v, p);
-                blas::axpby<T>(g, T{1}, r, beta, p);
+                blas::direction_update<T>(g, r, beta, omega, v, p);
 
                 pc.apply(g, p, p_hat);
-                blas::spmv<T>(g, a_view, p_hat, v);
-                const T rv = blas::dot<T>(g, r_hat, v, config.reduction);
+                // v = A p_hat with r_hat . v from the same pass.
+                const T rv = blas::spmv_dot<T>(g, a_view, p_hat, v, r_hat,
+                                               config.reduction);
                 if (rv == T{0}) {
                     status = log::solve_status::direction_annihilated;
                     break;
@@ -120,9 +119,8 @@ void run_bicgstab_bound(xpu::queue& q, const MatBatch& a,
                 alpha = rho_new / rv;
 
                 // s = r - alpha * v.
-                blas::copy<T>(g, r, s);
-                blas::axpy<T>(g, -alpha, v, s);
-                const T s_norm = blas::nrm2<T>(g, s, config.reduction);
+                const T s_norm =
+                    blas::axpy_nrm2<T>(g, -alpha, v, r, s, config.reduction);
                 ++iter;
                 logger_ptr->record_iteration(batch, iter - 1,
                                              static_cast<double>(s_norm));
@@ -139,24 +137,22 @@ void run_bicgstab_bound(xpu::queue& q, const MatBatch& a,
                 }
 
                 pc.apply(g, s, s_hat);
-                blas::spmv<T>(g, a_view, s_hat, t);
-                const T tt = blas::dot<T>(g, t, t, config.reduction);
+                // t = A s_hat with t . t and t . s from the same pass.
+                const auto [tt, ts] = blas::spmv_dot2<T>(
+                    g, a_view, s_hat, t, s, config.reduction);
                 if (tt == T{0}) {
                     blas::axpy<T>(g, alpha, p_hat, x_loc);
                     res_norm = s_norm;
                     status = log::solve_status::breakdown_omega;
                     break;
                 }
-                omega = blas::dot<T>(g, t, s, config.reduction) / tt;
+                omega = ts / tt;
 
                 // x += alpha * p_hat + omega * s_hat.
-                blas::axpy<T>(g, alpha, p_hat, x_loc);
-                blas::axpy<T>(g, omega, s_hat, x_loc);
+                blas::axpy2<T>(g, alpha, p_hat, omega, s_hat, x_loc);
                 // r = s - omega * t.
-                blas::copy<T>(g, s, r);
-                blas::axpy<T>(g, -omega, t, r);
-
-                res_norm = blas::nrm2<T>(g, r, config.reduction);
+                res_norm =
+                    blas::axpy_nrm2<T>(g, -omega, t, s, r, config.reduction);
                 logger_ptr->record_iteration(batch, iter - 1,
                                              static_cast<double>(res_norm));
                 rho = rho_new;

@@ -56,15 +56,12 @@ void run_cg_bound(xpu::queue& q, const MatBatch& a, const Precond& precond,
             const auto pc = precond_ptr->generate(g, a_view, pc_work);
 
             // x_loc starts from the caller's initial guess (paper §1: the
-            // initial-guess capability is the point of iterative solvers).
-            blas::copy<T>(g, x_global, x_loc);
-
-            // r = b - A x.
-            blas::spmv<T>(g, a_view, x_loc, r);
-            blas::axpby<T>(g, T{1}, b_view, T{-1}, r);
-
-            const T rhs_norm = blas::nrm2<T>(g, b_view, config.reduction);
-            T res_norm = blas::nrm2<T>(g, r, config.reduction);
+            // initial-guess capability is the point of iterative solvers),
+            // and r = b - A x.
+            const initial_norms<T> init = initial_residual<T>(
+                g, a_view, b_view, x_global, x_loc, r, {}, config.reduction);
+            const T rhs_norm = init.rhs;
+            T res_norm = init.res;
 
             pc.apply(g, r, z);
             blas::copy<T>(g, z, p);
@@ -92,16 +89,17 @@ void run_cg_bound(xpu::queue& q, const MatBatch& a, const Precond& precond,
                     break;
                 }
                 const T alpha = rho / pt;
-                blas::axpy<T>(g, alpha, p, x_loc);
                 blas::axpy<T>(g, -alpha, t, r);
                 res_norm = blas::nrm2<T>(g, r, config.reduction);
                 ++iter;
                 logger_ptr->record_iteration(batch, iter - 1,
                                              static_cast<double>(res_norm));
                 if (!is_finite(res_norm)) {
+                    // x keeps the last finite iterate.
                     status = log::solve_status::non_finite;
                     break;
                 }
+                blas::axpy<T>(g, alpha, p, x_loc);
                 if (stop::is_converged(crit, res_norm, rhs_norm)) {
                     status = log::solve_status::converged;
                     break;

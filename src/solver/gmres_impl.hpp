@@ -73,11 +73,15 @@ void run_gmres_bound(xpu::queue& q, const MatBatch& a,
 
             const auto pc = precond_ptr->generate(g, a_view, pc_work);
 
-            blas::copy<T>(g, x_global, x_loc);
+            // w = b - A x for the first restart.
+            const bool zero_guess = guess_residual<T>(
+                g, a_view, b_view, x_global, x_loc, w, {}, config.reduction);
             // Preconditioned rhs norm for the relative criterion: the
-            // monitored residual lives in the preconditioned space.
-            pc.apply(g, b_view, w);
-            const T rhs_norm = blas::nrm2<T>(g, w, config.reduction);
+            // monitored residual lives in the preconditioned space. On the
+            // zero guess M b is also the first restart's z0.
+            pc.apply(g, b_view, basis_vec(0));
+            const T rhs_norm =
+                blas::nrm2<T>(g, basis_vec(0), config.reduction);
 
             index_type iter = 0;
             log::solve_status status = log::solve_status::max_iterations;
@@ -90,12 +94,18 @@ void run_gmres_bound(xpu::queue& q, const MatBatch& a,
             }
             while (status == log::solve_status::max_iterations &&
                    iter < crit.max_iterations) {
-                // Restart: z0 = M (b - A x).
+                // Restart: z0 = M (b - A x). The first restart's w is the
+                // prologue's, and on the zero guess its z0 is M b.
                 xpu::dspan<T> v0 = basis_vec(0);
-                blas::spmv<T>(g, a_view, x_loc, w);
-                blas::axpby<T>(g, T{1}, b_view, T{-1}, w);
-                pc.apply(g, w, v0);
-                const T beta = blas::nrm2<T>(g, v0, config.reduction);
+                if (iter > 0) {
+                    blas::spmv<T>(g, a_view, x_loc, w);
+                    blas::axpby<T>(g, T{1}, b_view, T{-1}, w);
+                }
+                T beta = rhs_norm;
+                if (iter > 0 || !zero_guess) {
+                    pc.apply(g, w, v0);
+                    beta = blas::nrm2<T>(g, v0, config.reduction);
+                }
                 res_norm = beta;
                 if (!is_finite(beta)) {
                     status = log::solve_status::non_finite;

@@ -7,6 +7,8 @@
 // vectors in exactly the planner's priority order.
 #pragma once
 
+#include "blas/device_blas.hpp"
+#include "blas/spmv.hpp"
 #include "log/logger.hpp"
 #include "matrix/batch_dense.hpp"
 #include "solver/launch.hpp"
@@ -138,6 +140,59 @@ struct spill_buffer {
     size_type per_group;
     T* data;
 };
+
+/// Copies the caller's guess into `x_loc` and forms r = b - A x. The copy
+/// votes on the guess's bits in the same pass: a guess of all +0.0 skips
+/// the SpMV and copies r from the constant b, because for finite A every
+/// product a * (+0) is a signed zero, their sum is +0, and b - (+0) is b
+/// bit for bit. Any other guess, -0.0 included, takes the SpMV. `shadow`,
+/// when not empty, receives r as well (BiCGSTAB's frozen r_hat). Returns
+/// true on the zero guess.
+template <typename T, typename View>
+bool guess_residual(xpu::group& g, const View& a, xpu::dspan<const T> b,
+                    xpu::dspan<const T> x_guess, xpu::dspan<T> x_loc,
+                    xpu::dspan<T> r, xpu::dspan<T> shadow,
+                    xpu::reduce_path path)
+{
+    const bool zero_guess = blas::copy_is_zero<T>(g, x_guess, x_loc, path);
+    if (zero_guess) {
+        blas::copy<T>(g, b, r);
+        if (!shadow.empty()) {
+            blas::copy<T>(g, b, shadow);
+        }
+    } else {
+        blas::spmv<T>(g, a, x_loc, r);
+        blas::axpby<T>(g, T{1}, b, T{-1}, r);
+        if (!shadow.empty()) {
+            blas::copy<T>(g, r, shadow);
+        }
+    }
+    return zero_guess;
+}
+
+/// ||b|| and ||r|| of a kernel's initial residual.
+template <typename T>
+struct initial_norms {
+    T rhs;
+    T res;
+};
+
+/// The prologue of CG, BiCGSTAB and Richardson: guess_residual, then ||b||
+/// and ||r||. On the zero guess r is b, so ||r|| is ||b|| with no second
+/// reduction.
+template <typename T, typename View>
+initial_norms<T> initial_residual(xpu::group& g, const View& a,
+                                  xpu::dspan<const T> b,
+                                  xpu::dspan<const T> x_guess,
+                                  xpu::dspan<T> x_loc, xpu::dspan<T> r,
+                                  xpu::dspan<T> shadow,
+                                  xpu::reduce_path path)
+{
+    const bool zero_guess =
+        guess_residual<T>(g, a, b, x_guess, x_loc, r, shadow, path);
+    const T rhs = blas::nrm2<T>(g, b, path);
+    return {rhs, zero_guess ? rhs : blas::nrm2<T>(g, r, path)};
+}
 
 /// Records one system's outcome: logger entry plus iteration counter.
 template <typename T>

@@ -59,12 +59,10 @@ void run_richardson_bound(xpu::queue& q, const MatBatch& a,
 
             const auto pc = precond_ptr->generate(g, a_view, pc_work);
 
-            blas::copy<T>(g, x_global, x_loc);
-            blas::spmv<T>(g, a_view, x_loc, r);
-            blas::axpby<T>(g, T{1}, b_view, T{-1}, r);
-
-            const T rhs_norm = blas::nrm2<T>(g, b_view, config.reduction);
-            T res_norm = blas::nrm2<T>(g, r, config.reduction);
+            const initial_norms<T> init = initial_residual<T>(
+                g, a_view, b_view, x_global, x_loc, r, {}, config.reduction);
+            const T rhs_norm = init.rhs;
+            T res_norm = init.res;
 
             index_type iter = 0;
             log::solve_status status = log::solve_status::max_iterations;
@@ -82,7 +80,6 @@ void run_richardson_bound(xpu::queue& q, const MatBatch& a,
             while (status == log::solve_status::max_iterations &&
                    iter < crit.max_iterations) {
                 pc.apply(g, r, z);
-                blas::axpy<T>(g, relaxation, z, x_loc);
                 // r -= omega * A z keeps the residual consistent without a
                 // second SpMV against x.
                 blas::spmv<T>(g, a_view, z, t);
@@ -92,9 +89,11 @@ void run_richardson_bound(xpu::queue& q, const MatBatch& a,
                 logger_ptr->record_iteration(batch, iter - 1,
                                              static_cast<double>(res_norm));
                 if (!is_finite(res_norm)) {
+                    // x keeps the last finite iterate.
                     status = log::solve_status::non_finite;
                     break;
                 }
+                blas::axpy<T>(g, relaxation, z, x_loc);
                 if (stop::is_converged(crit, res_norm, rhs_norm)) {
                     status = log::solve_status::converged;
                 }

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cmath>
+#include <utility>
 
 #include "util/math.hpp"
 #include "xpu/arena.hpp"
@@ -140,38 +141,29 @@ public:
     template <typename T, typename F>
     T reduce_sum(index_type n, F&& value_of, reduce_path path)
     {
-#ifdef BATCHLIN_XPU_CHECK
-        if (checker_ != nullptr) {
-            checker_->begin_collective("group::reduce_sum()");
-        }
-#endif
-        T total{};
-        const index_type active_sub_groups = ceil_div(n, sub_group_size_);
-        for (index_type sg = 0; sg < active_sub_groups; ++sg) {
-            T partial{};
-            const index_type begin = sg * sub_group_size_;
-            const index_type end = begin + sub_group_size_ < n
-                                       ? begin + sub_group_size_
-                                       : n;
-            for (index_type item = begin; item < end; ++item) {
-#ifdef BATCHLIN_XPU_CHECK
-                // Each contribution is read by the hardware lane owning
-                // the item; the combine order itself stays ascending (both
-                // hardware reduction paths are order-deterministic here).
-                if (checker_ != nullptr) {
-                    checker_->set_lane(item % size_);
-                }
-#endif
-                partial += value_of(item);
-            }
-            total += partial;
-        }
-#ifdef BATCHLIN_XPU_CHECK
-        if (checker_ != nullptr) {
-            checker_->end_collective();
-        }
-#endif
-        charge_reduction<T>(n, active_sub_groups, path);
+        const T total = combine<T>(
+            n, value_of, [](T& acc, const T& v) { acc += v; },
+            "group::reduce_sum()");
+        charge_reduction<T>(n, path, 1);
+        return total;
+    }
+
+    /// Two sums in one collective: `value_of(item)` returns a pair, and
+    /// each component is combined in reduce_sum's order, so each sum is
+    /// bit-identical to its own reduce_sum. Each value is staged through
+    /// SLM as reduce_sum stages one, but the combine tree's barriers are
+    /// paid once.
+    template <typename T, typename F>
+    std::pair<T, T> reduce_sum2(index_type n, F&& value_of, reduce_path path)
+    {
+        const std::pair<T, T> total = combine<std::pair<T, T>>(
+            n, value_of,
+            [](std::pair<T, T>& acc, const std::pair<T, T>& v) {
+                acc.first += v.first;
+                acc.second += v.second;
+            },
+            "group::reduce_sum2()");
+        charge_reduction<T>(n, path, 2);
         return total;
     }
 
@@ -195,24 +187,70 @@ public:
     }
 
 private:
-    /// Attributes the cost of one reduction to the counters.
-    template <typename T>
-    void charge_reduction(index_type n, index_type active_sub_groups,
-                          reduce_path path)
+    /// The combine loop of the reductions: `add(partial, value_of(item))`
+    /// per sub-group in ascending item order, then `add(total, partial)`
+    /// across sub-groups in ascending order. One flat loop over the items
+    /// (a countdown marks each sub-group's end), so a fused SpMV's row loop
+    /// inlined into `value_of` keeps its registers on the host.
+    template <typename V, typename F, typename Add>
+    V combine(index_type n, F& value_of, Add add, const char* what)
     {
-        stats_.flops += static_cast<double>(n);
+#ifdef BATCHLIN_XPU_CHECK
+        if (checker_ != nullptr) {
+            checker_->begin_collective(what);
+        }
+#else
+        (void)what;
+#endif
+        V total{};
+        V partial{};
+        index_type left = sub_group_size_;
+        for (index_type item = 0; item < n; ++item) {
+#ifdef BATCHLIN_XPU_CHECK
+            // Each contribution is read by the hardware lane owning the
+            // item; the combine order itself stays ascending (both
+            // hardware reduction paths are order-deterministic here).
+            if (checker_ != nullptr) {
+                checker_->set_lane(item % size_);
+            }
+#endif
+            add(partial, value_of(item));
+            if (--left == 0 || item + 1 == n) {
+                add(total, partial);
+                partial = V{};
+                left = sub_group_size_;
+            }
+        }
+#ifdef BATCHLIN_XPU_CHECK
+        if (checker_ != nullptr) {
+            checker_->end_collective();
+        }
+#endif
+        return total;
+    }
+
+    /// Attributes the cost of one reduction of `values` sums over `n`
+    /// items to the counters.
+    template <typename T>
+    void charge_reduction(index_type n, reduce_path path, int values)
+    {
+        stats_.flops += static_cast<double>(values) * n;
         if (path == reduce_path::group) {
             // The SYCL group primitive stages all lane values through SLM
             // and runs a tree combine: one write and ~one read per lane.
-            stats_.slm_bytes += 2.0 * static_cast<double>(size_) * sizeof(T);
+            stats_.slm_bytes += 2.0 * values * static_cast<double>(size_) *
+                                sizeof(T);
             stats_.group_barriers += static_cast<std::int64_t>(
                 std::ceil(std::log2(static_cast<double>(size_))));
         } else {
             // Sub-group shuffles stay in registers; only the per-sub-group
             // partials cross SLM, and only when there is more than one.
+            const index_type active_sub_groups =
+                ceil_div(n, sub_group_size_);
             if (active_sub_groups > 1) {
-                stats_.slm_bytes +=
-                    2.0 * static_cast<double>(active_sub_groups) * sizeof(T);
+                stats_.slm_bytes += 2.0 * values *
+                                    static_cast<double>(active_sub_groups) *
+                                    sizeof(T);
                 stats_.group_barriers += 1;
             }
         }

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <vector>
 
 #include "blas/device_blas.hpp"
@@ -37,6 +40,12 @@ struct group_fixture {
     {
         return {v.data(), static_cast<index_type>(v.size()),
                 mem_space::slm};
+    }
+    template <typename T>
+    dspan<const T> constant(const std::vector<T>& v)
+    {
+        return {v.data(), static_cast<index_type>(v.size()),
+                mem_space::constant};
     }
 };
 
@@ -283,4 +292,296 @@ TEST(Spmv, FloatInstantiation)
                       dspan<float>{y.data(), 12, mem_space::global});
     // Row 0 of the stencil: diag + (-1) = shift + 1 > 0.
     EXPECT_GT(y[0], 0.0f);
+}
+
+// ---------------------------------------------------------------------
+// Fused passes: each must match the unfused sequence it replaces bit for
+// bit, and charge only the operands its one pass moves.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/// Longer than the fixture's 32-item group and its 16-lane sub-groups, so
+/// the lanes grid-stride and the reductions combine three partials.
+constexpr index_type kLen = 40;
+constexpr double kElem = sizeof(double);
+/// The group path's SLM staging of one reduced value, and its barriers
+/// (the fixture's group has 32 items).
+constexpr double kStage = 2.0 * 32 * kElem;
+constexpr std::int64_t kTreeBarriers = 5;
+
+/// Values in [-2, 2) with signed zeros and subnormals mixed in.
+std::vector<double> hostile(std::uint64_t seed, index_type n = kLen)
+{
+    std::mt19937_64 gen(seed);
+    std::uniform_real_distribution<double> u(-2.0, 2.0);
+    std::vector<double> v(static_cast<std::size_t>(n));
+    for (double& e : v) {
+        switch (gen() % 5) {
+        case 0:
+            e = 0.0;
+            break;
+        case 1:
+            e = -0.0;
+            break;
+        case 2:
+            e = u(gen) * 1e6 * std::numeric_limits<double>::denorm_min();
+            break;
+        default:
+            e = u(gen);
+        }
+    }
+    return v;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool same_bits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+constexpr reduce_path kPaths[] = {reduce_path::group, reduce_path::sub_group};
+
+}  // namespace
+
+TEST(Blas, CopyIsZeroVotesOnTheBits)
+{
+    const std::vector<double> zeros(kLen, 0.0);
+    for (const double odd :
+         {-0.0, std::numeric_limits<double>::denorm_min(),
+          std::numeric_limits<double>::quiet_NaN(), 1.0}) {
+        for (const index_type at : {0, 17, kLen - 1}) {
+            std::vector<double> src = zeros;
+            src[at] = odd;
+            std::vector<double> dst(kLen, 5.0);
+            group_fixture f;
+            EXPECT_FALSE(blas::copy_is_zero<double>(
+                f.g, f.global(src), f.slm(dst), reduce_path::group))
+                << odd << " at " << at;
+            EXPECT_TRUE(same_bits(dst, src));
+        }
+    }
+
+    group_fixture f;
+    std::vector<double> dst(kLen, 5.0);
+    EXPECT_TRUE(blas::copy_is_zero<double>(f.g, f.constant(zeros),
+                                           f.slm(dst), reduce_path::group));
+    EXPECT_TRUE(same_bits(dst, zeros));
+    // One read, one write, one reduction of an index_type flag per element.
+    EXPECT_DOUBLE_EQ(f.stats.constant_read_bytes, kLen * kElem);
+    EXPECT_DOUBLE_EQ(f.stats.slm_bytes,
+                     kLen * kElem + 2.0 * 32 * sizeof(index_type));
+    EXPECT_DOUBLE_EQ(f.stats.global_read_bytes + f.stats.global_write_bytes,
+                     0.0);
+    EXPECT_DOUBLE_EQ(f.stats.flops, kLen);
+    EXPECT_EQ(f.stats.group_barriers, kTreeBarriers);
+}
+
+TEST(Blas, AxpyNrm2MatchesCopyAxpyNrm2)
+{
+    const std::vector<double> x = hostile(1);
+    const std::vector<double> y = hostile(2);
+    for (const reduce_path path : kPaths) {
+        for (const double alpha : {-0.7, 3.25, -0.0}) {
+            group_fixture f;
+            std::vector<double> want(kLen);
+            blas::copy<double>(f.g, f.constant(y), f.global(want));
+            blas::axpy<double>(f.g, alpha, f.constant(x), f.global(want));
+            const double want_norm =
+                blas::nrm2<double>(f.g, f.global(want), path);
+            std::vector<double> got(kLen);
+            const double got_norm = blas::axpy_nrm2<double>(
+                f.g, alpha, f.constant(x), f.constant(y), f.global(got),
+                path);
+            EXPECT_TRUE(same_bits(got, want)) << alpha;
+            EXPECT_TRUE(same_bits(got_norm, want_norm)) << alpha;
+        }
+    }
+
+    // Reads x (global) and y (constant), writes out (SLM), one reduction.
+    group_fixture f;
+    std::vector<double> xs = x;
+    std::vector<double> out(kLen);
+    blas::axpy_nrm2<double>(f.g, 0.5, f.global(xs), f.constant(y),
+                            f.slm(out), reduce_path::group);
+    EXPECT_DOUBLE_EQ(f.stats.global_read_bytes, kLen * kElem);
+    EXPECT_DOUBLE_EQ(f.stats.constant_read_bytes, kLen * kElem);
+    EXPECT_DOUBLE_EQ(f.stats.slm_bytes, kLen * kElem + kStage);
+    EXPECT_DOUBLE_EQ(f.stats.global_write_bytes, 0.0);
+    EXPECT_DOUBLE_EQ(f.stats.flops, 4.0 * kLen);  // axpy, square, add
+    EXPECT_EQ(f.stats.group_barriers, kTreeBarriers);
+}
+
+TEST(Blas, DirectionUpdateMatchesAxpyThenAxpby)
+{
+    const std::vector<double> r = hostile(3);
+    const std::vector<double> v = hostile(4);
+    const std::vector<double> p0 = hostile(5);
+    for (const auto& [beta, omega] :
+         {std::pair{0.3, 1.7}, std::pair{-2.5, -0.0}, std::pair{0.0, 0.9}}) {
+        group_fixture f;
+        std::vector<double> want = p0;
+        blas::axpy<double>(f.g, -omega, f.constant(v), f.global(want));
+        blas::axpby<double>(f.g, 1.0, f.constant(r), beta, f.global(want));
+        std::vector<double> got = p0;
+        blas::direction_update<double>(f.g, f.constant(r), beta, omega,
+                                       f.constant(v), f.global(got));
+        EXPECT_TRUE(same_bits(got, want)) << beta << ' ' << omega;
+    }
+
+    // Reads r (constant), v (global) and p (SLM), writes p: one phase.
+    group_fixture f;
+    std::vector<double> vs = v;
+    std::vector<double> p = p0;
+    blas::direction_update<double>(f.g, f.constant(r), 0.3, 1.7,
+                                   f.global(vs), f.slm(p));
+    EXPECT_DOUBLE_EQ(f.stats.constant_read_bytes, kLen * kElem);
+    EXPECT_DOUBLE_EQ(f.stats.global_read_bytes, kLen * kElem);
+    EXPECT_DOUBLE_EQ(f.stats.slm_bytes, 2.0 * kLen * kElem);
+    EXPECT_DOUBLE_EQ(f.stats.global_write_bytes, 0.0);
+    EXPECT_DOUBLE_EQ(f.stats.flops, 4.0 * kLen);
+    EXPECT_EQ(f.stats.group_barriers, 1);
+}
+
+TEST(Blas, Axpy2MatchesTwoAxpys)
+{
+    const std::vector<double> x1 = hostile(6);
+    const std::vector<double> x2 = hostile(7);
+    const std::vector<double> y0 = hostile(8);
+    for (const auto& [a1, a2] :
+         {std::pair{0.3, 1.7}, std::pair{-2.5, -0.0}, std::pair{0.0, -0.9}}) {
+        group_fixture f;
+        std::vector<double> want = y0;
+        blas::axpy<double>(f.g, a1, f.constant(x1), f.global(want));
+        blas::axpy<double>(f.g, a2, f.constant(x2), f.global(want));
+        std::vector<double> got = y0;
+        blas::axpy2<double>(f.g, a1, f.constant(x1), a2, f.constant(x2),
+                            f.global(got));
+        EXPECT_TRUE(same_bits(got, want)) << a1 << ' ' << a2;
+    }
+
+    // Reads x1 (constant), x2 (global) and y (SLM), writes y: one phase.
+    group_fixture f;
+    std::vector<double> x2s = x2;
+    std::vector<double> y = y0;
+    blas::axpy2<double>(f.g, 0.3, f.constant(x1), 1.7, f.global(x2s),
+                        f.slm(y));
+    EXPECT_DOUBLE_EQ(f.stats.constant_read_bytes, kLen * kElem);
+    EXPECT_DOUBLE_EQ(f.stats.global_read_bytes, kLen * kElem);
+    EXPECT_DOUBLE_EQ(f.stats.slm_bytes, 2.0 * kLen * kElem);
+    EXPECT_DOUBLE_EQ(f.stats.global_write_bytes, 0.0);
+    EXPECT_DOUBLE_EQ(f.stats.flops, 4.0 * kLen);
+    EXPECT_EQ(f.stats.group_barriers, 1);
+}
+
+namespace {
+
+/// Runs `check(view, name)` on one stencil item in each format.
+template <typename Check>
+void for_each_format(Check&& check)
+{
+    const auto csr = batchlin::work::stencil_3pt<double>(1, kLen, 9);
+    const auto ell = mat::to_ell(csr);
+    const auto dense = mat::to_dense(csr);
+    check(blas::item_view(csr, 0), "csr");
+    check(blas::item_view(ell, 0), "ell");
+    check(blas::item_view(dense, 0), "dense");
+}
+
+}  // namespace
+
+TEST(Blas, SpmvDotMatchesSpmvThenDot)
+{
+    const std::vector<double> x = hostile(10);
+    std::vector<double> w = hostile(11);
+    for_each_format([&](const auto& a, const char* name) {
+        for (const reduce_path path : kPaths) {
+            group_fixture unfused;
+            std::vector<double> xs = x;
+            std::vector<double> want(kLen);
+            blas::spmv<double>(unfused.g, a, unfused.slm(xs),
+                               unfused.slm(want));
+            const double want_dot = blas::dot<double>(
+                unfused.g, unfused.global(w), unfused.slm(want), path);
+
+            group_fixture fused;
+            std::vector<double> got(kLen);
+            const double got_dot = blas::spmv_dot<double>(
+                fused.g, a, fused.slm(xs), fused.slm(got), fused.global(w),
+                path);
+            EXPECT_TRUE(same_bits(got, want)) << name;
+            EXPECT_TRUE(same_bits(got_dot, want_dot)) << name;
+
+            // The pass moves what spmv and the dot move, less the dot's
+            // re-read of y; the reduction's barriers replace the SpMV's.
+            const counters& u = unfused.stats;
+            const counters& v = fused.stats;
+            EXPECT_DOUBLE_EQ(v.slm_bytes, u.slm_bytes - kLen * kElem)
+                << name;
+            EXPECT_DOUBLE_EQ(v.global_read_bytes, u.global_read_bytes)
+                << name;
+            EXPECT_DOUBLE_EQ(v.constant_read_bytes, u.constant_read_bytes)
+                << name;
+            EXPECT_DOUBLE_EQ(v.global_write_bytes, u.global_write_bytes)
+                << name;
+            EXPECT_DOUBLE_EQ(v.flops, u.flops) << name;
+            EXPECT_EQ(v.group_barriers, u.group_barriers - 1) << name;
+        }
+    });
+}
+
+TEST(Blas, SpmvDot2MatchesSpmvThenTwoDots)
+{
+    const std::vector<double> x = hostile(12);
+    std::vector<double> w = hostile(13);
+    for_each_format([&](const auto& a, const char* name) {
+        for (const reduce_path path : kPaths) {
+            group_fixture unfused;
+            std::vector<double> xs = x;
+            std::vector<double> want(kLen);
+            blas::spmv<double>(unfused.g, a, unfused.slm(xs),
+                               unfused.slm(want));
+            const counters after_spmv = unfused.stats;
+            const double want_yy = blas::dot<double>(
+                unfused.g, unfused.slm(want), unfused.slm(want), path);
+            const double want_yw = blas::dot<double>(
+                unfused.g, unfused.slm(want), unfused.global(w), path);
+            const std::int64_t reduction_barriers =
+                (unfused.stats.group_barriers - after_spmv.group_barriers) /
+                2;
+
+            group_fixture fused;
+            std::vector<double> got(kLen);
+            const auto [got_yy, got_yw] = blas::spmv_dot2<double>(
+                fused.g, a, fused.slm(xs), fused.slm(got), fused.global(w),
+                path);
+            EXPECT_TRUE(same_bits(got, want)) << name;
+            EXPECT_TRUE(same_bits(got_yy, want_yy)) << name;
+            EXPECT_TRUE(same_bits(got_yw, want_yw)) << name;
+
+            // Less the dots' three re-reads of y; both values are staged
+            // as two reductions stage them, but the barriers are paid
+            // once, and the SpMV's own barrier goes.
+            const counters& u = unfused.stats;
+            const counters& v = fused.stats;
+            EXPECT_DOUBLE_EQ(v.slm_bytes, u.slm_bytes - 3.0 * kLen * kElem)
+                << name;
+            EXPECT_DOUBLE_EQ(v.global_read_bytes, u.global_read_bytes)
+                << name;
+            EXPECT_DOUBLE_EQ(v.constant_read_bytes, u.constant_read_bytes)
+                << name;
+            EXPECT_DOUBLE_EQ(v.flops, u.flops) << name;
+            EXPECT_EQ(v.group_barriers,
+                      u.group_barriers - 1 - reduction_barriers)
+                << name;
+            if (path == reduce_path::group) {
+                EXPECT_EQ(reduction_barriers, kTreeBarriers) << name;
+            }
+        }
+    });
 }

@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <tuple>
 
 #include "matrix/conversions.hpp"
+#include "oracle.hpp"
 #include "solver/dispatch.hpp"
 #include "solver/residual.hpp"
 #include "solver/trsv.hpp"
@@ -519,4 +522,121 @@ TEST(Dispatch, SingleFusedLaunchPerSolve)
     EXPECT_EQ(result.stats.kernel_launches, 1);
     EXPECT_EQ(result.stats.groups_launched, 16);
     EXPECT_GT(result.stats.total_iterations, 0.0);
+}
+
+// ---------------------------------------------------------------------
+// The zero-guess prologue (solver/kernel_common.hpp).
+// ---------------------------------------------------------------------
+
+namespace {
+
+/// SLM bytes one SpMV charges for reading its x (blas/spmv.hpp): CSR and
+/// ELL gather one 32 B transaction per stored entry, dense reads each
+/// entry's element.
+double spmv_x_bytes(const solver::batch_matrix<double>& a)
+{
+    return std::visit(
+        [](const auto& m) -> double {
+            using M = std::decay_t<decltype(m)>;
+            if constexpr (std::is_same_v<M, mat::batch_csr<double>>) {
+                return m.nnz() * bl::blas::gather_transaction_bytes;
+            } else if constexpr (std::is_same_v<M, mat::batch_ell<double>>) {
+                return static_cast<double>(m.rows()) * m.ell_width() *
+                       bl::blas::gather_transaction_bytes;
+            } else {
+                return static_cast<double>(m.rows()) * m.cols() *
+                       sizeof(double);
+            }
+        },
+        a);
+}
+
+struct guess_run {
+    solver::solve_result result;
+    std::vector<double> x;
+    double spmv_x_bytes = 0.0;
+};
+
+/// Solves the oracle's case `c` from a guess of `guess` everywhere; with
+/// `poison`, A(0, 1) of system 0 is NaN.
+guess_run solve_from(oracle::request_case c, double guess, bool poison)
+{
+    const solver::matrix_format format = c.format;
+    c.format = solver::matrix_format::csr;
+    auto r = oracle::request_of<double>(c);
+    auto& csr = std::get<mat::batch_csr<double>>(r.a);
+    if (poison) {
+        EXPECT_EQ(csr.col_idxs()[1], 1);  // row 0 holds columns 0 and 1
+        csr.item_values(0)[1] = std::numeric_limits<double>::quiet_NaN();
+    }
+    if (format == solver::matrix_format::ell) {
+        r.a = mat::to_ell(csr);
+    } else if (format == solver::matrix_format::dense) {
+        r.a = mat::to_dense(csr);
+    }
+    std::fill(r.x.values().begin(), r.x.values().end(), guess);
+    xpu::queue q(xpu::make_sycl_policy());
+    guess_run out{solver::solve(q, r.a, r.b, r.x, r.opts), r.x.values(),
+                  spmv_x_bytes(r.a)};
+    return out;
+}
+
+}  // namespace
+
+TEST(Solver, ZeroGuessSkipsTheInitialSpmv)
+{
+    // A +0.0 guess skips the initial SpMV; a -0.0 guess takes it. For
+    // finite A, b - A (+-0) is b bit for bit, so both must agree on every
+    // bit but the counters, which must drop at least the SpMV's x reads.
+    using enum solver::matrix_format;
+    for (const auto format : {csr, ell, dense}) {
+        for (const auto s :
+             {oracle::stype::cg, oracle::stype::bicgstab,
+              oracle::stype::gmres, oracle::stype::richardson}) {
+            const oracle::request_case c{oracle::flavor::f64, format,
+                                         oracle::ptype::jacobi, s, 16, 3, 7};
+            const std::string where = oracle::describe(c);
+            const guess_run pos = solve_from(c, 0.0, false);
+            const guess_run neg = solve_from(c, -0.0, false);
+            const bl::log::batch_log& lp = pos.result.log;
+            const bl::log::batch_log& ln = neg.result.log;
+            EXPECT_EQ(lp.num_converged(), c.items) << where;
+            for (index_type i = 0; i < c.items; ++i) {
+                EXPECT_EQ(lp.status(i), ln.status(i)) << where;
+                EXPECT_EQ(lp.iterations(i), ln.iterations(i)) << where;
+                const double res[2] = {lp.residual_norm(i),
+                                       ln.residual_norm(i)};
+                EXPECT_EQ(std::memcmp(&res[0], &res[1], sizeof(double)), 0)
+                    << where << " system " << i;
+            }
+            EXPECT_EQ(std::memcmp(pos.x.data(), neg.x.data(),
+                                  pos.x.size() * sizeof(double)),
+                      0)
+                << where;
+            EXPECT_GE(neg.result.stats.slm_bytes - pos.result.stats.slm_bytes,
+                      c.items * pos.spmv_x_bytes)
+                << where;
+
+            // A NaN in A: the skipped SpMV no longer reports it at
+            // iteration 0, but the first iteration's SpMV does, before x
+            // moves off the guess.
+            const guess_run bad = solve_from(c, 0.0, true);
+            const guess_run bad_full = solve_from(c, -0.0, true);
+            EXPECT_EQ(bad.result.log.status(0),
+                      bl::log::solve_status::non_finite)
+                << where;
+            EXPECT_EQ(bad.result.log.iterations(0), 1) << where;
+            EXPECT_EQ(bad_full.result.log.status(0),
+                      bl::log::solve_status::non_finite)
+                << where;
+            EXPECT_EQ(bad_full.result.log.iterations(0), 0) << where;
+            for (index_type k = 0; k < c.rows; ++k) {
+                EXPECT_EQ(std::signbit(bad.x[static_cast<std::size_t>(k)]),
+                          false)
+                    << where;
+                EXPECT_EQ(bad.x[static_cast<std::size_t>(k)], 0.0) << where;
+            }
+            EXPECT_EQ(bad.result.log.num_converged(), c.items - 1) << where;
+        }
+    }
 }

@@ -316,10 +316,12 @@ TEST(LaneOrderAdversary, SolverOutputsAreLaneOrderIndependent)
 
 namespace {
 
-/// Solves a small stencil batch under the full checker and returns the
-/// elements the plan spilled to global scratch per group.
-size_type expect_clean_solve(solver::solver_type s, solver::matrix_format f,
-                             precond::type pc, size_type slm_bytes)
+/// Solves a small stencil batch under the full checker, from a zero guess
+/// (the prologue copies r from b) and from a nonzero one (the prologue's
+/// SpMV), and returns the workspace plan.
+solver::slm_plan expect_clean_solve(solver::solver_type s,
+                                    solver::matrix_format f,
+                                    precond::type pc, size_type slm_bytes)
 {
     const index_type items = 4;
     const index_type rows = 24;
@@ -331,7 +333,6 @@ size_type expect_clean_solve(solver::solver_type s, solver::matrix_format f,
         a = mat::to_dense(csr);
     }
     const auto b = work::random_rhs<double>(items, rows, 5);
-    mat::batch_dense<double> x(items, rows, 1);
 
     solver::solve_options opts;
     opts.solver = s;
@@ -345,15 +346,24 @@ size_type expect_clean_solve(solver::solver_type s, solver::matrix_format f,
 
     xpu::queue q(checked_policy(xpu::check_level::adversary,
                                 xpu::lane_order::shuffled, slm_bytes));
-    const auto result = solver::solve(q, a, b, x, opts);
-    EXPECT_EQ(result.log.num_converged(), items)
-        << solver::to_string(s) << "/" << precond::to_string(pc);
-    return result.plan.global_elems_per_group;
+    solver::slm_plan plan;
+    for (const double guess : {0.0, 0.5}) {
+        mat::batch_dense<double> x(items, rows, 1);
+        x.fill(guess);
+        const auto result = solver::solve(q, a, b, x, opts);
+        EXPECT_EQ(result.log.num_converged(), items)
+            << solver::to_string(s) << "/" << precond::to_string(pc)
+            << " guess " << guess;
+        plan = result.plan;
+    }
+    return plan;
 }
 
 constexpr size_type kSlmResident = 128 * 1024;
 /// Small enough that the planner spills most slots to global scratch.
 constexpr size_type kSlmTiny = 512;
+/// Below one 24-row vector: the planner spills every slot.
+constexpr size_type kSlmNone = 128;
 
 }  // namespace
 
@@ -420,8 +430,19 @@ TEST(CheckedSolvers, SpilledWorkspaceClean)
         for (const auto s :
              {solver::solver_type::cg, solver::solver_type::bicgstab,
               solver::solver_type::gmres, solver::solver_type::richardson}) {
-            EXPECT_GT(expect_clean_solve(s, f, pc, kSlmTiny), 0)
+            EXPECT_GT(
+                expect_clean_solve(s, f, pc, kSlmTiny).global_elems_per_group,
+                0)
                 << solver::to_string(s) << "/" << precond::to_string(pc);
+        }
+        // BiCGSTAB's fused passes write r, s and t inside the reductions'
+        // combine loop; with every slot spilled, those writes land in
+        // shadow-undefined scratch too.
+        const solver::slm_plan plan = expect_clean_solve(
+            solver::solver_type::bicgstab, f, pc, kSlmNone);
+        for (const char* name : {"r", "s", "t"}) {
+            EXPECT_FALSE(plan.in_slm(name))
+                << name << " " << precond::to_string(pc);
         }
     }
 
