@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Builds and tests the seven verification configs:
+# Builds and tests the seven verification configs, then checks the
+# benchmark's contract:
 #  1. the default Release build (tier-1: what CI and users run), whose
 #     Oracle.* suite serves generated requests down every execution path
 #     (launch mode x shards x workers x window x transient faults, plus
@@ -39,7 +40,11 @@
 #     and open-loop overload, asserting zero lost tickets, balanced
 #     books (every ticket resolved once, empty queues) after drain, and
 #     bit-identity of successful solves against solo references — in the
-#     Release build and again under the instrumented checked build.
+#     Release build and again under the instrumented checked build, and
+#  8. perfbench/test_perfbench.py, which builds the benchmark from this
+#     tree and checks its output contract (metric names and units,
+#     seed-stable counter metrics, its refusals): a library change that
+#     breaks the benchmark's build or metrics fails here.
 # The sanitizer passes are what prove the pooled launch resources, the
 # reused spill backing, the serving layer's lock-free handoffs, and the
 # solver kernels' SPMD discipline race- and UB-free.
@@ -51,18 +56,18 @@ JOBS=${1:-$(nproc)}
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
 cd "$ROOT"
 
-echo "== config 1/7: Release (build/)"
+echo "== config 1/8: Release (build/)"
 cmake -B build -S . -G Ninja >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build -j "$JOBS" --output-on-failure | tail -3
 
-echo "== config 2/7: Debug + ASan/UBSan (build-sanitize/)"
+echo "== config 2/8: Debug + ASan/UBSan (build-sanitize/)"
 cmake -B build-sanitize -S . -G Ninja \
   -DCMAKE_BUILD_TYPE=Debug -DBATCHLIN_SANITIZE=ON >/dev/null
 cmake --build build-sanitize -j "$JOBS"
 ctest --test-dir build-sanitize -j "$JOBS" --output-on-failure | tail -3
 
-echo "== config 3/7: Debug + TSan, serve + shard + oracle + resilience tests (build-tsan/)"
+echo "== config 3/8: Debug + TSan, serve + shard + oracle + resilience tests (build-tsan/)"
 cmake -B build-tsan -S . -G Ninja \
   -DCMAKE_BUILD_TYPE=Debug -DBATCHLIN_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target test_serve test_shard test_oracle
@@ -74,7 +79,7 @@ OMP_NUM_THREADS=1 ctest --test-dir build-tsan \
   -R '^(Serve|ServeResilience|Assemble|Shard[A-Za-z]*|Oracle)\.' \
   -j "$JOBS" --output-on-failure | tail -3
 
-echo "== config 4/7: xpu::check kernel portability sanitizer (build-check/)"
+echo "== config 4/8: xpu::check kernel portability sanitizer (build-check/)"
 cmake -B build-check -S . -G Ninja \
   -DCMAKE_BUILD_TYPE=Debug -DBATCHLIN_XPU_CHECK=ON >/dev/null
 cmake --build build-check -j "$JOBS"
@@ -83,7 +88,7 @@ cmake --build build-check -j "$JOBS"
 # shipped kernels lane-order independent.
 ctest --test-dir build-check -j "$JOBS" --output-on-failure | tail -3
 
-echo "== config 5/7: resilience fault soak under the checked build"
+echo "== config 5/8: resilience fault soak under the checked build"
 # Reuses build-check: the fault-injection fixtures, breakdown taxonomy
 # regressions, fallback-chain recovery, and the >= 1000-solve randomized
 # soak all run against the instrumented execution model.
@@ -91,7 +96,7 @@ ctest --test-dir build-check \
   -R '^(FaultPlan|FaultFixtures|BreakdownTaxonomy|ZeroRhs|Resilient|SingularSweep|FaultSoak|ServeResilience)\.' \
   -j "$JOBS" --output-on-failure | tail -3
 
-echo "== config 6/7: conc:: concurrency model checker (build-conc/)"
+echo "== config 6/8: conc:: concurrency model checker (build-conc/)"
 cmake -B build-conc -S . -G Ninja \
   -DCMAKE_BUILD_TYPE=Release -DBATCHLIN_CONC_CHECK=ON >/dev/null
 cmake --build build-conc -j "$JOBS" --target test_conc test_serve test_shard \
@@ -106,7 +111,7 @@ OMP_NUM_THREADS=1 ctest --test-dir build-conc \
   -R '^(Serve|ServeResilience|Assemble|Shard[A-Za-z]*|Oracle)\.' \
   -j "$JOBS" --output-on-failure | tail -3
 
-echo "== config 7/7: failover + chaos soak at two shards"
+echo "== config 7/8: failover + chaos soak at two shards"
 # The robustness layer end to end: the sticky device-loss and hang fault
 # kinds, eviction/migration/half-open probing, the hang watchdog,
 # priority shedding, deadline expiry, and the seeded chaos soak
@@ -122,4 +127,7 @@ ctest --test-dir build-check \
   -R '^(FaultPlan|LaneGuard|Failover|Shedding|ChaosSoak)\.' \
   -j "$JOBS" --output-on-failure | tail -3
 
-echo "== all seven configs clean"
+echo "== config 8/8: benchmark contract (perfbench/test_perfbench.py)"
+python3 perfbench/test_perfbench.py
+
+echo "== all eight configs clean"

@@ -1,6 +1,7 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
+#include <array>
 #include <exception>
 #include <optional>
 #include <string>
@@ -86,18 +87,97 @@ std::string to_string(request_status status)
     return "?";
 }
 
-double latency_window::quantile(double q) const
+double select_quantile(std::vector<double>& samples, double q)
 {
-    if (samples_.empty()) {
+    if (samples.empty()) {
         return 0.0;
     }
-    std::vector<double> sorted(samples_);
     const std::size_t rank = std::min(
-        sorted.size() - 1,
-        static_cast<std::size_t>(q * static_cast<double>(sorted.size())));
-    std::nth_element(sorted.begin(), sorted.begin() + rank, sorted.end());
-    return sorted[rank];
+        samples.size() - 1,
+        static_cast<std::size_t>(q * static_cast<double>(samples.size())));
+    std::nth_element(samples.begin(), samples.begin() + rank, samples.end());
+    return samples[rank];
 }
+
+namespace detail {
+
+/// One dispatch worker's estimate of when each coalescing key submits
+/// next: the gate of `solve_service::hold_window`, in the spirit of
+/// Clipper's adaptive batching (Crankshaw et al., NSDI 2017). Fed by the
+/// worker's own pops, from the `enqueued` stamps of consecutive entries
+/// of a key. With several workers on one shard each sees only its share
+/// of a key's arrivals, so its gaps err long, toward not holding. Fixed
+/// size and allocation-free; owned by one worker thread, so unlocked.
+class arrival_gaps {
+public:
+    using clock = std::chrono::steady_clock;
+
+    /// Folds one popped entry's enqueue stamp into its key's gap.
+    void observe(std::uint64_t key, clock::time_point enqueued);
+
+    /// The key's latest stamp plus its smoothed gap; empty while the key
+    /// has shown no gap on this worker (its first request here).
+    std::optional<clock::time_point> next_arrival(std::uint64_t key) const;
+
+private:
+    /// Room for every key a worker serves at once (`serve_mixed` routes
+    /// 34 over two shards), so a steady key keeps its estimate. A new key
+    /// takes the slot of the one that submitted longest ago, which then
+    /// starts over cold and holds once, as without the gate.
+    static constexpr std::size_t kSlots = 64;
+    /// The newest gap's weight in the moving average is 1/8, TCP's
+    /// smoothed-RTT gain: a rate change shows within a few dozen
+    /// requests, and the average's spread is that of a mean of 15 gaps
+    /// (a weight w leaves w / (2 - w) of one gap's variance), so a
+    /// Poisson key's estimate spreads about a quarter of its mean gap
+    /// and does not flap between holding and launching at once.
+    static constexpr std::int64_t kGain = 8;
+
+    struct slot {
+        bool used = false;
+        std::uint64_t key = 0;
+        clock::time_point last{};
+        /// Smoothed gap in ns; negative until the key's second stamp.
+        std::int64_t gap_ns = -1;
+    };
+    std::array<slot, kSlots> slots_{};
+};
+
+void arrival_gaps::observe(std::uint64_t key, clock::time_point enqueued)
+{
+    slot* victim = &slots_.front();
+    for (slot& s : slots_) {
+        if (s.used && s.key == key) {
+            // Submitters racing on one ring can push out of stamp order;
+            // such a pair arrived together, a gap of zero.
+            const std::int64_t gap = std::max<std::int64_t>(
+                0, std::chrono::nanoseconds(enqueued - s.last).count());
+            s.gap_ns = s.gap_ns < 0 ? gap : s.gap_ns + (gap - s.gap_ns) / kGain;
+            s.last = std::max(s.last, enqueued);
+            return;
+        }
+        if (!s.used || (victim->used && s.last < victim->last)) {
+            victim = &s;
+        }
+    }
+    *victim = slot{true, key, enqueued, -1};
+}
+
+std::optional<arrival_gaps::clock::time_point> arrival_gaps::next_arrival(
+    std::uint64_t key) const
+{
+    for (const slot& s : slots_) {
+        if (s.used && s.key == key) {
+            if (s.gap_ns < 0) {
+                return std::nullopt;
+            }
+            return s.last + std::chrono::nanoseconds(s.gap_ns);
+        }
+    }
+    return std::nullopt;
+}
+
+}  // namespace detail
 
 solve_service::solve_service(xpu::exec_policy policy, service_config config)
     : config_(std::move(config)),
@@ -226,7 +306,7 @@ void solve_service::stop()
 
 service_stats solve_service::stats() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
+    std::unique_lock<std::mutex> lk(mu_);
     service_stats s;
     s.submitted_requests = submitted_requests_;
     s.submitted_systems = submitted_systems_;
@@ -249,6 +329,7 @@ service_stats solve_service::stats() const
     s.refine_sweeps = totals_.refine_sweeps;
     s.refine_fallbacks = totals_.refine_fallbacks;
     s.window_holds = totals_.window_holds;
+    s.window_skips = totals_.window_skips;
     s.window_held_us = static_cast<double>(totals_.window_held_ns) * 1e-3;
     s.window_overslept_us =
         static_cast<double>(totals_.window_overslept_ns) * 1e-3;
@@ -310,8 +391,6 @@ service_stats solve_service::stats() const
         s.shards.push_back(std::move(ss));
     }
     s.batch_size_histogram = batch_histogram_;
-    s.p50_latency_seconds = latency_.quantile(0.50);
-    s.p99_latency_seconds = latency_.quantile(0.99);
     s.solves_per_sec =
         s.uptime_seconds > 0.0
             ? static_cast<double>(totals_.ok_systems) / s.uptime_seconds
@@ -321,6 +400,12 @@ service_stats solve_service::stats() const
             ? static_cast<double>(batched_systems_sum_) /
                   static_cast<double>(batches_launched_)
             : 0.0;
+    // Every batch completion takes mu_: copy the window once under it and
+    // select the percentiles after releasing it.
+    std::vector<double> recent = latency_.samples();
+    lk.unlock();
+    s.p50_latency_seconds = select_quantile(recent, 0.50);
+    s.p99_latency_seconds = select_quantile(recent, 0.99);
     return s;
 }
 
@@ -617,10 +702,12 @@ bool solve_service::pop_one(shard_lane& lane, detail::pending_ptr& entry)
 
 void solve_service::pop_into(shard_lane& lane,
                              std::vector<detail::pending_ptr>& chunk,
-                             index_type& total)
+                             index_type& total,
+                             detail::arrival_gaps& arrivals)
 {
     detail::pending_ptr entry;
     while (total < config_.max_batch && pop_one(lane, entry)) {
+        arrivals.observe(entry->key, entry->enqueued);
         total += entry->items;
         chunk.push_back(std::move(entry));
     }
@@ -629,6 +716,7 @@ void solve_service::pop_into(shard_lane& lane,
 void solve_service::hold_window(shard_lane& own,
                                 std::vector<detail::pending_ptr>& chunk,
                                 index_type& total,
+                                detail::arrival_gaps& arrivals,
                                 detail::batch_tally& window)
 {
     using clock = std::chrono::steady_clock;
@@ -680,6 +768,13 @@ void solve_service::hold_window(shard_lane& own,
             return;
         }
         if (!opened) {
+            // Open only if the key is expected to submit again before the
+            // window closes anyway; a key with no gap yet holds.
+            const auto next = arrivals.next_arrival(leader.key);
+            if (next && *next >= close_at) {
+                ++window.window_skips;
+                return;
+            }
             opened = now;
         }
         bell_.park_for(
@@ -693,6 +788,7 @@ void solve_service::hold_window(shard_lane& own,
         // hold and everything behind it stays on the ring.
         detail::pending_ptr entry;
         while (total < config_.max_batch && pop_one(own, entry)) {
+            arrivals.observe(entry->key, entry->enqueued);
             quiet_since = clock::now();
             total += entry->items;
             const bool ours = companion(*entry);
@@ -732,6 +828,7 @@ void solve_service::dispatch_loop(index_type shard_id, int local_id)
         return gate_.sealed() &&
                own.ring_systems.load(std::memory_order_seq_cst) == 0;
     };
+    detail::arrival_gaps arrivals;
     int idle = 0;
     for (;;) {
         own.heartbeat.fetch_add(1, std::memory_order_relaxed);
@@ -753,12 +850,12 @@ void solve_service::dispatch_loop(index_type shard_id, int local_id)
         // idle) the deepest neighbor holding more than max_batch systems.
         std::vector<detail::pending_ptr> chunk;
         index_type total = 0;
-        pop_into(own, chunk, total);
+        pop_into(own, chunk, total, arrivals);
         bool stolen = false;
         if (const int victim = chunk.empty() ? steal_victim(shard_id) : -1;
             victim >= 0) {
             shard_lane& vic = lanes_[static_cast<std::size_t>(victim)];
-            pop_into(vic, chunk, total);
+            pop_into(vic, chunk, total, arrivals);
             stolen = !chunk.empty();
             if (stolen) {
                 own.steals.fetch_add(1, std::memory_order_relaxed);
@@ -793,7 +890,7 @@ void solve_service::dispatch_loop(index_type shard_id, int local_id)
         detail::batch_tally window;
         if (!stolen && !solo &&
             chunk.front()->deadline > std::chrono::steady_clock::now()) {
-            hold_window(own, chunk, total, window);
+            hold_window(own, chunk, total, arrivals, window);
         }
 
         // Group the chunk into compatible fused launches. FIFO arrivals

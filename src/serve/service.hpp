@@ -190,17 +190,25 @@ struct service_config {
     /// window closes early once `max_batch` compatible systems are
     /// gathered, or as soon as the worker pops a request of another key.
     /// Stolen work and a shard with a tripped breaker launch without a
-    /// window. Zero launches whatever has accumulated immediately. Held
-    /// on a worker thread, which runs at 1 ns timer slack, so the window
-    /// closes within a few us of this deadline, not Linux's default 50 us
-    /// late (`service_stats::window_overslept_us` measures it).
+    /// window. Zero launches whatever has accumulated immediately. A
+    /// window opens only when the leader's key is expected to bring a
+    /// companion before it would close: each worker smooths the gaps
+    /// between the submits of a key it pops, and a key whose next submit
+    /// is due after the window's close launches at once
+    /// (`service_stats::window_skips`). A key with no gap yet on the
+    /// worker (its first request there) holds. Held on a worker thread,
+    /// which runs at 1 ns timer slack, so the window closes within a few
+    /// us of this deadline, not Linux's default 50 us late
+    /// (`service_stats::window_overslept_us` measures it).
     std::chrono::microseconds max_wait{200};
     /// Adaptive window flush: once the shard's ring has stayed empty for
     /// this long — every other client is waiting on an in-flight reply,
     /// so no companion can arrive until something completes — the leader
     /// launches instead of holding the full `max_wait` window open. This
     /// removes the low-load pathology where a lone request burns the
-    /// whole window for companions that cannot exist. Applies in every
+    /// whole window for companions that cannot exist. It also bounds the
+    /// arrival gate: a key whose next submit is not due within this long
+    /// of the hold's start opens no window at all. Applies in every
     /// launch mode. Zero disables (always wait out `max_wait`). Honoured
     /// to within a few us, like `max_wait`.
     std::chrono::microseconds idle_flush{25};
@@ -365,10 +373,12 @@ struct batch_tally {
     std::uint64_t refined = 0;
     std::uint64_t refine_sweeps = 0;
     std::uint64_t refine_fallbacks = 0;
-    /// Batching windows held (see `solve_service::hold_window`), the
-    /// time they stayed open, and how far past their deadline the ones
-    /// that closed on it woke.
+    /// Batching windows held (see `solve_service::hold_window`), leaders
+    /// that launched without one because no companion was expected, the
+    /// time the held ones stayed open, and how far past their deadline
+    /// the ones that closed on it woke.
     std::uint64_t window_holds = 0;
+    std::uint64_t window_skips = 0;
     std::uint64_t window_held_ns = 0;
     std::uint64_t window_overslept_ns = 0;
 
@@ -387,11 +397,17 @@ struct batch_tally {
         refine_sweeps += o.refine_sweeps;
         refine_fallbacks += o.refine_fallbacks;
         window_holds += o.window_holds;
+        window_skips += o.window_skips;
         window_held_ns += o.window_held_ns;
         window_overslept_ns += o.window_overslept_ns;
         return *this;
     }
 };
+
+/// One dispatch worker's estimate of when each coalescing key submits
+/// next, from the gaps between the keys' `enqueued` stamps: the gate of
+/// `solve_service::hold_window` (defined in service.cpp).
+class arrival_gaps;
 
 }  // namespace detail
 
@@ -703,16 +719,20 @@ private:
     bool pop_one(shard_lane& lane, detail::pending_ptr& entry);
 
     /// Pops entries off `lane`'s ring into `chunk` (via pop_one) until
-    /// `total` reaches `max_batch` systems or the ring is empty.
+    /// `total` reaches `max_batch` systems or the ring is empty, folding
+    /// each into the worker's `arrivals`.
     void pop_into(shard_lane& lane, std::vector<detail::pending_ptr>& chunk,
-                  index_type& total);
+                  index_type& total, detail::arrival_gaps& arrivals);
 
-    /// The batching window of `chunk.front()` (the leader): keeps popping
-    /// `own`'s ring until the window closes (see `service_config::
-    /// max_wait` / `idle_flush`), parking on the doorbell in between.
-    /// Counts the hold into `window`'s window fields.
+    /// The batching window of `chunk.front()` (the leader): unless
+    /// `arrivals` expects no companion before it would close, keeps
+    /// popping `own`'s ring until the window closes (see
+    /// `service_config::max_wait` / `idle_flush`), parking on the
+    /// doorbell in between. Counts the hold or the skip into `window`'s
+    /// window fields.
     void hold_window(shard_lane& own, std::vector<detail::pending_ptr>& chunk,
-                     index_type& total, detail::batch_tally& window);
+                     index_type& total, detail::arrival_gaps& arrivals,
+                     detail::batch_tally& window);
 
     /// Deepest other ring holding more than `max_batch` systems; -1 when
     /// none does or the service has a single lane.

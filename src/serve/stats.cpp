@@ -81,6 +81,7 @@ std::string service_stats::to_json() const
     emit_u64(out, "refine_sweeps", refine_sweeps);
     emit_u64(out, "refine_fallbacks", refine_fallbacks);
     emit_u64(out, "window_holds", window_holds);
+    emit_u64(out, "window_skips", window_skips);
     emit_double(out, "window_held_us", window_held_us);
     emit_double(out, "window_overslept_us", window_overslept_us);
     emit_u64(out, "evictions", evictions);

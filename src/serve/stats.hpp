@@ -131,6 +131,11 @@ struct service_stats {
     /// threads run at 1 ns timer slack, so the oversleep is a few us per
     /// hold, where Linux's default 50 us slack would be most of one.
     std::uint64_t window_holds = 0;
+    /// Leaders that launched with no window because their key's next
+    /// submit was not expected before the window would close (see
+    /// `service_config::max_wait`): "did not wait", where a hold that
+    /// gathered nobody is "waited and nobody came".
+    std::uint64_t window_skips = 0;
     double window_held_us = 0.0;
     double window_overslept_us = 0.0;
 
@@ -190,9 +195,9 @@ struct service_stats {
     std::string to_json() const;
 };
 
-/// Fixed-size sliding window of recent latency samples. Percentiles are
-/// computed on demand from an unordered copy; the ring itself is O(1) per
-/// sample so the service's completion path stays cheap.
+/// Fixed-size sliding window of recent latency samples. The ring is O(1)
+/// per sample so the service's completion path stays cheap; percentiles
+/// are selected on demand (`select_quantile`) from a copy of `samples()`.
 class latency_window {
 public:
     explicit latency_window(std::size_t capacity = 8192)
@@ -211,8 +216,9 @@ public:
         next_ = (next_ + 1) % capacity_;
     }
 
-    /// quantile in [0, 1]; zero when no samples were recorded yet.
-    double quantile(double q) const;
+    /// The recorded samples in no particular order: the most recent
+    /// `capacity` once the window has wrapped.
+    const std::vector<double>& samples() const { return samples_; }
 
     std::size_t size() const { return samples_.size(); }
 
@@ -221,5 +227,11 @@ private:
     std::size_t next_ = 0;
     std::vector<double> samples_;
 };
+
+/// Quantile q in [0, 1] of `samples`: the element at rank
+/// min(n - 1, floor(q n)) of their sorted order, found by partial
+/// selection, which reorders `samples`; zero when it is empty. Several
+/// quantiles can be selected from one buffer in turn.
+double select_quantile(std::vector<double>& samples, double q);
 
 }  // namespace batchlin::serve

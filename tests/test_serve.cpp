@@ -4,6 +4,7 @@
 // coalescing behavior, drain/stop semantics, and statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -1154,6 +1155,135 @@ TEST(Serve, FullBatchInHandLaunchesWithoutAWindow)
         ASSERT_EQ(s.batch_size_histogram.size(), 9u);
         EXPECT_EQ(s.batch_size_histogram[8], 1u);
     }
+}
+
+TEST(Serve, SparseKeyLeaderLaunchesWithoutAWindow)
+{
+    // A key that submits every 40 ms cannot bring a companion inside a
+    // 20 ms window: only its first request, with no gap seen yet, holds
+    // one; every later leader launches at once. The sleeps only lengthen
+    // the gaps. The window is long so that a worker woken late on a
+    // loaded host still finds it open: a leader reached after its window
+    // closed neither holds nor skips (at 200 us, under a parallel ctest,
+    // half the rounds were reached that late).
+    constexpr int kRounds = 4;
+    for (const bl::xpu::launch_mode mode : oracle::kLaunchModes) {
+        SCOPED_TRACE(bl::xpu::to_string(mode));
+        serve::service_config cfg;
+        cfg.workers = 1;
+        cfg.max_wait = milliseconds(20);
+        cfg.idle_flush = microseconds(0);
+        serve::solve_service service(mode_policy(mode), cfg);
+
+        for (int round = 0; round < kRounds; ++round) {
+            auto ticket = service.submit(make_request(
+                work::stencil_3pt<double>(1, 16, 165), cg_opts(),
+                1010 + static_cast<std::uint64_t>(round)));
+            const auto reply = ticket.get();
+            ASSERT_EQ(reply.status, serve::request_status::ok) << reply.error;
+            EXPECT_EQ(reply.fused_systems, 1);
+            std::this_thread::sleep_for(milliseconds(40));
+        }
+        service.drain();
+        const serve::service_stats s = service.stats();
+        EXPECT_EQ(s.window_holds, 1u);
+        EXPECT_EQ(s.window_skips, static_cast<std::uint64_t>(kRounds - 1));
+        EXPECT_NE(s.to_json().find("\"window_skips\": " +
+                                   std::to_string(kRounds - 1) + ","),
+                  std::string::npos);
+    }
+}
+
+TEST(Serve, WarmDenseKeyStillHoldsItsWindow)
+{
+    // A key whose submits come back to back keeps its window once warm.
+    // Each round's leader is popped alone, and only then do its
+    // companions arrive: they ride in its launch only if it holds. The
+    // gaps the worker has seen are far shorter than the generous window,
+    // so every round's leader holds, the first (cold) one included.
+    constexpr int kRounds = 4;
+    constexpr index_type kBurst = 4;
+    for (const bl::xpu::launch_mode mode : oracle::kLaunchModes) {
+        SCOPED_TRACE(bl::xpu::to_string(mode));
+        serve::service_config cfg;
+        cfg.workers = 1;
+        cfg.max_batch = kBurst;  // the window closes once a burst is in
+        cfg.max_wait = milliseconds(2000);
+        cfg.idle_flush = microseconds(0);
+        serve::solve_service service(mode_policy(mode), cfg);
+
+        std::uint64_t rhs_seed = 1020;
+        const auto submit = [&] {
+            return service.submit(
+                make_request(work::stencil_3pt<double>(1, 16, 166),
+                             cg_opts(), rhs_seed++));
+        };
+        for (int round = 0; round < kRounds; ++round) {
+            std::vector<serve::solve_service::ticket<double>> tickets;
+            tickets.push_back(submit());
+            while (service.stats().queue_depth_requests != 0) {
+                std::this_thread::sleep_for(microseconds(50));
+            }
+            for (index_type i = 1; i < kBurst; ++i) {
+                tickets.push_back(submit());
+            }
+            for (auto& t : tickets) {
+                const auto reply = t.get();
+                ASSERT_EQ(reply.status, serve::request_status::ok)
+                    << reply.error;
+                EXPECT_EQ(reply.fused_systems, kBurst) << "round " << round;
+            }
+        }
+        service.drain();
+        const serve::service_stats s = service.stats();
+        EXPECT_EQ(s.window_holds, static_cast<std::uint64_t>(kRounds));
+        EXPECT_EQ(s.window_skips, 0u);
+    }
+}
+
+TEST(Serve, LatencyPercentilesKeepTheirRanksWhenSelectedFromOneCopy)
+{
+    // stats() selects p50 and then p99 from one copy of the window; each
+    // must be the element at rank min(n - 1, floor(q n)) of the sorted
+    // samples, the rank a fresh copy per quantile gave.
+    const auto expect_ranks = [](const serve::latency_window& window,
+                                 std::vector<double> recorded) {
+        std::sort(recorded.begin(), recorded.end());
+        const auto rank_of = [&](double q) {
+            return recorded[std::min(
+                recorded.size() - 1,
+                static_cast<std::size_t>(
+                    q * static_cast<double>(recorded.size())))];
+        };
+        std::vector<double> copy = window.samples();
+        ASSERT_EQ(copy.size(), recorded.size());
+        EXPECT_EQ(serve::select_quantile(copy, 0.50), rank_of(0.50));
+        EXPECT_EQ(serve::select_quantile(copy, 0.99), rank_of(0.99));
+    };
+    // Distinct values in a scrambled order (37 is coprime to 1000).
+    const auto value = [](int i) { return static_cast<double>((i * 37) % 1000); };
+
+    serve::latency_window partial(100);
+    std::vector<double> partial_recorded;
+    for (int i = 0; i < 61; ++i) {
+        partial.record(value(i));
+        partial_recorded.push_back(value(i));
+    }
+    expect_ranks(partial, partial_recorded);
+
+    // Wrapped: only the most recent 100 of 250 samples remain.
+    serve::latency_window wrapped(100);
+    std::vector<double> wrapped_recorded;
+    for (int i = 0; i < 250; ++i) {
+        wrapped.record(value(i));
+        if (i >= 150) {
+            wrapped_recorded.push_back(value(i));
+        }
+    }
+    expect_ranks(wrapped, wrapped_recorded);
+
+    std::vector<double> none;
+    EXPECT_EQ(serve::select_quantile(none, 0.99), 0.0);
 }
 
 namespace {
