@@ -13,7 +13,10 @@
 #     submit/worker/reply handoffs from many host threads at once; the
 #     oracle names both launch modes explicitly, so the per-worker
 #     recording caches run under TSan too, and the ServeResilience suite
-#     drives `solve_coalesced`'s retry and degrade loop on worker threads,
+#     drives `solve_coalesced`'s retry and degrade loop on worker threads;
+#     the four serve-path tests of test_mixed_precision add fp32-storage
+#     and refined batches, whose worker threads gather and scatter through
+#     the value store (mat::batch_values),
 #  4. a BATCHLIN_XPU_CHECK build running the kernel portability sanitizer:
 #     the fixture kernels must each trigger their diagnostic, and every
 #     shipped solver kernel must pass the full checker (shadow state,
@@ -67,16 +70,17 @@ cmake -B build-sanitize -S . -G Ninja \
 cmake --build build-sanitize -j "$JOBS"
 ctest --test-dir build-sanitize -j "$JOBS" --output-on-failure | tail -3
 
-echo "== config 3/8: Debug + TSan, serve + shard + oracle + resilience tests (build-tsan/)"
+echo "== config 3/8: Debug + TSan, serve + shard + oracle + resilience + fp32/refined serve tests (build-tsan/)"
 cmake -B build-tsan -S . -G Ninja \
   -DCMAKE_BUILD_TYPE=Debug -DBATCHLIN_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j "$JOBS" --target test_serve test_shard test_oracle
+cmake --build build-tsan -j "$JOBS" --target test_serve test_shard test_oracle \
+  test_mixed_precision
 # OMP_NUM_THREADS=1: libgomp is not TSan-instrumented, so its barriers
 # would report false positives. The serve-layer concurrency under test —
 # client threads vs worker threads vs stats readers — is plain std::thread
 # and stays fully exercised.
 OMP_NUM_THREADS=1 ctest --test-dir build-tsan \
-  -R '^(Serve|ServeResilience|Assemble|Shard[A-Za-z]*|Oracle)\.' \
+  -R '^(Serve|ServeResilience|Assemble|Shard[A-Za-z]*|Oracle)\.|^MixedPrecision\.(ServeRepliesBitIdenticalToSoloUnderFp32Storage|CoalescingNeverMixesStoragePolicies)$|^Refine\.(ServeRoutesRefinedRequestsAndCountsSweeps|InjectedLaunchFaultOnRefinedBatchIsRetried)$' \
   -j "$JOBS" --output-on-failure | tail -3
 
 echo "== config 4/8: xpu::check kernel portability sanitizer (build-check/)"

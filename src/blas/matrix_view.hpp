@@ -10,8 +10,6 @@
 // halving the streamed value bytes while all arithmetic stays in T.
 #pragma once
 
-#include <type_traits>
-
 #include "matrix/batch_csr.hpp"
 #include "matrix/batch_dense.hpp"
 #include "matrix/batch_ell.hpp"
@@ -50,68 +48,34 @@ struct dense_view {
     xpu::dspan<const S> values;
 };
 
-template <typename T>
-csr_view<T> item_view(const mat::batch_csr<T>& m, index_type batch)
-{
-    return {m.rows(), m.cols(), m.nnz(), m.row_ptrs().data(),
-            m.col_idxs().data(), m.item_span(batch)};
-}
-
-template <typename T>
-ell_view<T> item_view(const mat::batch_ell<T>& m, index_type batch)
-{
-    return {m.rows(), m.cols(), m.ell_width(), m.col_idxs().data(),
-            m.item_span(batch)};
-}
-
-template <typename T>
-dense_view<T> item_view(const mat::batch_dense<T>& m, index_type batch)
-{
-    return {m.rows(), m.cols(),
-            m.item_span(batch, xpu::mem_space::constant)};
-}
-
-/// Storage-typed views: like item_view, but the values span is taken from
-/// the matrix's S-typed array. S == T degrades to the plain view (native
-/// storage); S == float reads the half-width array the matrix holds in
-/// fp32 mode.
+/// Storage-typed views: the values span is the matrix's S-typed array
+/// (S = T under native storage, S = float under fp32 storage).
 template <typename S, typename T>
 csr_view<T, S> item_view_as(const mat::batch_csr<T>& m, index_type batch)
 {
-    if constexpr (std::is_same_v<S, T>) {
-        return item_view(m, batch);
-    } else {
-        static_assert(std::is_same_v<S, float>,
-                      "fp32 is the only reduced storage type");
-        return {m.rows(), m.cols(), m.nnz(), m.row_ptrs().data(),
-                m.col_idxs().data(), m.item_span_fp32(batch)};
-    }
+    return {m.rows(), m.cols(), m.nnz(), m.row_ptrs().data(),
+            m.col_idxs().data(), m.template item_span_as<S>(batch)};
 }
 
 template <typename S, typename T>
 ell_view<T, S> item_view_as(const mat::batch_ell<T>& m, index_type batch)
 {
-    if constexpr (std::is_same_v<S, T>) {
-        return item_view(m, batch);
-    } else {
-        static_assert(std::is_same_v<S, float>,
-                      "fp32 is the only reduced storage type");
-        return {m.rows(), m.cols(), m.ell_width(), m.col_idxs().data(),
-                m.item_span_fp32(batch)};
-    }
+    return {m.rows(), m.cols(), m.ell_width(), m.col_idxs().data(),
+            m.template item_span_as<S>(batch)};
 }
 
 template <typename S, typename T>
 dense_view<T, S> item_view_as(const mat::batch_dense<T>& m,
                               index_type batch)
 {
-    if constexpr (std::is_same_v<S, T>) {
-        return item_view(m, batch);
-    } else {
-        static_assert(std::is_same_v<S, float>,
-                      "fp32 is the only reduced storage type");
-        return {m.rows(), m.cols(), m.item_span_fp32(batch)};
-    }
+    return {m.rows(), m.cols(), m.template item_span_as<S>(batch)};
+}
+
+/// The native-storage view of one item.
+template <typename M>
+auto item_view(const M& m, index_type batch)
+{
+    return item_view_as<typename M::value_type>(m, batch);
 }
 
 }  // namespace batchlin::blas

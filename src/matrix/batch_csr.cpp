@@ -1,27 +1,24 @@
 #include "matrix/batch_csr.hpp"
 
-#include <algorithm>
-
 namespace batchlin::mat {
 
 template <typename T>
 batch_csr<T>::batch_csr(index_type num_batch_items, index_type rows,
                         index_type cols, std::vector<index_type> row_ptrs,
                         std::vector<index_type> col_idxs)
-    : num_batch_(num_batch_items),
+    : batch_values<T>(num_batch_items,
+                      row_ptrs.empty() ? 0 : row_ptrs.back()),
       rows_(rows),
       cols_(cols),
-      nnz_(row_ptrs.empty() ? 0 : row_ptrs.back()),
       row_ptrs_(std::move(row_ptrs)),
-      col_idxs_(std::move(col_idxs)),
-      values_(static_cast<std::size_t>(num_batch_items) * nnz_)
+      col_idxs_(std::move(col_idxs))
 {
     BATCHLIN_ENSURE_MSG(num_batch_items >= 0 && rows >= 0 && cols >= 0,
                         "negative dimension");
     BATCHLIN_ENSURE_DIMS(
         static_cast<index_type>(row_ptrs_.size()) == rows + 1,
         "row pointer array must have rows+1 entries");
-    BATCHLIN_ENSURE_DIMS(static_cast<index_type>(col_idxs_.size()) == nnz_,
+    BATCHLIN_ENSURE_DIMS(static_cast<index_type>(col_idxs_.size()) == nnz(),
                          "column index array size must equal nnz");
     validate();
 }
@@ -29,40 +26,16 @@ batch_csr<T>::batch_csr(index_type num_batch_items, index_type rows,
 template <typename T>
 T batch_csr<T>::at(index_type batch, index_type row, index_type col) const
 {
-    BATCHLIN_ENSURE_DIMS(row >= 0 && row < rows_ && col >= 0 && col < cols_,
+    BATCHLIN_ENSURE_DIMS(batch >= 0 && batch < this->num_batch_items() &&
+                             row >= 0 && row < rows_ && col >= 0 &&
+                             col < cols_,
                          "entry index out of range");
-    const bool compressed = storage_ == storage_precision::fp32;
-    const T* vals = compressed ? nullptr : item_values(batch);
-    const float* vals32 = compressed ? item_values_fp32(batch) : nullptr;
     for (index_type k = row_ptrs_[row]; k < row_ptrs_[row + 1]; ++k) {
         if (col_idxs_[k] == col) {
-            return compressed ? static_cast<T>(vals32[k]) : vals[k];
+            return this->item_value(batch, k);
         }
     }
     return T{0};
-}
-
-template <typename T>
-void batch_csr<T>::set_storage_precision(storage_precision mode)
-{
-    mode = effective_storage<T>(mode);
-    if (mode == storage_) {
-        return;
-    }
-    if (mode == storage_precision::fp32) {
-        values32_.resize(values_.size());
-        std::transform(values_.begin(), values_.end(), values32_.begin(),
-                       [](T v) { return static_cast<float>(v); });
-        values_.clear();
-        values_.shrink_to_fit();
-    } else {
-        values_.resize(values32_.size());
-        std::transform(values32_.begin(), values32_.end(), values_.begin(),
-                       [](float v) { return static_cast<T>(v); });
-        values32_.clear();
-        values32_.shrink_to_fit();
-    }
-    storage_ = mode;
 }
 
 template <typename T>

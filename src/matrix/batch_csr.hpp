@@ -16,8 +16,10 @@
 
 namespace batchlin::mat {
 
+/// The values, their storage width and item access come from
+/// batch_values; this class adds the shape and the shared pattern.
 template <typename T>
-class batch_csr {
+class batch_csr : public batch_values<T> {
 public:
     using value_type = T;
 
@@ -29,81 +31,25 @@ public:
               std::vector<index_type> row_ptrs,
               std::vector<index_type> col_idxs);
 
-    index_type num_batch_items() const { return num_batch_; }
     index_type rows() const { return rows_; }
     index_type cols() const { return cols_; }
     /// Non-zeros per batch item (the shared pattern's count).
-    index_type nnz() const { return nnz_; }
+    index_type nnz() const
+    {
+        return static_cast<index_type>(this->values_per_item());
+    }
 
     const std::vector<index_type>& row_ptrs() const { return row_ptrs_; }
     const std::vector<index_type>& col_idxs() const { return col_idxs_; }
 
-    T* item_values(index_type batch)
-    {
-        require_native();
-        return values_.data() + item_offset(batch);
-    }
-    const T* item_values(index_type batch) const
-    {
-        require_native();
-        return values_.data() + item_offset(batch);
-    }
-
-    /// Device view of one item's values; matrix values are read-only during
-    /// the solve, hence tagged constant (L3-cacheable, §4.4).
+    /// Device view of one item's native values, tagged constant.
     xpu::dspan<const T> item_span(index_type batch) const
     {
-        return {item_values(batch), nnz_, xpu::mem_space::constant};
+        return this->template item_span_as<T>(batch);
     }
     xpu::dspan<T> item_span_mutable(index_type batch)
     {
-        return {item_values(batch), nnz_, xpu::mem_space::global};
-    }
-
-    std::vector<T>& values()
-    {
-        require_native();
-        return values_;
-    }
-    const std::vector<T>& values() const
-    {
-        require_native();
-        return values_;
-    }
-
-    /// How the values are stored; fp32 means `values_fp32()` is live and
-    /// the native-typed accessors above must not be used.
-    storage_precision storage_mode() const { return storage_; }
-
-    /// Converts the values array in place. fp32 -> native round trips keep
-    /// only fp32 accuracy (the narrowing happened on the way in); callers
-    /// that need the original matrix back retain a native copy instead.
-    /// For 4-byte T, fp32 collapses to native (see effective_storage).
-    void set_storage_precision(storage_precision mode);
-
-    float* item_values_fp32(index_type batch)
-    {
-        require_fp32();
-        return values32_.data() + item_offset(batch);
-    }
-    const float* item_values_fp32(index_type batch) const
-    {
-        require_fp32();
-        return values32_.data() + item_offset(batch);
-    }
-    xpu::dspan<const float> item_span_fp32(index_type batch) const
-    {
-        return {item_values_fp32(batch), nnz_, xpu::mem_space::constant};
-    }
-    std::vector<float>& values_fp32()
-    {
-        require_fp32();
-        return values32_;
-    }
-    const std::vector<float>& values_fp32() const
-    {
-        require_fp32();
-        return values32_;
+        return {this->item_values(batch), nnz(), xpu::mem_space::global};
     }
 
     /// Value at (row, col) of one item, or 0 when outside the pattern.
@@ -119,56 +65,18 @@ public:
     std::vector<index_type> diagonal_positions() const;
 
     /// Total storage in bytes including the shared pattern (Fig. 2).
-    /// Honest under fp32 mode: the native array is released on conversion,
-    /// so the value term really is half-width.
     size_type storage_bytes() const
     {
-        return static_cast<size_type>(values_.size()) * sizeof(T) +
-               static_cast<size_type>(values32_.size()) * sizeof(float) +
+        return this->value_storage_bytes() +
                static_cast<size_type>(row_ptrs_.size() + col_idxs_.size()) *
                    sizeof(index_type);
     }
 
-    /// Bytes one solve streams for this item's values (storage-aware);
-    /// feeds the perfmodel constant-footprint accounting.
-    size_type value_bytes_per_item() const
-    {
-        const size_type width = storage_ == storage_precision::fp32
-                                    ? sizeof(float)
-                                    : sizeof(T);
-        return static_cast<size_type>(nnz_) * width;
-    }
-
 private:
-    void require_native() const
-    {
-        BATCHLIN_ENSURE_MSG(storage_ == storage_precision::native,
-                            "native-typed value access on an fp32-storage "
-                            "batch_csr");
-    }
-    void require_fp32() const
-    {
-        BATCHLIN_ENSURE_MSG(storage_ == storage_precision::fp32,
-                            "fp32 value access on a native-storage "
-                            "batch_csr");
-    }
-
-    size_type item_offset(index_type batch) const
-    {
-        BATCHLIN_ENSURE_DIMS(batch >= 0 && batch < num_batch_,
-                             "batch index out of range");
-        return static_cast<size_type>(batch) * nnz_;
-    }
-
-    index_type num_batch_ = 0;
     index_type rows_ = 0;
     index_type cols_ = 0;
-    index_type nnz_ = 0;
-    storage_precision storage_ = storage_precision::native;
     std::vector<index_type> row_ptrs_;
     std::vector<index_type> col_idxs_;
-    std::vector<T> values_;
-    std::vector<float> values32_;
 };
 
 }  // namespace batchlin::mat

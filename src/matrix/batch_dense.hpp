@@ -16,8 +16,12 @@
 
 namespace batchlin::mat {
 
+/// The values live in batch_values (see batch_csr); this class adds the
+/// shape. fp32 storage is for dense *system matrices* (spmv operands):
+/// vectors (b, x, workspace multivectors) stay native, since the solvers
+/// write them in compute precision every iteration.
 template <typename T>
-class batch_dense {
+class batch_dense : public batch_values<T> {
 public:
     using value_type = T;
 
@@ -26,184 +30,59 @@ public:
     /// Allocates storage for `num_batch_items` matrices of size rows×cols,
     /// zero-initialized.
     batch_dense(index_type num_batch_items, index_type rows, index_type cols)
-        : num_batch_(num_batch_items),
+        : batch_values<T>(num_batch_items,
+                          static_cast<size_type>(rows) * cols),
           rows_(rows),
-          cols_(cols),
-          values_(static_cast<std::size_t>(num_batch_items) * rows * cols)
+          cols_(cols)
     {
         BATCHLIN_ENSURE_MSG(num_batch_items >= 0 && rows >= 0 && cols >= 0,
                             "negative dimension");
     }
 
-    index_type num_batch_items() const { return num_batch_; }
     index_type rows() const { return rows_; }
     index_type cols() const { return cols_; }
     /// Entries of one batch item.
-    size_type item_size() const
-    {
-        return static_cast<size_type>(rows_) * cols_;
-    }
+    size_type item_size() const { return this->values_per_item(); }
 
     T& at(index_type batch, index_type row, index_type col)
     {
-        require_native();
-        return values_[item_offset(batch) + static_cast<size_type>(row) *
-                       cols_ + col];
+        return this->item_values(batch)[static_cast<size_type>(row) * cols_ +
+                                        col];
     }
     /// By value, not by reference: under fp32 storage there is no T-typed
     /// element to point at, so the const read widens on the fly.
     T at(index_type batch, index_type row, index_type col) const
     {
-        const size_type i = item_offset(batch) +
-                            static_cast<size_type>(row) * cols_ + col;
-        return storage_ == storage_precision::fp32
-                   ? static_cast<T>(values32_[i])
-                   : values_[i];
-    }
-
-    T* item_values(index_type batch)
-    {
-        require_native();
-        return values_.data() + item_offset(batch);
-    }
-    const T* item_values(index_type batch) const
-    {
-        require_native();
-        return values_.data() + item_offset(batch);
+        return this->item_value(batch,
+                                static_cast<size_type>(row) * cols_ + col);
     }
 
     /// Tagged view of one item's values for device kernels.
     xpu::dspan<T> item_span(index_type batch,
                             xpu::mem_space space = xpu::mem_space::global)
     {
-        return {item_values(batch), static_cast<index_type>(item_size()),
-                space};
+        return {this->item_values(batch),
+                static_cast<index_type>(item_size()), space};
     }
     xpu::dspan<const T> item_span(
         index_type batch,
         xpu::mem_space space = xpu::mem_space::global) const
     {
-        return {item_values(batch), static_cast<index_type>(item_size()),
-                space};
-    }
-
-    std::vector<T>& values()
-    {
-        require_native();
-        return values_;
-    }
-    const std::vector<T>& values() const
-    {
-        require_native();
-        return values_;
-    }
-
-    /// Storage mode for dense *system matrices* (spmv operands). Vectors
-    /// (b, x, workspace multivectors) stay native: the solvers write them
-    /// in compute precision every iteration.
-    storage_precision storage_mode() const { return storage_; }
-
-    void set_storage_precision(storage_precision mode)
-    {
-        mode = effective_storage<T>(mode);
-        if (mode == storage_) {
-            return;
-        }
-        if (mode == storage_precision::fp32) {
-            values32_.resize(values_.size());
-            std::transform(values_.begin(), values_.end(),
-                           values32_.begin(),
-                           [](T v) { return static_cast<float>(v); });
-            values_.clear();
-            values_.shrink_to_fit();
-        } else {
-            values_.resize(values32_.size());
-            std::transform(values32_.begin(), values32_.end(),
-                           values_.begin(),
-                           [](float v) { return static_cast<T>(v); });
-            values32_.clear();
-            values32_.shrink_to_fit();
-        }
-        storage_ = mode;
-    }
-
-    float* item_values_fp32(index_type batch)
-    {
-        require_fp32();
-        return values32_.data() + item_offset(batch);
-    }
-    const float* item_values_fp32(index_type batch) const
-    {
-        require_fp32();
-        return values32_.data() + item_offset(batch);
-    }
-    xpu::dspan<const float> item_span_fp32(index_type batch) const
-    {
-        return {item_values_fp32(batch),
-                static_cast<index_type>(item_size()),
-                xpu::mem_space::constant};
-    }
-    std::vector<float>& values_fp32()
-    {
-        require_fp32();
-        return values32_;
-    }
-    const std::vector<float>& values_fp32() const
-    {
-        require_fp32();
-        return values32_;
+        return this->template item_span_as<T>(batch, space);
     }
 
     void fill(T value)
     {
-        require_native();
-        std::fill(values_.begin(), values_.end(), value);
+        std::vector<T>& vals = this->values();
+        std::fill(vals.begin(), vals.end(), value);
     }
 
-    /// Total value storage in bytes (the BatchDense row of Fig. 2);
-    /// honest under fp32 mode.
-    size_type storage_bytes() const
-    {
-        return static_cast<size_type>(values_.size()) * sizeof(T) +
-               static_cast<size_type>(values32_.size()) * sizeof(float);
-    }
-
-    /// Bytes one solve streams for this item's values (storage-aware).
-    size_type value_bytes_per_item() const
-    {
-        const size_type width = storage_ == storage_precision::fp32
-                                    ? sizeof(float)
-                                    : sizeof(T);
-        return item_size() * width;
-    }
+    /// Total value storage in bytes (the BatchDense row of Fig. 2).
+    size_type storage_bytes() const { return this->value_storage_bytes(); }
 
 private:
-    void require_native() const
-    {
-        BATCHLIN_ENSURE_MSG(storage_ == storage_precision::native,
-                            "native-typed value access on an fp32-storage "
-                            "batch_dense");
-    }
-    void require_fp32() const
-    {
-        BATCHLIN_ENSURE_MSG(storage_ == storage_precision::fp32,
-                            "fp32 value access on a native-storage "
-                            "batch_dense");
-    }
-
-    size_type item_offset(index_type batch) const
-    {
-        BATCHLIN_ENSURE_DIMS(batch >= 0 && batch < num_batch_,
-                             "batch index out of range");
-        return static_cast<size_type>(batch) * item_size();
-    }
-
-    index_type num_batch_ = 0;
     index_type rows_ = 0;
     index_type cols_ = 0;
-    storage_precision storage_ = storage_precision::native;
-    std::vector<T> values_;
-    std::vector<float> values32_;
 };
 
 }  // namespace batchlin::mat

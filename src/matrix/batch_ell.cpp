@@ -12,7 +12,7 @@ void batch_ell<T>::validate() const
                                     (col >= 0 && col < cols_),
                                 "ELL column index out of range");
             if (col == ell_padding) {
-                for (index_type b = 0; b < num_batch_; ++b) {
+                for (index_type b = 0; b < this->num_batch_items(); ++b) {
                     BATCHLIN_ENSURE_MSG(val_at(b, row, k) == T{0},
                                         "non-zero value stored in an ELL "
                                         "padding slot");

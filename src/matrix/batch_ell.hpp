@@ -8,7 +8,6 @@
 // the coalescing property the paper optimizes for.
 #pragma once
 
-#include <algorithm>
 #include <vector>
 
 #include "matrix/storage.hpp"
@@ -21,8 +20,10 @@ namespace batchlin::mat {
 /// Column index marking a padding slot of the ELL layout.
 inline constexpr index_type ell_padding = -1;
 
+/// The padded values live in batch_values (see batch_csr); this class adds
+/// the shape and the shared column-index pattern.
 template <typename T>
-class batch_ell {
+class batch_ell : public batch_values<T> {
 public:
     using value_type = T;
 
@@ -32,29 +33,24 @@ public:
     /// padding and values as zero.
     batch_ell(index_type num_batch_items, index_type rows, index_type cols,
               index_type ell_width)
-        : num_batch_(num_batch_items),
+        : batch_values<T>(num_batch_items,
+                          static_cast<size_type>(rows) * ell_width),
           rows_(rows),
           cols_(cols),
           width_(ell_width),
-          col_idxs_(static_cast<std::size_t>(rows) * ell_width, ell_padding),
-          values_(static_cast<std::size_t>(num_batch_items) * rows *
-                  ell_width)
+          col_idxs_(static_cast<std::size_t>(rows) * ell_width, ell_padding)
     {
         BATCHLIN_ENSURE_MSG(
             num_batch_items >= 0 && rows >= 0 && cols >= 0 && ell_width >= 0,
             "negative dimension");
     }
 
-    index_type num_batch_items() const { return num_batch_; }
     index_type rows() const { return rows_; }
     index_type cols() const { return cols_; }
     /// Uniform (padded) number of stored entries per row.
     index_type ell_width() const { return width_; }
     /// Stored entries per item including padding.
-    size_type stored_per_item() const
-    {
-        return static_cast<size_type>(rows_) * width_;
-    }
+    size_type stored_per_item() const { return this->values_per_item(); }
 
     /// Column-major linear index of padded slot (row, k).
     size_type slot(index_type row, index_type k) const
@@ -75,101 +71,19 @@ public:
 
     T& val_at(index_type batch, index_type row, index_type k)
     {
-        require_native();
-        return values_[item_offset(batch) + slot(row, k)];
+        return this->item_values(batch)[slot(row, k)];
     }
     T val_at(index_type batch, index_type row, index_type k) const
     {
-        const size_type i = item_offset(batch) + slot(row, k);
-        return storage_ == storage_precision::fp32
-                   ? static_cast<T>(values32_[i])
-                   : values_[i];
+        return this->item_value(batch, slot(row, k));
     }
 
     const std::vector<index_type>& col_idxs() const { return col_idxs_; }
     std::vector<index_type>& col_idxs() { return col_idxs_; }
-    const std::vector<T>& values() const
-    {
-        require_native();
-        return values_;
-    }
-    std::vector<T>& values()
-    {
-        require_native();
-        return values_;
-    }
-
-    T* item_values(index_type batch)
-    {
-        require_native();
-        return values_.data() + item_offset(batch);
-    }
-    const T* item_values(index_type batch) const
-    {
-        require_native();
-        return values_.data() + item_offset(batch);
-    }
 
     xpu::dspan<const T> item_span(index_type batch) const
     {
-        return {item_values(batch),
-                static_cast<index_type>(stored_per_item()),
-                xpu::mem_space::constant};
-    }
-
-    /// See batch_csr: fp32 mode releases the native array and keeps the
-    /// padded values in a half-width float array.
-    storage_precision storage_mode() const { return storage_; }
-
-    void set_storage_precision(storage_precision mode)
-    {
-        mode = effective_storage<T>(mode);
-        if (mode == storage_) {
-            return;
-        }
-        if (mode == storage_precision::fp32) {
-            values32_.resize(values_.size());
-            std::transform(values_.begin(), values_.end(),
-                           values32_.begin(),
-                           [](T v) { return static_cast<float>(v); });
-            values_.clear();
-            values_.shrink_to_fit();
-        } else {
-            values_.resize(values32_.size());
-            std::transform(values32_.begin(), values32_.end(),
-                           values_.begin(),
-                           [](float v) { return static_cast<T>(v); });
-            values32_.clear();
-            values32_.shrink_to_fit();
-        }
-        storage_ = mode;
-    }
-
-    float* item_values_fp32(index_type batch)
-    {
-        require_fp32();
-        return values32_.data() + item_offset(batch);
-    }
-    const float* item_values_fp32(index_type batch) const
-    {
-        require_fp32();
-        return values32_.data() + item_offset(batch);
-    }
-    xpu::dspan<const float> item_span_fp32(index_type batch) const
-    {
-        return {item_values_fp32(batch),
-                static_cast<index_type>(stored_per_item()),
-                xpu::mem_space::constant};
-    }
-    std::vector<float>& values_fp32()
-    {
-        require_fp32();
-        return values32_;
-    }
-    const std::vector<float>& values_fp32() const
-    {
-        require_fp32();
-        return values32_;
+        return this->template item_span_as<T>(batch);
     }
 
     /// Throws on malformed patterns: out-of-range columns or values stored
@@ -179,53 +93,18 @@ public:
     /// Non-padding entries per item (the logical nnz).
     index_type nnz() const;
 
-    /// Total storage in bytes including the shared pattern (Fig. 2);
-    /// honest under fp32 mode (native array released on conversion).
+    /// Total storage in bytes including the shared pattern (Fig. 2).
     size_type storage_bytes() const
     {
-        return static_cast<size_type>(values_.size()) * sizeof(T) +
-               static_cast<size_type>(values32_.size()) * sizeof(float) +
+        return this->value_storage_bytes() +
                static_cast<size_type>(col_idxs_.size()) * sizeof(index_type);
     }
 
-    /// Bytes one solve streams for this item's values (storage-aware).
-    size_type value_bytes_per_item() const
-    {
-        const size_type width = storage_ == storage_precision::fp32
-                                    ? sizeof(float)
-                                    : sizeof(T);
-        return stored_per_item() * width;
-    }
-
 private:
-    void require_native() const
-    {
-        BATCHLIN_ENSURE_MSG(storage_ == storage_precision::native,
-                            "native-typed value access on an fp32-storage "
-                            "batch_ell");
-    }
-    void require_fp32() const
-    {
-        BATCHLIN_ENSURE_MSG(storage_ == storage_precision::fp32,
-                            "fp32 value access on a native-storage "
-                            "batch_ell");
-    }
-
-    size_type item_offset(index_type batch) const
-    {
-        BATCHLIN_ENSURE_DIMS(batch >= 0 && batch < num_batch_,
-                             "batch index out of range");
-        return static_cast<size_type>(batch) * stored_per_item();
-    }
-
-    index_type num_batch_ = 0;
     index_type rows_ = 0;
     index_type cols_ = 0;
     index_type width_ = 0;
-    storage_precision storage_ = storage_precision::native;
     std::vector<index_type> col_idxs_;
-    std::vector<T> values_;
-    std::vector<float> values32_;
 };
 
 }  // namespace batchlin::mat

@@ -761,8 +761,12 @@ void solve_service::hold_window(shard_lane& own,
         if (now >= close_at) {
             // Closed on its deadline: how late the wake came (timer
             // slack plus scheduling delay) is what the window overran.
+            // Reached already closed (a late wake, or `max_wait` 0), the
+            // leader launches without waiting: a skip.
             if (opened) {
                 window.window_overslept_ns += ns(now - close_at);
+            } else {
+                ++window.window_skips;
             }
             closed();
             return;

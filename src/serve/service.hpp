@@ -298,26 +298,6 @@ namespace detail {
 /// cache keys by too); entries_compatible() backs it exactly.
 using solver::coalesce_key;
 
-/// Stored nonzeros per batch item — the byte-volume input of the shard
-/// router's cost model.
-template <typename T>
-index_type nnz_per_item(const solver::batch_matrix<T>& a)
-{
-    return std::visit(
-        [](const auto& m) -> index_type {
-            using MatBatch = std::decay_t<decltype(m)>;
-            if constexpr (std::is_same_v<MatBatch, mat::batch_csr<T>>) {
-                return static_cast<index_type>(m.col_idxs().size());
-            } else if constexpr (std::is_same_v<MatBatch,
-                                                mat::batch_ell<T>>) {
-                return m.ell_width() * m.rows();
-            } else {
-                return m.rows() * m.cols();
-            }
-        },
-        a);
-}
-
 /// A queued request of one precision, with the slot its ticket waits
 /// on. The slot itself (waiter-bit states, resolve/wait protocol) lives
 /// in serve/reply_slot.hpp, generified over the payload so the conc::
@@ -374,7 +354,8 @@ struct batch_tally {
     std::uint64_t refine_sweeps = 0;
     std::uint64_t refine_fallbacks = 0;
     /// Batching windows held (see `solve_service::hold_window`), leaders
-    /// that launched without one because no companion was expected, the
+    /// that launched without one (no companion expected, or the window
+    /// already closed when the worker reached it), the
     /// time the held ones stayed open, and how far past their deadline
     /// the ones that closed on it woke.
     std::uint64_t window_holds = 0;
@@ -474,10 +455,8 @@ public:
                             "serve:: does not scatter per-iteration "
                             "history; use a direct solve for that");
         request.opts.criterion.validate();
-        const index_type items = std::visit(
-            [](const auto& m) { return m.num_batch_items(); }, request.a);
-        const index_type rows =
-            std::visit([](const auto& m) { return m.rows(); }, request.a);
+        const index_type items = solver::items_of(request.a);
+        const index_type rows = solver::rows_of(request.a);
         BATCHLIN_ENSURE_MSG(items > 0, "empty solve request");
         BATCHLIN_ENSURE_DIMS(request.b.num_batch_items() == items &&
                                  request.x.num_batch_items() == items,
@@ -498,14 +477,7 @@ public:
                 mat::storage_precision::fp32 &&
             request.opts.refine_sweeps == 0 &&
             request.opts.solver != solver::solver_type::trsv) {
-            std::visit(
-                [](auto& m) {
-                    if (m.storage_mode() == mat::storage_precision::native) {
-                        m.set_storage_precision(
-                            mat::storage_precision::fp32);
-                    }
-                },
-                request.a);
+            solver::set_storage(request.a, mat::storage_precision::fp32);
         }
 
         const auto now = std::chrono::steady_clock::now();
@@ -517,7 +489,8 @@ public:
         const int priority = request.priority;
         const std::uint64_t key =
             detail::coalesce_key<T>(request.a, request.opts);
-        const index_type nnz = detail::nnz_per_item<T>(request.a);
+        const auto nnz = static_cast<index_type>(
+            solver::values_of(request.a).values_per_item());
 
         auto slot = std::make_shared<detail::reply_slot<solve_reply<T>>>();
         ticket<T> fut{slot};

@@ -131,10 +131,13 @@ struct service_stats {
     /// threads run at 1 ns timer slack, so the oversleep is a few us per
     /// hold, where Linux's default 50 us slack would be most of one.
     std::uint64_t window_holds = 0;
-    /// Leaders that launched with no window because their key's next
-    /// submit was not expected before the window would close (see
-    /// `service_config::max_wait`): "did not wait", where a hold that
-    /// gathered nobody is "waited and nobody came".
+    /// Leaders that launched with no window: their key's next submit was
+    /// not expected before the window would close (see
+    /// `service_config::max_wait`), or the window had already closed when
+    /// the worker reached it (a late wake, or `max_wait` 0). "Did not
+    /// wait", where a hold that gathered nobody is "waited and nobody
+    /// came". Holds plus skips count the leaders that reached the window
+    /// with room left in the batch and only companions in hand.
     std::uint64_t window_skips = 0;
     double window_held_us = 0.0;
     double window_overslept_us = 0.0;

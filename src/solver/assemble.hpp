@@ -181,23 +181,6 @@ auto with_retries(const retry_policy& policy, index_type& attempts,
 template <typename T>
 index_type validate_assembly(const std::vector<assembly_part<T>>& parts);
 
-/// Values stored per batch item, padding included.
-template <typename T>
-size_type values_per_item(const mat::batch_csr<T>& m)
-{
-    return static_cast<size_type>(m.nnz());
-}
-template <typename T>
-size_type values_per_item(const mat::batch_ell<T>& m)
-{
-    return m.stored_per_item();
-}
-template <typename T>
-size_type values_per_item(const mat::batch_dense<T>& m)
-{
-    return m.item_size();
-}
-
 /// A zero-valued batch of `items` systems with the format, shared
 /// pattern, and storage mode of `src`.
 template <typename T>
@@ -225,42 +208,6 @@ mat::batch_dense<T> empty_like(const mat::batch_dense<T>& src,
     return out;
 }
 
-/// The one item-copy primitive under every gather and scatter: copies
-/// `count` consecutive items of `src`, starting at item `from`, into `dst`
-/// starting at item `to`. Reads whichever value array of `src` is live
-/// (native or fp32) and writes the live array of `dst`, converting on the
-/// way; the two must share format and pattern.
-template <typename M>
-void copy_items(const M& src, index_type from, M& dst, index_type to,
-                index_type count = 1)
-{
-    BATCHLIN_ENSURE_DIMS(from >= 0 && to >= 0 && count >= 0 &&
-                             from + count <= src.num_batch_items() &&
-                             to + count <= dst.num_batch_items(),
-                         "item copy out of range");
-    if (count == 0) {
-        return;
-    }
-    const size_type n = values_per_item(src) * count;
-    const auto copy_from = [&](const auto* in) {
-        const auto copy_into = [&](auto* out) {
-            using V = std::remove_pointer_t<decltype(out)>;
-            std::transform(in, in + n, out,
-                           [](auto v) { return static_cast<V>(v); });
-        };
-        if (dst.storage_mode() == mat::storage_precision::fp32) {
-            copy_into(dst.item_values_fp32(to));
-        } else {
-            copy_into(dst.item_values(to));
-        }
-    };
-    if (src.storage_mode() == mat::storage_precision::fp32) {
-        copy_from(src.item_values_fp32(from));
-    } else {
-        copy_from(src.item_values(from));
-    }
-}
-
 /// Gathers the listed items of a batch into a fresh one with the same
 /// format, pattern, and storage mode.
 template <typename M>
@@ -268,7 +215,7 @@ M gather_items(const M& src, const std::vector<index_type>& items)
 {
     M out = empty_like(src, static_cast<index_type>(items.size()));
     for (index_type j = 0; j < out.num_batch_items(); ++j) {
-        copy_items(src, items[static_cast<std::size_t>(j)], out, j);
+        mat::copy_items(src, items[static_cast<std::size_t>(j)], out, j);
     }
     return out;
 }
@@ -305,12 +252,12 @@ void gather_into(const std::vector<assembly_part<T>>& parts,
         std::visit(
             [&](auto& combined) {
                 using MatBatch = std::decay_t<decltype(combined)>;
-                copy_items(std::get<MatBatch>(*part.a), 0, combined, offset,
-                           n);
+                mat::copy_items(std::get<MatBatch>(*part.a), 0, combined,
+                                offset, n);
             },
             into.a);
-        copy_items(*part.b, 0, into.b, offset, n);
-        copy_items(*part.x, 0, into.x, offset, n);
+        mat::copy_items(*part.b, 0, into.b, offset, n);
+        mat::copy_items(*part.x, 0, into.x, offset, n);
         offset += n;
     }
 }
@@ -342,7 +289,7 @@ void scatter(const mat::batch_dense<T>& x,
 {
     index_type offset = 0;
     for (const assembly_part<T>& part : parts) {
-        copy_items(x, offset, *part.x, 0, part.items());
+        mat::copy_items(x, offset, *part.x, 0, part.items());
         offset += part.items();
     }
 }

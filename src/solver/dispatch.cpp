@@ -49,20 +49,6 @@ std::string to_string(matrix_format f)
 
 namespace {
 
-/// nnz used for preconditioner-workspace sizing, per format.
-template <typename T>
-index_type pattern_nnz(const batch_matrix<T>& a)
-{
-    if (const auto* csr = std::get_if<mat::batch_csr<T>>(&a)) {
-        return csr->nnz();
-    }
-    if (const auto* ell = std::get_if<mat::batch_ell<T>>(&a)) {
-        return ell->rows() * ell->ell_width();
-    }
-    const auto& dense = std::get<mat::batch_dense<T>>(a);
-    return static_cast<index_type>(dense.item_size());
-}
-
 template <typename T, typename S>
 size_type precond_workspace(precond::type p, index_type rows,
                             index_type nnz, index_type block_size)
@@ -188,7 +174,8 @@ launch_setup resolve_launch(const xpu::exec_policy& policy,
                             const solve_options& opts)
 {
     const index_type rows = rows_of(a);
-    const index_type nnz = pattern_nnz(a);
+    const auto nnz =
+        static_cast<index_type>(values_of(a).values_per_item());
     launch_setup setup;
     const xpu::reduce_path* reduction_override =
         opts.reduction ? &*opts.reduction : nullptr;
@@ -231,10 +218,10 @@ std::shared_ptr<void> launch_bound(xpu::queue& q, const batch_matrix<T>& a,
     // the matrix holds.
     return std::visit(
         [&](const auto& concrete) {
-            if (concrete.storage_mode() == mat::storage_precision::fp32) {
-                return launch_precond<T, float>(q, concrete, ops);
-            }
-            return launch_precond<T, T>(q, concrete, ops);
+            return concrete.visit_storage_type([&](auto storage) {
+                using S = typename decltype(storage)::type;
+                return launch_precond<T, S>(q, concrete, ops);
+            });
         },
         a);
 }

@@ -14,13 +14,9 @@ namespace {
 template <typename T>
 size_type constant_bytes_per_system(const solver::batch_matrix<T>& a)
 {
-    return std::visit(
-        [](const auto& m) -> size_type {
-            return m.value_bytes_per_item() +
-                   static_cast<size_type>(m.rows()) *
-                       static_cast<size_type>(sizeof(T));
-        },
-        a);
+    return solver::values_of(a).value_bytes_per_item() +
+           static_cast<size_type>(solver::rows_of(a)) *
+               static_cast<size_type>(sizeof(T));
 }
 
 }  // namespace

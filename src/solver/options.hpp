@@ -42,10 +42,24 @@ matrix_format format_of(const batch_matrix<T>& a)
 
 std::string to_string(matrix_format f);
 
+/// The value store under whichever format `a` holds.
+template <typename T>
+const mat::batch_values<T>& values_of(const batch_matrix<T>& a)
+{
+    return std::visit(
+        [](const auto& m) -> const mat::batch_values<T>& { return m; }, a);
+}
+template <typename T>
+mat::batch_values<T>& values_of(batch_matrix<T>& a)
+{
+    return std::visit([](auto& m) -> mat::batch_values<T>& { return m; },
+                      a);
+}
+
 template <typename T>
 index_type items_of(const batch_matrix<T>& a)
 {
-    return std::visit([](const auto& m) { return m.num_batch_items(); }, a);
+    return values_of(a).num_batch_items();
 }
 
 template <typename T>
@@ -57,7 +71,7 @@ index_type rows_of(const batch_matrix<T>& a)
 template <typename T>
 mat::storage_precision storage_of(const batch_matrix<T>& a)
 {
-    return std::visit([](const auto& m) { return m.storage_mode(); }, a);
+    return values_of(a).storage_mode();
 }
 
 /// Converts the value array of `a` to `mode` in place (a no-op when it
@@ -65,7 +79,7 @@ mat::storage_precision storage_of(const batch_matrix<T>& a)
 template <typename T>
 void set_storage(batch_matrix<T>& a, mat::storage_precision mode)
 {
-    std::visit([mode](auto& m) { m.set_storage_precision(mode); }, a);
+    values_of(a).set_storage_precision(mode);
 }
 
 /// All runtime knobs of one batched solve. Every combination of the first

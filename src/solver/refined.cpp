@@ -175,7 +175,7 @@ refined_result solve_refined(xpu::queue& q, const batch_matrix<T>& a,
             const index_type i = short_of_target[static_cast<std::size_t>(j)];
             iterations[static_cast<std::size_t>(i)] += rr.log.iterations(j);
             chain[static_cast<std::size_t>(i)] = rr.log.status(j);
-            detail::copy_items(sub_x, j, xw, i);
+            mat::copy_items(sub_x, j, xw, i);
         }
         rnorm = true_norms();
     }

@@ -19,19 +19,17 @@ void item_residuals(const mat::batch_csr<T>& a, index_type item,
                     const mat::batch_dense<T>& b,
                     const mat::batch_dense<T>& x, Sink&& sink)
 {
-    const bool compressed =
-        a.storage_mode() == mat::storage_precision::fp32;
-    const T* vals = compressed ? nullptr : a.item_values(item);
-    const float* vals32 = compressed ? a.item_values_fp32(item) : nullptr;
-    for (index_type i = 0; i < a.rows(); ++i) {
-        double ax = 0.0;
-        for (index_type k = a.row_ptrs()[i]; k < a.row_ptrs()[i + 1]; ++k) {
-            const double v = compressed ? static_cast<double>(vals32[k])
-                                        : static_cast<double>(vals[k]);
-            ax += v * static_cast<double>(x.at(item, a.col_idxs()[k], 0));
+    a.visit_item(item, [&](const auto* vals) {
+        for (index_type i = 0; i < a.rows(); ++i) {
+            double ax = 0.0;
+            for (index_type k = a.row_ptrs()[i]; k < a.row_ptrs()[i + 1];
+                 ++k) {
+                ax += static_cast<double>(vals[k]) *
+                      static_cast<double>(x.at(item, a.col_idxs()[k], 0));
+            }
+            sink(i, static_cast<double>(b.at(item, i, 0)) - ax);
         }
-        sink(i, static_cast<double>(b.at(item, i, 0)) - ax);
-    }
+    });
 }
 
 template <typename T, typename Sink>

@@ -166,7 +166,7 @@ resilient_result solve_resilient(xpu::queue& q, const batch_matrix<T>& a,
             } else if (primary) {
                 ++out.first_try;
             } else {
-                detail::copy_items(sub_x, j, x, i);
+                mat::copy_items(sub_x, j, x, i);
                 ++out.recovered;
             }
         }

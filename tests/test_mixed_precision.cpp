@@ -71,30 +71,81 @@ TEST(MixedPrecision, EffectiveStorageCollapsesForNarrowComputeTypes)
         mat::storage_precision::native);
 }
 
+namespace {
+
+// One format's fp32 storage against its native batch: exact narrowing,
+// the widening round trip, byte accounting, the width guards, and item
+// copies converting in both directions.
+template <typename M>
+void expect_fp32_storage(const M& native)
+{
+    M narrow = native;
+    narrow.set_storage_precision(mat::storage_precision::fp32);
+    ASSERT_EQ(narrow.storage_mode(), mat::storage_precision::fp32);
+
+    // Compression is an exact narrow of every stored value, and the data
+    // is not all float-exact (or the checks below would prove nothing).
+    const std::vector<double>& v = native.values();
+    const std::vector<float>& v32 = narrow.values_fp32();
+    ASSERT_EQ(v32.size(), v.size());
+    bool inexact = false;
+    for (std::size_t j = 0; j < v.size(); ++j) {
+        EXPECT_EQ(v32[j], static_cast<float>(v[j])) << "value " << j;
+        inexact = inexact || static_cast<double>(v32[j]) != v[j];
+    }
+    EXPECT_TRUE(inexact);
+
+    // fp32 -> native widens the narrowed values back.
+    M back = narrow;
+    back.set_storage_precision(mat::storage_precision::native);
+    ASSERT_EQ(back.values().size(), v32.size());
+    for (std::size_t j = 0; j < v32.size(); ++j) {
+        EXPECT_EQ(back.values()[j], static_cast<double>(v32[j]));
+    }
+
+    // The value bytes halve; the pattern bytes stay.
+    EXPECT_EQ(narrow.value_bytes_per_item() * 2,
+              native.value_bytes_per_item());
+    const size_type native_value_bytes =
+        native.value_bytes_per_item() * native.num_batch_items();
+    EXPECT_EQ(narrow.storage_bytes(),
+              native.storage_bytes() - native_value_bytes / 2);
+
+    // Only the live width is accessible.
+    EXPECT_THROW(narrow.item_values(0), bl::error);
+    EXPECT_THROW(narrow.values(), bl::error);
+    EXPECT_THROW(native.item_values_fp32(0), bl::error);
+    EXPECT_THROW(native.item_span_fp32(0), bl::error);
+
+    // Item copies convert between the widths in both directions.
+    const index_type items = native.num_batch_items();
+    M into_native = native;
+    std::fill(into_native.values().begin(), into_native.values().end(), 0.0);
+    mat::copy_items(narrow, 0, into_native, 0, items);
+    EXPECT_EQ(into_native.values(), back.values());
+    M into_fp32 = native;
+    std::fill(into_fp32.values().begin(), into_fp32.values().end(), 0.0);
+    into_fp32.set_storage_precision(mat::storage_precision::fp32);
+    mat::copy_items(native, 0, into_fp32, 0, items);
+    EXPECT_EQ(into_fp32.values_fp32(), v32);
+}
+
+}  // namespace
+
 TEST(MixedPrecision, Fp32StorageHalvesValueBytesInEveryFormat)
 {
     const mat::batch_csr<double> csr = work::stencil_3pt<double>(2, 32, 5);
-    mat::batch_csr<double> csr32 = csr;
-    csr32.set_storage_precision(mat::storage_precision::fp32);
-    EXPECT_EQ(csr32.value_bytes_per_item() * 2, csr.value_bytes_per_item());
-
-    const mat::batch_ell<double> ell = mat::to_ell(csr);
-    mat::batch_ell<double> ell32 = ell;
-    ell32.set_storage_precision(mat::storage_precision::fp32);
-    EXPECT_EQ(ell32.value_bytes_per_item() * 2, ell.value_bytes_per_item());
-
-    const mat::batch_dense<double> dn = mat::to_dense(csr);
-    mat::batch_dense<double> dn32 = dn;
-    dn32.set_storage_precision(mat::storage_precision::fp32);
-    EXPECT_EQ(dn32.value_bytes_per_item() * 2, dn.value_bytes_per_item());
-
-    // Compression is an exact narrow of every stored value.
-    for (index_type i = 0; i < csr.num_batch_items(); ++i) {
-        const float* v32 = csr32.item_values_fp32(i);
-        const double* v = csr.item_values(i);
-        for (index_type k = 0; k < csr.nnz(); ++k) {
-            EXPECT_EQ(v32[k], static_cast<float>(v[k]));
-        }
+    {
+        SCOPED_TRACE("csr");
+        expect_fp32_storage(csr);
+    }
+    {
+        SCOPED_TRACE("ell");
+        expect_fp32_storage(mat::to_ell(csr));
+    }
+    {
+        SCOPED_TRACE("dense");
+        expect_fp32_storage(mat::to_dense(csr));
     }
 }
 

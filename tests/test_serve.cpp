@@ -1164,8 +1164,9 @@ TEST(Serve, SparseKeyLeaderLaunchesWithoutAWindow)
     // one; every later leader launches at once. The sleeps only lengthen
     // the gaps. The window is long so that a worker woken late on a
     // loaded host still finds it open: a leader reached after its window
-    // closed neither holds nor skips (at 200 us, under a parallel ctest,
-    // half the rounds were reached that late).
+    // closed skips even when its first request would have held (at
+    // 200 us, under a parallel ctest, half the rounds were reached that
+    // late).
     constexpr int kRounds = 4;
     for (const bl::xpu::launch_mode mode : oracle::kLaunchModes) {
         SCOPED_TRACE(bl::xpu::to_string(mode));
@@ -1191,6 +1192,34 @@ TEST(Serve, SparseKeyLeaderLaunchesWithoutAWindow)
         EXPECT_NE(s.to_json().find("\"window_skips\": " +
                                    std::to_string(kRounds - 1) + ","),
                   std::string::npos);
+    }
+}
+
+TEST(Serve, AlreadyClosedWindowCountsAsASkip)
+{
+    // At max_wait 0 every window has closed by the time the worker reaches
+    // it: each leader launches without waiting, and counts as a skip, so
+    // holds plus skips still account for every lone leader.
+    constexpr int kRounds = 5;
+    for (const bl::xpu::launch_mode mode : oracle::kLaunchModes) {
+        SCOPED_TRACE(bl::xpu::to_string(mode));
+        serve::service_config cfg;
+        cfg.workers = 1;
+        cfg.max_wait = microseconds(0);
+        serve::solve_service service(mode_policy(mode), cfg);
+
+        for (int round = 0; round < kRounds; ++round) {
+            auto ticket = service.submit(make_request(
+                work::stencil_3pt<double>(1, 16, 167), cg_opts(),
+                1030 + static_cast<std::uint64_t>(round)));
+            const auto reply = ticket.get();
+            ASSERT_EQ(reply.status, serve::request_status::ok) << reply.error;
+            EXPECT_EQ(reply.fused_systems, 1);
+        }
+        service.drain();
+        const serve::service_stats s = service.stats();
+        EXPECT_EQ(s.window_holds, 0u);
+        EXPECT_EQ(s.window_skips, static_cast<std::uint64_t>(kRounds));
     }
 }
 
