@@ -21,10 +21,12 @@ void bm_spmv_csr(benchmark::State& state)
     std::vector<double> x(rows, 1.0);
     std::vector<double> y(static_cast<std::size_t>(rows) * items);
     xpu::queue q(xpu::make_sycl_policy());
+    // Counted once per launch, as the solver launches do.
+    const double slots = blas::spmv_slots(a, 16);
     for (auto _ : state) {
         q.run_batch(items, 32, 16, [&](xpu::group& g) {
             blas::spmv<double>(
-                g, blas::item_view(a, g.id()),
+                g, blas::item_view_as<double>(a, g.id(), slots),
                 {x.data(), rows, xpu::mem_space::slm},
                 {y.data() + static_cast<std::size_t>(g.id()) * rows, rows,
                  xpu::mem_space::slm});

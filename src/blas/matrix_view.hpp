@@ -28,7 +28,40 @@ struct csr_view {
     const index_type* row_ptrs = nullptr;
     const index_type* col_idxs = nullptr;
     xpu::dspan<const S> values;
+    /// FMA slots one SpMV of this item issues (spmv_slots), counted once by
+    /// the launch; negative when the view's maker did not count them, and
+    /// then every SpMV counts them itself.
+    double spmv_slots = -1.0;
 };
+
+/// FMA slots one y = A x of a CSR item issues under the sub-group-per-row
+/// mapping: every row is processed by a full sub-group, so each row's
+/// length rounds up to the sub-group size. Only the shared pattern and the
+/// sub-group size enter, so one count serves every group and SpMV of a
+/// launch.
+inline double spmv_slots(index_type rows, const index_type* row_ptrs,
+                         index_type sub_group_size)
+{
+    double issued = 0.0;
+    for (index_type row = 0; row < rows; ++row) {
+        issued += round_up(row_ptrs[row + 1] - row_ptrs[row], sub_group_size);
+    }
+    return issued;
+}
+
+template <typename T>
+double spmv_slots(const mat::batch_csr<T>& m, index_type sub_group_size)
+{
+    return spmv_slots(m.rows(), m.row_ptrs().data(), sub_group_size);
+}
+
+/// ELL and dense SpMVs issue one slot per stored entry, which their views
+/// give directly: nothing to count per launch.
+template <typename M>
+double spmv_slots(const M&, index_type)
+{
+    return -1.0;
+}
 
 /// One ELL batch item (column-major padded storage).
 template <typename T, typename S = T>
@@ -49,16 +82,19 @@ struct dense_view {
 };
 
 /// Storage-typed views: the values span is the matrix's S-typed array
-/// (S = T under native storage, S = float under fp32 storage).
+/// (S = T under native storage, S = float under fp32 storage). A launch
+/// passes its `spmv_slots(m, sub_group_size)`; only CSR views keep it.
 template <typename S, typename T>
-csr_view<T, S> item_view_as(const mat::batch_csr<T>& m, index_type batch)
+csr_view<T, S> item_view_as(const mat::batch_csr<T>& m, index_type batch,
+                            double slots = -1.0)
 {
     return {m.rows(), m.cols(), m.nnz(), m.row_ptrs().data(),
-            m.col_idxs().data(), m.template item_span_as<S>(batch)};
+            m.col_idxs().data(), m.template item_span_as<S>(batch), slots};
 }
 
 template <typename S, typename T>
-ell_view<T, S> item_view_as(const mat::batch_ell<T>& m, index_type batch)
+ell_view<T, S> item_view_as(const mat::batch_ell<T>& m, index_type batch,
+                            double /*slots*/ = -1.0)
 {
     return {m.rows(), m.cols(), m.ell_width(), m.col_idxs().data(),
             m.template item_span_as<S>(batch)};
@@ -66,7 +102,7 @@ ell_view<T, S> item_view_as(const mat::batch_ell<T>& m, index_type batch)
 
 template <typename S, typename T>
 dense_view<T, S> item_view_as(const mat::batch_dense<T>& m,
-                              index_type batch)
+                              index_type batch, double /*slots*/ = -1.0)
 {
     return {m.rows(), m.cols(), m.template item_span_as<S>(batch)};
 }

@@ -105,14 +105,14 @@ void charge_spmv(xpu::group& g, const csr_view<T, S>& a,
     // processed by a full sub-group, so rows shorter than the sub-group
     // leave lanes idle (the inefficiency that motivates BatchEll's
     // item-per-row mapping for few-nnz rows, §3.2). The idle lanes still
-    // issue the FMA slots, which the flop charge reflects. Counted here
-    // rather than in the row loop: an integer division there ties up the
-    // registers the fused epilogues' row loops need on the host.
-    const index_type sg = g.sub_group_size();
-    double issued = 0.0;
-    for (index_type row = 0; row < a.rows; ++row) {
-        issued += round_up(a.row_ptrs[row + 1] - a.row_ptrs[row], sg);
-    }
+    // issue the FMA slots, which the flop charge reflects. Counted by the
+    // launch (spmv_slots) rather than in the row loop: an integer division
+    // there ties up the registers the fused epilogues' row loops need on
+    // the host, and the count is the same for every SpMV of a launch.
+    const double issued =
+        a.spmv_slots >= 0.0
+            ? a.spmv_slots
+            : spmv_slots(a.rows, a.row_ptrs, g.sub_group_size());
     g.stats().flops += 2.0 * issued;
     // Pattern traffic: row pointers + column indexes, shared by all groups.
     g.stats().constant_read_bytes +=

@@ -47,10 +47,6 @@ public:
     {
         return this->template item_span_as<T>(batch);
     }
-    xpu::dspan<T> item_span_mutable(index_type batch)
-    {
-        return {this->item_values(batch), nnz(), xpu::mem_space::global};
-    }
 
     /// Value at (row, col) of one item, or 0 when outside the pattern.
     T at(index_type batch, index_type row, index_type col) const;

@@ -1,7 +1,7 @@
 #include "matrix/operations.hpp"
 
 #include <cmath>
-#include <tuple>
+#include <variant>
 
 #include "blas/matrix_view.hpp"
 #include "blas/spmv.hpp"
@@ -13,19 +13,16 @@ namespace batchlin::mat {
 namespace {
 
 template <typename T>
-void check_apply_dims(const any_batch<T>& a, const batch_dense<T>& x,
-                      const batch_dense<T>& y)
+void check_apply_dims(const solver::batch_matrix<T>& a,
+                      const batch_dense<T>& x, const batch_dense<T>& y)
 {
-    const auto [items, rows, cols] = std::visit(
-        [](const auto& m) {
-            return std::tuple<index_type, index_type, index_type>{
-                m.num_batch_items(), m.rows(), m.cols()};
-        },
-        a);
+    const index_type items = solver::items_of(a);
     BATCHLIN_ENSURE_DIMS(x.num_batch_items() == items &&
                              y.num_batch_items() == items,
                          "batch sizes must match");
-    BATCHLIN_ENSURE_DIMS(x.rows() == cols && y.rows() == rows,
+    const index_type cols =
+        std::visit([](const auto& m) { return m.cols(); }, a);
+    BATCHLIN_ENSURE_DIMS(x.rows() == cols && y.rows() == solver::rows_of(a),
                          "vector lengths must match the matrix shape");
     BATCHLIN_ENSURE_DIMS(x.cols() == 1 && y.cols() == 1,
                          "apply expects single-column multivectors");
@@ -34,21 +31,17 @@ void check_apply_dims(const any_batch<T>& a, const batch_dense<T>& x,
 }  // namespace
 
 template <typename T>
-void apply(xpu::queue& q, const any_batch<T>& a, const batch_dense<T>& x,
-           batch_dense<T>& y)
+void apply(xpu::queue& q, const solver::batch_matrix<T>& a,
+           const batch_dense<T>& x, batch_dense<T>& y)
 {
     check_apply_dims(a, x, y);
-    const index_type rows =
-        std::visit([](const auto& m) { return m.rows(); }, a);
-    const index_type items =
-        std::visit([](const auto& m) { return m.num_batch_items(); }, a);
     const solver::kernel_config config =
-        solver::choose_launch_config(q.policy(), rows);
+        solver::choose_launch_config(q.policy(), solver::rows_of(a));
     const batch_dense<T>* x_in = &x;
     batch_dense<T>* y_out = &y;
     std::visit(
         [&](const auto& m) {
-            q.run_batch(items, config.work_group_size,
+            q.run_batch(m.num_batch_items(), config.work_group_size,
                         config.sub_group_size, [&](xpu::group& g) {
                             blas::spmv<T>(
                                 g, blas::item_view(m, g.id()),
@@ -62,21 +55,18 @@ void apply(xpu::queue& q, const any_batch<T>& a, const batch_dense<T>& x,
 }
 
 template <typename T>
-void advanced_apply(xpu::queue& q, T alpha, const any_batch<T>& a,
+void advanced_apply(xpu::queue& q, T alpha, const solver::batch_matrix<T>& a,
                     const batch_dense<T>& x, T beta, batch_dense<T>& y)
 {
     check_apply_dims(a, x, y);
-    const index_type rows =
-        std::visit([](const auto& m) { return m.rows(); }, a);
-    const index_type items =
-        std::visit([](const auto& m) { return m.num_batch_items(); }, a);
+    const index_type rows = solver::rows_of(a);
     const solver::kernel_config config =
         solver::choose_launch_config(q.policy(), rows);
     const batch_dense<T>* x_in = &x;
     batch_dense<T>* y_out = &y;
     std::visit(
         [&](const auto& m) {
-            q.run_batch(items, config.work_group_size,
+            q.run_batch(m.num_batch_items(), config.work_group_size,
                         config.sub_group_size, [&](xpu::group& g) {
                             xpu::dspan<T> scratch =
                                 g.slm().alloc<T>(rows);
@@ -208,9 +198,10 @@ void unscale_solution(batch_dense<T>& x, const batch_scaling<T>& s)
 }
 
 #define BATCHLIN_INSTANTIATE_OPERATIONS(T)                                 \
-    template void apply<T>(xpu::queue&, const any_batch<T>&,               \
+    template void apply<T>(xpu::queue&, const solver::batch_matrix<T>&,    \
                            const batch_dense<T>&, batch_dense<T>&);        \
-    template void advanced_apply<T>(xpu::queue&, T, const any_batch<T>&,   \
+    template void advanced_apply<T>(xpu::queue&, T,                        \
+                                    const solver::batch_matrix<T>&,        \
                                     const batch_dense<T>&, T,              \
                                     batch_dense<T>&);                      \
     template batch_csr<T> transpose<T>(const batch_csr<T>&);               \

@@ -7,27 +7,21 @@
 // BDF Jacobians and the effectiveness of the scalar Jacobi preconditioner).
 #pragma once
 
-#include <variant>
-
 #include "matrix/batch_csr.hpp"
 #include "matrix/batch_dense.hpp"
-#include "matrix/batch_ell.hpp"
+#include "solver/options.hpp"
 #include "xpu/queue.hpp"
 
 namespace batchlin::mat {
 
-template <typename T>
-using any_batch =
-    std::variant<batch_dense<T>, batch_csr<T>, batch_ell<T>>;
-
 /// y_i = A_i x_i for every batch item, as one fused kernel launch.
 template <typename T>
-void apply(xpu::queue& q, const any_batch<T>& a, const batch_dense<T>& x,
-           batch_dense<T>& y);
+void apply(xpu::queue& q, const solver::batch_matrix<T>& a,
+           const batch_dense<T>& x, batch_dense<T>& y);
 
 /// y_i = alpha * A_i x_i + beta * y_i.
 template <typename T>
-void advanced_apply(xpu::queue& q, T alpha, const any_batch<T>& a,
+void advanced_apply(xpu::queue& q, T alpha, const solver::batch_matrix<T>& a,
                     const batch_dense<T>& x, T beta, batch_dense<T>& y);
 
 /// Batched transpose: one pass builds the transposed shared pattern and

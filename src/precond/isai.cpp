@@ -112,8 +112,10 @@ typename isai<T, S>::applier isai<T, S>::generate(
 
     // Implicit view-of-const conversion keeps the sanitizer tag attached
     // to the approximate-inverse values the applier dereferences.
+    // A's pattern, so A's SpMV slot count.
     blas::csr_view<T, S> m_view{a.rows,     a.cols,     a.nnz,
-                                a.row_ptrs, a.col_idxs, m_vals};
+                                a.row_ptrs, a.col_idxs, m_vals,
+                                a.spmv_slots};
     return {m_view};
 }
 

@@ -33,6 +33,7 @@ void run_richardson_bound(xpu::queue& q, const MatBatch& a,
     // Recordable closure: operands enter by address of caller-owned
     // storage, configuration structs by value (see run_decl.hpp).
     const MatBatch* const a_ptr = &a;
+    const double a_slots = blas::spmv_slots(a, config.sub_group_size);
     const Precond* const precond_ptr = &precond;
     const mat::batch_dense<T>* const b_ptr = &b;
     mat::batch_dense<T>* const x_out = &x;
@@ -52,7 +53,7 @@ void run_richardson_bound(xpu::queue& q, const MatBatch& a,
             xpu::dspan<T> x_loc = bind.take("x");
             xpu::dspan<T> pc_work = bind.take_optional("precond");
 
-            const auto a_view = blas::item_view_as<S>(*a_ptr, batch);
+            const auto a_view = blas::item_view_as<S>(*a_ptr, batch, a_slots);
             const auto b_view =
                 b_ptr->item_span(batch, xpu::mem_space::constant);
             auto x_global = x_out->item_span(batch);

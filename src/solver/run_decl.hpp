@@ -30,7 +30,9 @@ namespace batchlin::solver {
 // submission recordable into an `xpu::graph` and replayable long after
 // the recording call returned. The caller owns the lifetime of a,
 // precond, b, x, crit, slots, spill backing, and logger for as long as the
-// launch may run or replay.
+// launch may run or replay. The closures also copy a's SpMV slot count
+// (blas::spmv_slots), which depends only on the pattern and the launch's
+// sub-group size: a replay may swap a's values, never its pattern.
 
 /// Preconditioned conjugate gradients (Algorithm 1 of the paper) for the
 /// batch entries in `range`; one fused kernel launch.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -53,20 +52,22 @@ void build_pattern(const mechanism& mech, std::vector<index_type>& row_ptrs,
 
     // Distribute the remaining couplings over the interior rows as evenly
     // as the per-row capacity allows (chemistry Jacobians are dense-ish and
-    // fairly balanced, which is also why BatchEll suits them, §3.1).
-    std::vector<std::set<index_type>> pattern(n);
+    // fairly balanced, which is also why BatchEll suits them, §3.1). One
+    // flag per position; `place` reports whether the flag was clear.
+    std::vector<unsigned char> pattern(static_cast<std::size_t>(n) * n, 0);
+    const auto place = [&](index_type i, index_type j) {
+        unsigned char& flag = pattern[static_cast<std::size_t>(i) * n + j];
+        const bool was_clear = flag == 0;
+        flag = 1;
+        return was_clear;
+    };
     for (index_type i = 0; i < n; ++i) {
-        pattern[i].insert(i);            // diagonal
-        pattern[i].insert(n - 1);        // last column
+        place(i, i);        // diagonal
+        place(i, n - 1);    // last column
+        place(n - 1, i);    // last row
     }
-    for (index_type j = 0; j < n; ++j) {
-        pattern[n - 1].insert(j);        // last row
-    }
-    std::vector<index_type> capacity(n, 0);
-    for (index_type i = 0; i < interior; ++i) {
-        capacity[i] = interior - static_cast<index_type>(
-                                     pattern[i].size() - 1);  // excl last col
-    }
+    // An interior row holds its diagonal and the last column so far.
+    std::vector<index_type> capacity(interior, interior - 1);
     index_type cursor = 0;
     while (remaining > 0) {
         const index_type i = cursor % interior;
@@ -80,13 +81,13 @@ void build_pattern(const mechanism& mech, std::vector<index_type>& row_ptrs,
         bool placed = false;
         for (int attempt = 0; attempt < 16 && !placed; ++attempt) {
             const index_type j = gen.uniform_int(0, interior - 1);
-            placed = pattern[i].insert(j).second;
+            placed = place(i, j);
         }
         if (!placed) {
             const index_type start = gen.uniform_int(0, interior - 1);
             for (index_type step = 0; step < interior && !placed; ++step) {
                 const index_type j = (start + step) % interior;
-                placed = pattern[i].insert(j).second;
+                placed = place(i, j);
             }
         }
         if (placed) {
@@ -97,25 +98,29 @@ void build_pattern(const mechanism& mech, std::vector<index_type>& row_ptrs,
 
     row_ptrs.assign(n + 1, 0);
     col_idxs.clear();
+    col_idxs.reserve(mech.nnz);
     for (index_type i = 0; i < n; ++i) {
-        for (index_type j : pattern[i]) {
-            col_idxs.push_back(j);
+        for (index_type j = 0; j < n; ++j) {
+            if (pattern[static_cast<std::size_t>(i) * n + j] != 0) {
+                col_idxs.push_back(j);
+            }
         }
         row_ptrs[i + 1] = static_cast<index_type>(col_idxs.size());
     }
 }
 
-}  // namespace
-
+/// The first `count` unique systems of a mechanism. They are drawn in order
+/// from one stream after the pattern, so the first k are the same whatever
+/// the count.
 template <typename T>
-mat::batch_csr<T> generate_mechanism(const mechanism& mech,
-                                     std::uint64_t seed)
+mat::batch_csr<T> generate_uniques(const mechanism& mech, index_type count,
+                                   std::uint64_t seed)
 {
     rng gen(seed);
     std::vector<index_type> row_ptrs;
     std::vector<index_type> col_idxs;
     build_pattern(mech, row_ptrs, col_idxs, gen);
-    mat::batch_csr<T> a(mech.num_unique, mech.rows, mech.rows,
+    mat::batch_csr<T> a(count, mech.rows, mech.rows,
                         std::move(row_ptrs), std::move(col_idxs));
     BATCHLIN_ENSURE_MSG(a.nnz() == mech.nnz,
                         "generated pattern does not match Table 4 nnz");
@@ -126,7 +131,7 @@ mat::batch_csr<T> generate_mechanism(const mechanism& mech,
     // systems' character (non-symmetric, well conditioned after Jacobi).
     const auto& rp = a.row_ptrs();
     const auto& ci = a.col_idxs();
-    for (index_type u = 0; u < mech.num_unique; ++u) {
+    for (index_type u = 0; u < count; ++u) {
         T* vals = a.item_values(u);
         const double gamma = gen.uniform(0.05, 0.3);
         for (index_type i = 0; i < mech.rows; ++i) {
@@ -149,12 +154,26 @@ mat::batch_csr<T> generate_mechanism(const mechanism& mech,
     return a;
 }
 
+}  // namespace
+
+template <typename T>
+mat::batch_csr<T> generate_mechanism(const mechanism& mech,
+                                     std::uint64_t seed)
+{
+    return generate_uniques<T>(mech, mech.num_unique, seed);
+}
+
 template <typename T>
 mat::batch_csr<T> generate_mechanism_batch(const mechanism& mech,
                                            index_type batch_size,
                                            std::uint64_t seed)
 {
-    const mat::batch_csr<T> unique = generate_mechanism<T>(mech, seed);
+    // Item b replicates unique b % count: a batch of at most num_unique
+    // cells reads only its first batch_size uniques, so only those are
+    // drawn.
+    const index_type count =
+        std::max<index_type>(1, std::min(mech.num_unique, batch_size));
+    const mat::batch_csr<T> unique = generate_uniques<T>(mech, count, seed);
     return replicate(unique, batch_size, 1e-3, seed ^ 0x9e3779b9u);
 }
 

@@ -43,7 +43,9 @@ mat::batch_csr<T> generate_mechanism(const mechanism& mech,
                                      std::uint64_t seed = 1234);
 
 /// Full workload: unique systems replicated cyclically (with a small value
-/// perturbation per copy) to `batch_size` cells, as in §4.1.
+/// perturbation per copy) to `batch_size` cells, as in §4.1. Only the
+/// uniques the batch reads are drawn; they equal the first ones of
+/// generate_mechanism at the same seed.
 template <typename T>
 mat::batch_csr<T> generate_mechanism_batch(const mechanism& mech,
                                            index_type batch_size,

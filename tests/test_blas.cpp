@@ -2,6 +2,7 @@
 // SpMV kernels, including the traffic-attribution counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -239,6 +240,49 @@ TEST(Spmv, CsrChargesPatternAsConstant)
     // Flop slots: every row occupies a full 16-lane sub-group (rows have
     // 2-3 nnz), plus one combine per row.
     EXPECT_DOUBLE_EQ(f.stats.flops, 2.0 * 16 * 16 + 16.0);
+}
+
+TEST(Spmv, LaunchCountedSlotsChargeLikeThePerSpmvCount)
+{
+    // Rows of 1, 17 and 33 entries: each rounds up to the sub-group size.
+    std::vector<index_type> col_idxs;
+    for (const index_type len : {1, 17, 33}) {
+        for (index_type j = 0; j < len; ++j) {
+            col_idxs.push_back(j);
+        }
+    }
+    mat::batch_csr<double> a(1, 3, 40, {0, 1, 18, 51}, col_idxs);
+    std::fill_n(a.item_values(0), a.nnz(), 0.5);
+    EXPECT_EQ(blas::spmv_slots(a, 16), 16.0 + 32.0 + 48.0);
+    EXPECT_EQ(blas::spmv_slots(a, 32), 32.0 + 32.0 + 64.0);
+    for (const index_type sg : {16, 32}) {
+        // A view carrying the launch's count charges exactly what a view
+        // without one charges by counting the rows itself.
+        counters launch_counted;
+        counters self_counted;
+        slm_arena arena{1 << 20};
+        group g_launch{0, 32, sg, arena, launch_counted};
+        group g_self{0, 32, sg, arena, self_counted};
+        std::vector<double> x(40, 1.0), y_launch(3), y_self(3);
+        dspan<const double> x_span{x.data(), 40, mem_space::global};
+        blas::spmv<double>(
+            g_launch,
+            blas::item_view_as<double>(a, 0, blas::spmv_slots(a, sg)),
+            x_span, dspan<double>{y_launch.data(), 3, mem_space::global});
+        blas::spmv<double>(g_self, blas::item_view(a, 0), x_span,
+                           dspan<double>{y_self.data(), 3,
+                                         mem_space::global});
+        EXPECT_EQ(y_launch, y_self);
+        EXPECT_EQ(launch_counted.flops, 2.0 * blas::spmv_slots(a, sg) + 3);
+        EXPECT_EQ(launch_counted.flops, self_counted.flops);
+        EXPECT_EQ(launch_counted.global_read_bytes,
+                  self_counted.global_read_bytes);
+        EXPECT_EQ(launch_counted.global_write_bytes,
+                  self_counted.global_write_bytes);
+        EXPECT_EQ(launch_counted.constant_read_bytes,
+                  self_counted.constant_read_bytes);
+        EXPECT_EQ(launch_counted.slm_bytes, self_counted.slm_bytes);
+    }
 }
 
 TEST(Spmv, EllPaddingStillComputes)

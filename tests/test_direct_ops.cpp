@@ -123,7 +123,7 @@ TEST(Apply, MatchesResidualDefinition)
     const index_type items = 6;
     const index_type rows = 30;
     const auto a_csr = work::stencil_3pt<double>(items, rows, 4);
-    const mat::any_batch<double> a = a_csr;
+    const solver::batch_matrix<double> a = a_csr;
     const auto x = work::random_rhs<double>(items, rows, 5);
     mat::batch_dense<double> y(items, rows, 1);
     xpu::queue q(xpu::make_sycl_policy());
@@ -161,7 +161,7 @@ TEST(Apply, AdvancedApplyScalesAndAccumulates)
     const index_type items = 3;
     const index_type rows = 12;
     const auto a_csr = work::stencil_3pt<double>(items, rows, 2);
-    const mat::any_batch<double> a = a_csr;
+    const solver::batch_matrix<double> a = a_csr;
     const auto x = work::random_rhs<double>(items, rows, 3);
     mat::batch_dense<double> y(items, rows, 1);
     mat::batch_dense<double> ax(items, rows, 1);
@@ -180,7 +180,7 @@ TEST(Apply, AdvancedApplyScalesAndAccumulates)
 TEST(Apply, RejectsShapeMismatch)
 {
     const auto a_csr = work::stencil_3pt<double>(2, 10, 1);
-    const mat::any_batch<double> a = a_csr;
+    const solver::batch_matrix<double> a = a_csr;
     const auto x = work::random_rhs<double>(2, 10, 1);
     mat::batch_dense<double> y_bad(2, 8, 1);
     xpu::queue q(xpu::make_sycl_policy());

@@ -4,7 +4,11 @@
 // numerical character (non-symmetric, diagonally dominant, shared pattern).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "matrix/properties.hpp"
 #include "util/dense_lu.hpp"
@@ -181,4 +185,68 @@ TEST(Chemistry, GenerationIsDeterministic)
     const auto b = work::generate_mechanism<double>(mech, 7);
     EXPECT_EQ(a.values(), b.values());
     EXPECT_EQ(a.col_idxs(), b.col_idxs());
+}
+
+namespace {
+
+/// FNV-1a over the bytes of each index, in order.
+std::uint64_t fnv1a(std::uint64_t h, const std::vector<index_type>& v)
+{
+    for (const index_type x : v) {
+        const auto u = static_cast<std::uint32_t>(x);
+        for (int byte = 0; byte < 4; ++byte) {
+            h ^= (u >> (8 * byte)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+}  // namespace
+
+TEST(Chemistry, SmallBatchMatchesFullUniqueGeneration)
+{
+    // A batch of n cells reads only its first min(n, num_unique) uniques:
+    // generating just those must give the same batch, bit for bit, as
+    // replicating the full unique set.
+    for (const work::mechanism& mech : work::pele_mechanisms()) {
+        for (const std::uint64_t seed : {1234ull, 99ull}) {
+            const auto unique = work::generate_mechanism<double>(mech, seed);
+            for (const index_type n :
+                 {1, 4, 8, mech.num_unique - 1, mech.num_unique,
+                  mech.num_unique + 5}) {
+                SCOPED_TRACE(mech.name + " seed " + std::to_string(seed) +
+                             " n " + std::to_string(n));
+                const auto batch =
+                    work::generate_mechanism_batch<double>(mech, n, seed);
+                const auto expected =
+                    work::replicate(unique, n, 1e-3, seed ^ 0x9e3779b9u);
+                EXPECT_EQ(batch.num_batch_items(), n);
+                EXPECT_EQ(batch.row_ptrs(), expected.row_ptrs());
+                EXPECT_EQ(batch.col_idxs(), expected.col_idxs());
+                EXPECT_EQ(batch.values(), expected.values());
+            }
+        }
+    }
+}
+
+TEST(Chemistry, PatternIsPinned)
+{
+    // FNV-1a of row_ptrs then col_idxs at seed 1234. A change here moves
+    // every generated matrix, and with it iteration counts and the
+    // benchmark's modeled time.
+    const std::pair<const char*, std::uint64_t> pinned[] = {
+        {"drm19", 0x871ebd2d1c8a66d0ull},
+        {"gri12", 0xce8692362f913f6full},
+        {"gri30", 0x3424ac1194c5408full},
+        {"dodecane_lu", 0x6ad7d9c4a2efdd8bull},
+        {"isooctane", 0x35aaa84981f0357full},
+    };
+    for (const auto& [name, hash] : pinned) {
+        const auto a =
+            work::generate_mechanism<double>(work::mechanism_by_name(name));
+        const std::uint64_t h =
+            fnv1a(fnv1a(0xcbf29ce484222325ull, a.row_ptrs()), a.col_idxs());
+        EXPECT_EQ(h, hash) << name << std::hex << " 0x" << h;
+    }
 }
